@@ -6,18 +6,13 @@
 //!   rollover (kept here as the baseline the engine replaced);
 //! * `instance`     — `cat_engine::BankEngine::process` over the
 //!   statically-dispatched `SchemeInstance` shards;
-//! * `pool-N`       — `BankEngine::process_sharded` with N bank-shard
-//!   threads on the persistent worker pool (bit-identical results by the
-//!   engine's determinism contract). These rows were `sharded-N` before
-//!   the pool landed, when every 1M-access sub-batch paid a scoped
-//!   spawn/join per shard — the overhead that made `sharded-4` lose to
-//!   `sharded-2`;
 //! * `stream`       — `cat_engine::MemorySystem` streaming ingestion:
 //!   `push_decoded` per access, staging buffer flushing through the
-//!   cut-aware routed batch path;
-//! * `overlap-N`    — `MemorySystem::with_shards(N)`: the whole system's
-//!   banks on **one shared pool** whose shards span all channels, so
-//!   independent channels overlap on the same workers;
+//!   cut-aware batch path;
+//! * `overlap-N`    — `MemorySystem::with_shards(N)`: the engine split
+//!   refined to at least N engine slices, replayed on N persistent shard
+//!   workers (bit-identical results by the engine's determinism
+//!   contract);
 //! * `queue-N`      — the socket/queue ingestion front-end minus the
 //!   socket: N producer threads deal the trace round-robin into the
 //!   lock-free per-producer SPSC rings of `IngestQueue`, and
@@ -33,22 +28,19 @@
 //!   backends — and the per-slice stats are merged in slice-id order.
 //!   Measures the scatter + N-systems + merge overhead on top of
 //!   `stream`; the checksum assert is the fleet ≡ single-host contract;
-//! * `sparse-1m-*`  — the huge-geometry rows (DESIGN.md §10): a 1 Mi-bank
-//!   engine with ~1% of the banks hot, on the flat path and the 4-shard
-//!   pool. Construction is O(1) in bank count and only touched banks
+//! * `sparse-1m-*`  — the huge-geometry rows (DESIGN.md §10): 1 Mi banks
+//!   with ~1% of them hot, as one flat engine (`sparse-1m-flat`) and as a
+//!   4-shard `MemorySystem` over one 1 Mi-bank channel
+//!   (`sparse-1m-pool-4`). Construction is O(1) in bank count and only touched banks
 //!   materialize scheme state, so these rows also record the resident
 //!   footprint (`resident_bytes`, amortized `bytes_per_bank`, and the
 //!   arithmetic dense estimate — per-instance bytes × total banks — the
 //!   sparse storage is beating). Speedups are reported against
 //!   `sparse-1m-flat`, not `boxed-dyn`: the dense baseline at this
 //!   geometry would spend its time in construction, not the hot path;
-//! * `*-small`      — the same paths at an epoch length of 65 536 accesses
-//!   (hundreds of boundaries per replay): the cut-aware regression guard.
-//!   Before cuts travelled inside the batch, small epochs drained the
-//!   whole pool pipeline once per epoch segment; now `overlap-4-small`
-//!   and `pool-4-small` run the same one-loan-per-batch machinery and
-//!   must stay within measurement noise of each other (a sustained gap
-//!   means one path regressed). Small-epoch rows report speedups vs.
+//! * `*-small`      — `boxed-dyn` and `overlap-4` at an epoch length of
+//!   65 536 accesses (hundreds of boundaries per replay): the cut-aware
+//!   regression guard. Small-epoch rows report speedups vs.
 //!   `boxed-dyn-small`.
 //!
 //! The schemes measured are the per-bank state machines with real
@@ -77,7 +69,7 @@ use std::time::Instant;
 use cat_bench::{banner, decode_trace, quick_factor};
 use cat_core::{MitigationScheme, RowId, SchemeSpec, SchemeStats};
 use cat_engine::ingest::{self, IngestQueue};
-use cat_engine::{BankEngine, EngineFootprint, MemorySystem, Partition};
+use cat_engine::{BankEngine, EngineFootprint, MemGeometry, MemorySystem, Partition};
 use cat_sim::SystemConfig;
 use cat_workloads::catalog;
 
@@ -86,8 +78,8 @@ const EPOCHS: u64 = 4;
 const REPS: u32 = 3;
 /// Independent runs per row; the reported rate is their **median**.
 const DEFAULT_RUNS: usize = 3;
-/// Epoch length of the `*-small` rows, in accesses: far below the pool's
-/// 1M-access sub-batch, so every chunk carries many epoch cuts.
+/// Epoch length of the `*-small` rows, in accesses: far below the trace
+/// length, so every replay crosses hundreds of epoch cuts.
 const SMALL_EPOCH: u64 = 65_536;
 
 /// Runs per row: `BENCH_RUNS` if set, 1 under `REPRO_QUICK`, else
@@ -176,7 +168,7 @@ fn boxed_dyn_loop(
 }
 
 fn main() {
-    banner("engine throughput: boxed-dyn vs SchemeInstance vs pool-sharded engine");
+    banner("engine throughput: boxed-dyn vs SchemeInstance vs sharded system");
     let cfg = SystemConfig::dual_core_two_channel();
     let trace = decode_trace(&catalog::by_name("swapt").unwrap(), &cfg, EPOCHS, 0xCA7);
     let accesses = trace.entries.len() as u64;
@@ -247,20 +239,6 @@ fn main() {
             engine.stats()
         });
         row("instance", rate, &stats, &base_stats, base_rate);
-
-        for (path, shards) in [("pool-2", 2usize), ("pool-4", 4)] {
-            // The engine (and so its worker pool) lives across the repeats
-            // of one measurement only in the sense that matters: within a
-            // replay the pool threads are spawned once and fed all 20
-            // sub-batches over channels.
-            let (rate, stats) = measure(accesses, || {
-                let mut engine = BankEngine::new(spec, cfg.total_banks(), cfg.rows_per_bank)
-                    .with_epoch_length(trace.per_epoch);
-                engine.process_sharded(&trace.entries, shards);
-                engine.stats()
-            });
-            row(path, rate, &stats, &base_stats, base_rate);
-        }
 
         // Streaming ingestion: per-access push through the staging buffer,
         // flushed through the cut-aware routed batch path.
@@ -339,7 +317,7 @@ fn main() {
             row("fleet-2", rate, &stats, &base_stats, base_rate);
         }
 
-        // Overlapped channels: one shared pool spanning all channels.
+        // Engine slices replayed on N shard workers.
         for (path, shards) in [("overlap-2", 2usize), ("overlap-4", 4)] {
             let (rate, stats) = measure(accesses, || {
                 let mut system = MemorySystem::new(&cfg, spec)
@@ -364,13 +342,6 @@ fn main() {
             &small_stats,
             small_rate,
         );
-        let (rate, stats) = measure(accesses, || {
-            let mut engine = BankEngine::new(spec, cfg.total_banks(), cfg.rows_per_bank)
-                .with_epoch_length(SMALL_EPOCH);
-            engine.process_sharded(&trace.entries, 4);
-            engine.stats()
-        });
-        row("pool-4-small", rate, &stats, &small_stats, small_rate);
         let (rate, stats) = measure(accesses, || {
             let mut system = MemorySystem::new(&cfg, spec)
                 .with_epoch_length(SMALL_EPOCH)
@@ -474,15 +445,25 @@ fn sparse_1m_rows(results: &mut Vec<Measurement>) {
     };
     row("sparse-1m-flat", flat_rate, &flat_stats, footprint);
 
-    let mut pooled_fp = EngineFootprint::default();
+    // The same 1 Mi banks as one channel of a 4-shard system.
+    let geometry = MemGeometry {
+        channels: 1,
+        ranks_per_channel: 1,
+        banks_per_rank: SPARSE_BANKS,
+        rows_per_bank: ROWS_PER_BANK,
+        lines_per_row: 16,
+        line_bytes: 64,
+    };
+    let mut sharded_fp = EngineFootprint::default();
     let (rate, stats) = measure(accesses as u64, || {
-        let mut engine =
-            BankEngine::new(spec, SPARSE_BANKS, ROWS_PER_BANK).with_epoch_length(1_000_000);
-        engine.process_sharded(&entries, 4);
-        pooled_fp = engine.footprint();
-        engine.stats()
+        let mut system = MemorySystem::new(geometry, spec)
+            .with_epoch_length(1_000_000)
+            .with_shards(4);
+        system.process(&entries);
+        sharded_fp = system.footprint();
+        system.stats()
     });
-    row("sparse-1m-pool-4", rate, &stats, pooled_fp);
+    row("sparse-1m-pool-4", rate, &stats, sharded_fp);
     println!();
 }
 

@@ -16,8 +16,10 @@
 //! access stream that are multiples of the epoch length, vacuously any
 //! inter-batch position when no epoch clock is configured), with the
 //! staging buffer empty. Between batches the system owns all of its
-//! banks — the pool's loan/reclaim protocol has completed — so a cut
-//! image is consistent by construction, with no quiescing machinery.
+//! engines — the shard workers have handed them back — so a cut image is
+//! consistent by construction, with no quiescing machinery. Engine
+//! sections name their own bank range, and restore re-carves them onto
+//! the target's engine layout, so an image restores into any shard count.
 //!
 //! Decode is hardened like [`crate::wire`]: magic + version + scope are
 //! checked first, every count is validated against the bytes actually
@@ -39,7 +41,7 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use cat_core::{StateError, StateReader};
+use cat_core::{SchemeSpec, StateError, StateReader};
 
 use crate::ingest::{IngestConsumer, IngestEvent};
 use crate::wire::{pack_record, unpack_record, MAX_SPEC_LEN};
@@ -55,8 +57,9 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"CATC";
 /// Version 2 added the owned [`crate::GeometrySlice`] (start bank + bank
 /// count) to the system section, so a fleet backend's image is pinned to
 /// its slice and cannot be restored into a backend serving a different
-/// partition.
-pub const CHECKPOINT_VERSION: u16 = 2;
+/// partition. Version 3 dropped a system-level scratch capacity from the
+/// system section.
+pub const CHECKPOINT_VERSION: u16 = 3;
 
 /// Hard cap on a checkpoint image/file size — bounds what [`resume_from_dir`]
 /// will read into memory.
@@ -398,56 +401,42 @@ fn read_scratch_cap(r: &mut ByteReader<'_>, what: &str) -> io::Result<usize> {
     Ok(cap as usize)
 }
 
-/// Restores one engine section onto a freshly built engine of the same
-/// configuration. Validates config identity and every structural
-/// invariant; on error the target may be partially mutated and must be
-/// discarded.
-fn decode_engine_section(e: &mut BankEngine, r: &mut ByteReader<'_>) -> io::Result<()> {
-    if e.accesses != 0
-        || e.epochs != 0
-        || e.activations.occupied() != 0
-        || e.banks.materialized() != 0
-    {
-        return Err(bad("restore target is not freshly built"));
-    }
+/// Reads one engine section into a freshly built engine. The section must
+/// carry `spec`, `rows` and `epoch_len`; `place(base, banks)` checks the
+/// section's bank range against the caller's layout before anything is
+/// built. Validates every structural invariant.
+fn decode_engine_section(
+    r: &mut ByteReader<'_>,
+    spec: SchemeSpec,
+    rows: u32,
+    epoch_len: Option<u64>,
+    place: impl FnOnce(u32, u32) -> io::Result<()>,
+) -> io::Result<BankEngine> {
     let spec_len = usize::from(r.u16("spec length")?);
     if spec_len > usize::from(MAX_SPEC_LEN) {
         return Err(bad(format!("spec string of {spec_len} bytes")));
     }
     let spec_bytes = r.take(spec_len, "spec string")?;
-    let spec = std::str::from_utf8(spec_bytes).map_err(|e| bad(format!("spec not UTF-8: {e}")))?;
-    let own = e.banks.spec().to_string();
-    if spec != own {
+    let saved = std::str::from_utf8(spec_bytes).map_err(|e| bad(format!("spec not UTF-8: {e}")))?;
+    let own = spec.to_string();
+    if saved != own {
         return Err(bad(format!(
-            "checkpoint spec `{spec}` does not match engine spec `{own}`"
+            "checkpoint spec `{saved}` does not match engine spec `{own}`"
         )));
     }
-    let banks = r.u32("bank count")? as usize;
-    if banks != e.banks.capacity() {
+    let banks = r.u32("bank count")?;
+    let saved_rows = r.u32("row count")?;
+    if saved_rows != rows {
         return Err(bad(format!(
-            "checkpoint spans {banks} banks, engine has {}",
-            e.banks.capacity()
-        )));
-    }
-    let rows = r.u32("row count")?;
-    if rows != e.banks.rows() {
-        return Err(bad(format!(
-            "checkpoint banks have {rows} rows, engine banks have {}",
-            e.banks.rows()
+            "checkpoint banks have {saved_rows} rows, engine banks have {rows}"
         )));
     }
     let base = r.u32("bank base")?;
-    if base != e.banks.base() {
+    place(base, banks)?;
+    let saved_epoch_len = read_epoch_len(r)?;
+    if saved_epoch_len != epoch_len {
         return Err(bad(format!(
-            "checkpoint bank base {base}, engine bank base {}",
-            e.banks.base()
-        )));
-    }
-    let epoch_len = read_epoch_len(r)?;
-    if epoch_len != e.epoch_len {
-        return Err(bad(format!(
-            "checkpoint epoch length {epoch_len:?}, engine configured with {:?}",
-            e.epoch_len
+            "checkpoint epoch length {saved_epoch_len:?}, engine configured with {epoch_len:?}"
         )));
     }
     let accesses = r.u64("access count")?;
@@ -457,6 +446,9 @@ fn decode_engine_section(e: &mut BankEngine, r: &mut ByteReader<'_>) -> io::Resu
             "checkpoint position {accesses} is not an epoch cut of {epoch_len:?}"
         )));
     }
+    let mut e = BankEngine::with_bank_base(spec, banks, rows, base);
+    e.epoch_len = epoch_len;
+    let banks = banks as usize;
 
     // Activation counters: reserve the saved directory high-water mark,
     // then re-insert in ascending bank order — that reproduces the slab's
@@ -481,6 +473,7 @@ fn decode_engine_section(e: &mut BankEngine, r: &mut ByteReader<'_>) -> io::Resu
     }
     e.activations.reserve_block_capacity(act_cap);
     let mut prev: Option<usize> = None;
+    let mut activated = 0u64;
     for _ in 0..occupied {
         let bank = read_bank_index(r, banks, prev, "activation bank")?;
         prev = Some(bank);
@@ -488,7 +481,15 @@ fn decode_engine_section(e: &mut BankEngine, r: &mut ByteReader<'_>) -> io::Resu
         if count == 0 {
             return Err(bad(format!("zero activation count for bank {bank}")));
         }
+        activated = activated.saturating_add(count);
         e.activations.insert(bank, count);
+    }
+    // Every access activates exactly one bank, so the counts must sum to
+    // the access count — a re-carve recomputes accesses from them.
+    if activated != accesses {
+        return Err(bad(format!(
+            "activation counts sum to {activated}, engine counted {accesses} accesses"
+        )));
     }
 
     // Scheme instances: same reserve-then-ascending-rebuild discipline;
@@ -551,7 +552,7 @@ fn decode_engine_section(e: &mut BankEngine, r: &mut ByteReader<'_>) -> io::Resu
 
     e.accesses = accesses;
     e.epochs = epochs;
-    Ok(())
+    Ok(e)
 }
 
 // ---------------------------------------------------------------------------
@@ -559,8 +560,8 @@ fn decode_engine_section(e: &mut BankEngine, r: &mut ByteReader<'_>) -> io::Resu
 // ---------------------------------------------------------------------------
 
 /// Appends one system's complete state: geometry + owned slice + epoch
-/// clock + counters, the system-level scratch high-water marks, then
-/// every engine's section in slice order.
+/// clock + counters, the staging buffer's high-water mark, then every
+/// engine's section in slice order.
 fn encode_system_section(s: &MemorySystem, out: &mut Vec<u8>) -> io::Result<()> {
     let g = s.geometry;
     for field in [
@@ -578,7 +579,6 @@ fn encode_system_section(s: &MemorySystem, out: &mut Vec<u8>) -> io::Result<()> 
     put_epoch_len(out, s.epoch_len);
     put_u64(out, s.accesses);
     put_u64(out, s.epochs);
-    put_u64(out, s.act_scratch.capacity() as u64);
     put_u64(out, s.staged.capacity() as u64);
     put_u32(out, s.engines.len() as u32);
     for engine in &s.engines {
@@ -588,8 +588,11 @@ fn encode_system_section(s: &MemorySystem, out: &mut Vec<u8>) -> io::Result<()> 
 }
 
 /// Restores one system section onto a freshly built system of the same
-/// configuration. On error the target may be partially mutated and must
-/// be discarded.
+/// configuration. The saved engine sections must tile the owned range in
+/// ascending order; they are then re-carved onto the target's engine
+/// layout (`MemorySystem::carve`), so the image may come from any shard
+/// count. On error the target may be partially mutated and must be
+/// discarded.
 fn decode_system_section(s: &mut MemorySystem, r: &mut ByteReader<'_>) -> io::Result<()> {
     if s.accesses != 0 || s.epochs != 0 || !s.staged.is_empty() {
         return Err(bad("restore target is not freshly built"));
@@ -635,35 +638,55 @@ fn decode_system_section(s: &mut MemorySystem, r: &mut ByteReader<'_>) -> io::Re
             "checkpoint position {accesses} is not an epoch cut of {epoch_len:?}"
         )));
     }
-    let act_scratch = read_scratch_cap(r, "system act_scratch capacity")?;
-    s.act_scratch.reserve_exact(act_scratch);
     let staged = read_scratch_cap(r, "staging buffer capacity")?;
-    s.staged.reserve_exact(staged);
-    let engines = r.u32("engine count")? as usize;
-    if engines != s.engines.len() {
+    let owned = s.owned;
+    let count = r.u32("engine count")?;
+    if count == 0 || count > owned.banks() {
         return Err(bad(format!(
-            "checkpoint has {engines} engines, system has {}",
-            s.engines.len()
+            "{count} engine sections for a system owning {owned}"
         )));
     }
-    let mut engine_accesses = 0u64;
-    for engine in &mut s.engines {
-        decode_engine_section(engine, r)?;
-        engine_accesses = engine_accesses.saturating_add(engine.accesses);
+    let rows = s.geometry.rows_per_bank;
+    let mut saved = Vec::new();
+    let mut next = u64::from(owned.start_bank());
+    for _ in 0..count {
+        let engine = decode_engine_section(r, s.spec, rows, None, |base, banks| {
+            let (start, end) = (u64::from(base), u64::from(base) + u64::from(banks));
+            if start != next || banks == 0 || end > u64::from(owned.end_bank()) {
+                return Err(bad(format!(
+                    "engine section over banks {start}..{end} does not continue \
+                     the owned {owned} at bank {next}"
+                )));
+            }
+            Ok(())
+        })?;
         if engine.epochs != epochs {
             return Err(bad(format!(
                 "engine counted {} epochs, system counted {epochs}",
                 engine.epochs
             )));
         }
+        next += engine.bank_count() as u64;
+        saved.push(engine);
     }
+    if next != u64::from(owned.end_bank()) {
+        return Err(bad(format!(
+            "engine sections stop at bank {next}, short of the owned {owned}"
+        )));
+    }
+    let engine_accesses = saved
+        .iter()
+        .fold(0u64, |sum, e| sum.saturating_add(e.accesses));
     if engine_accesses != accesses {
         return Err(bad(format!(
             "engines sum to {engine_accesses} accesses, system counted {accesses}"
         )));
     }
+    s.staged.reserve_exact(staged);
     s.accesses = accesses;
     s.epochs = epochs;
+    let layout = s.engine_slices().to_vec();
+    s.carve(saved, layout);
     Ok(())
 }
 
@@ -703,11 +726,35 @@ impl BankEngine {
     /// configuration mismatch, or a non-fresh target. On error the engine
     /// may hold partial state and must be discarded.
     pub fn restore(&mut self, image: &[u8]) -> io::Result<()> {
+        if self.accesses != 0
+            || self.epochs != 0
+            || self.activations.occupied() != 0
+            || self.banks.materialized() != 0
+        {
+            return Err(bad("restore target is not freshly built"));
+        }
         let body = verify_sealed(image)?;
         let mut r = ByteReader::new(body);
         read_header(&mut r, SCOPE_ENGINE)?;
-        decode_engine_section(self, &mut r)?;
-        r.finish()
+        let (own_banks, own_base) = (self.bank_count(), self.banks.base());
+        let spec = self.banks.spec();
+        let rows = self.banks.rows();
+        let restored = decode_engine_section(&mut r, spec, rows, self.epoch_len, |base, banks| {
+            if banks as usize != own_banks {
+                return Err(bad(format!(
+                    "checkpoint spans {banks} banks, engine has {own_banks}"
+                )));
+            }
+            if base != own_base {
+                return Err(bad(format!(
+                    "checkpoint bank base {base}, engine bank base {own_base}"
+                )));
+            }
+            Ok(())
+        })?;
+        r.finish()?;
+        *self = restored;
+        Ok(())
     }
 }
 
@@ -745,7 +792,10 @@ impl MemorySystem {
     /// which must be freshly built with the same geometry, spec and epoch
     /// configuration. After a successful restore the system is bit-equal —
     /// stats, behaviour *and* footprint — to the system the image was
-    /// taken from.
+    /// taken from. The shard count may differ: restore re-carves the saved
+    /// engines onto this system's layout, and the state is then the same
+    /// bank for bank, with footprint equality in the split-invariant
+    /// fields (`materialized_banks`, `scheme_bytes`).
     ///
     /// # Errors
     ///
@@ -1438,7 +1488,7 @@ mod tests {
         // the forged offsets stay correct if the layout ever shifts.
         let mut r = ByteReader::new(&image[..body_len]);
         read_header(&mut r, SCOPE_SYSTEM).unwrap();
-        let sys_fixed = 6 * 4 + 8 + 9 + 8 + 8 + 8 + 8 + 4; // geometry..engine count
+        let sys_fixed = SYSTEM_FIXED_BYTES;
         r.take(sys_fixed, "system fields").unwrap();
         let spec_len = usize::from(r.u16("spec length").unwrap());
         let eng_fixed = spec_len + 12 + 9 + 16; // spec..epoch count
@@ -1453,6 +1503,86 @@ mod tests {
             let mut target = fresh();
             let err = target.restore(&corrupt).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "offset {off}");
+        }
+    }
+
+    /// System-section bytes from the geometry through the engine count.
+    const SYSTEM_FIXED_BYTES: usize = 6 * 4 + 8 + 9 + 8 + 8 + 8 + 4;
+
+    #[test]
+    fn forged_engine_layouts_are_refused() {
+        // Restore re-carves the saved engine sections onto the target's
+        // layout, so the sections must tile the owned range exactly:
+        // overlapping, gapped, short and out-of-range sections in a
+        // resealed image are typed errors, never panics.
+        fn forge(image: &[u8], edits: &[(usize, u32)]) -> Vec<u8> {
+            let mut forged = image.to_vec();
+            for &(off, value) in edits {
+                forged[off..off + 4].copy_from_slice(&value.to_le_bytes());
+            }
+            let body_len = forged.len() - 8;
+            let h = fnv1a(&forged[..body_len]).to_le_bytes();
+            forged[body_len..].copy_from_slice(&h);
+            forged
+        }
+        // Image offsets of each engine section's bank count, plus the
+        // engine count field ahead of them.
+        fn layout(system: &MemorySystem) -> (usize, Vec<usize>) {
+            let spec_len = system.spec().to_string().len();
+            let first = 7 + SYSTEM_FIXED_BYTES;
+            let mut at = first;
+            let banks_at = system
+                .engines
+                .iter()
+                .map(|engine| {
+                    let here = at + 2 + spec_len;
+                    let mut section = Vec::new();
+                    encode_engine_section(engine, &mut section).unwrap();
+                    at += section.len();
+                    here
+                })
+                .collect();
+            (first - 4, banks_at)
+        }
+
+        // A 4-shard system: sections over banks 0..4, 4..8, 8..12, 12..16.
+        let mut wide = fresh().with_shards(4);
+        wide.process(&trace(2000));
+        let image = wide.checkpoint().unwrap();
+        let (count_at, banks_at) = layout(&wide);
+        let base_at = |s: usize| banks_at[s] + 8;
+        // A fleet backend owning banks 8..16 in one section.
+        let slice = crate::Partition::uniform(geometry(), 2).unwrap().slices()[1];
+        let sliced = || MemorySystem::for_slice(&slice, spec()).with_epoch_length(1000);
+        let mut backend = sliced();
+        let owned: Vec<(u32, u32)> = trace(4000)
+            .into_iter()
+            .filter(|&(bank, _)| slice.contains(bank))
+            .collect();
+        backend.process(&owned);
+        let backend_image = backend.checkpoint().unwrap();
+        let (_, backend_banks_at) = layout(&backend);
+
+        let cases = [
+            ("overlapping", &image, vec![(base_at(1), 0)]),
+            ("gapped", &image, vec![(base_at(1), 8)]),
+            ("past the owned range", &image, vec![(base_at(3), 16)]),
+            ("short of the owned range", &image, vec![(count_at, 3)]),
+            (
+                "below the owned range",
+                &backend_image,
+                vec![(backend_banks_at[0] + 8, 0)],
+            ),
+        ];
+        for (what, image, edits) in cases {
+            let mut target = if image == &backend_image {
+                sliced()
+            } else {
+                fresh()
+            };
+            let err = target.restore(&forge(image, &edits)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+            assert!(err.to_string().contains("engine section"), "{what}: {err}");
         }
     }
 

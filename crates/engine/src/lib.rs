@@ -6,39 +6,37 @@
 //! at the end. [`BankEngine`] is the single implementation of that loop; the
 //! functional simulator, the timed simulator and the CMRPO replay harness all
 //! sit on top of it. [`MemorySystem`] adds the system-level front-end —
-//! physical-address decode ([`AddressMapping`]) routing into per-channel
+//! physical-address decode ([`AddressMapping`]) routing into per-slice
 //! `BankEngine`s, plus streaming `push(addr)` ingestion — so no consumer
 //! hand-rolls channel/rank/bank math or its own batching buffer.
 //!
 //! Schemes are held as [`SchemeInstance`] values (enum static dispatch, no
 //! per-activation virtual call) built from a [`SchemeSpec`].
 //!
-//! ## The three execution paths
+//! ## One execution path
 //!
-//! Every batch reaches the banks through one of three paths, all
-//! bit-identical by the determinism contract below:
+//! Every batch reaches the banks the same way. [`BankEngine::process`] is
+//! the reference semantics: one engine over its banks, replayed in the
+//! calling thread. [`MemorySystem::process`] computes the batch's epoch
+//! boundary positions once, scatters the batch once into per-engine
+//! sub-batches (recording each engine's boundaries as a *cut list*), and
+//! replays each engine's sub-batch in one
+//! [`BankEngine::process_with_cuts`] call — banks are visited once per
+//! batch, never once per epoch segment.
 //!
-//! * **flat** — [`BankEngine::process`]: one engine over all banks,
-//!   sequential in the calling thread. The reference semantics.
-//! * **routed** — [`MemorySystem::process`] with one shard (the default):
-//!   the batch is scattered once into per-channel sub-batches, the epoch
-//!   boundary positions are recorded per channel as *cut lists*, and each
-//!   channel engine replays its whole sub-batch in one
-//!   [`BankEngine::process_with_cuts`] call — banks are visited once per
-//!   batch, never once per epoch segment.
-//! * **pooled** — [`BankEngine::process_sharded`] or
-//!   [`MemorySystem::with_shards`]: banks are partitioned into contiguous
-//!   shards and replayed bank-by-bank on a persistent worker pool. At
-//!   system scope the pool is **shared across channels** (shards span the
-//!   global bank range), so independent channels overlap on the same
-//!   worker threads; the banks are loaned to the pool once per batch and
-//!   the workers fire the epoch cuts themselves.
+//! [`MemorySystem::with_shards`] changes only *where* those calls run. A
+//! shard is an engine slice: with `n > 1` shards the engine split is
+//! refined until there are at least `n` engines, and `n` persistent worker
+//! threads each replay a contiguous group of them. The engines travel to
+//! the workers by value and come back after the batch, so stats,
+//! checkpoints and single-access calls read the same engines on every
+//! shard count.
 //!
 //! Single-access callers with their own epoch clock (the cycle-based
 //! timing simulator) use [`BankEngine::activate`] /
 //! [`MemorySystem::activate_global`] plus `end_epoch` instead; streaming
-//! callers stage accesses through [`MemorySystem::push`] and get the
-//! routed/pooled path on every flush. Remote producers stream
+//! callers stage accesses through [`MemorySystem::push`] and get the same
+//! batch path on every flush. Remote producers stream
 //! [`wire`]-framed record batches over a socket into the [`ingest`]
 //! layer's deterministic multi-producer merge (the `catd` server), which
 //! feeds the same staging buffer — producer count and arrival
@@ -48,46 +46,37 @@
 //!
 //! Spelled out with the invariants in `DESIGN.md §7`; the short form:
 //!
-//! [`BankEngine::process_sharded`] partitions **banks** (never per-bank
-//! order) into contiguous shards and replays each shard's banks on its own
-//! long-lived worker thread, bank by bank. Because
+//! [`MemorySystem`] partitions **banks** (never per-bank order) into
+//! contiguous engine slices and replays each engine independently, on the
+//! calling thread or on a shard worker. Because
 //!
-//! 1. every scheme instance is per-bank state touched by exactly one shard,
+//! 1. every scheme instance is per-bank state held by exactly one engine,
 //! 2. each bank replays its own activations in original stream order
 //!    (schemes never observe other banks' activations, so the inter-bank
 //!    interleaving is immaterial),
 //! 3. epoch boundaries are positions in the *global* access stream, applied
 //!    to each bank at the same point of its own activation subsequence
-//!    regardless of sharding, and
+//!    regardless of the engine split, and
 //! 4. PRA draws from a per-bank PRNG seeded from `(base seed, bank index)`,
 //!    where the bank index is the engine's
 //!    [`bank base`](BankEngine::with_bank_base) plus the local index — so a
-//!    bank keeps its seed no matter which channel engine it lands in,
+//!    bank keeps its seed no matter which engine it lands in,
 //!
 //! the resulting [`SchemeStats`] — aggregated in bank order — are
-//! **bit-identical for every shard count**, including the unsharded
-//! [`BankEngine::process`] path and the [`MemorySystem`] per-channel
-//! routing. The equivalence is asserted for every [`SchemeSpec`] variant by
-//! `tests/equivalence.rs`.
+//! **bit-identical for every shard count and engine split**, including the
+//! single-engine [`BankEngine::process`] path. The equivalence is asserted
+//! for every [`SchemeSpec`] variant by `tests/equivalence.rs`.
 //!
 //! ## Batching rationale
 //!
 //! The engine consumes pre-decoded `(bank, row)` batches instead of single
 //! accesses: decoding addresses and driving schemes have very different
 //! costs, and batching keeps the scheme-driving inner loop free of iterator
-//! and dispatch overhead (and is what makes bank-sharding possible at all —
-//! a shard must be able to scan ahead in the stream). Single-access callers
-//! (the cycle-based timing simulator) use [`BankEngine::activate`] instead.
-//! Bank ids are full `u32`s: the decode front-end never narrows them, so
-//! geometries beyond 65 536 banks route correctly.
-//!
-//! ## Worker pool
-//!
-//! Sharded processing runs on a persistent pool of shard threads (see
-//! [`pool`](self)) spawned once per engine lifetime and fed sub-batches
-//! over channels — the first implementation spawned scoped threads per
-//! cache-sized sub-batch, which cost enough that 4 shards lost to 2 on
-//! multi-million-access replays.
+//! and dispatch overhead (and is what lets an engine replay each bank's
+//! whole subsequence at once). Single-access callers (the cycle-based
+//! timing simulator) use [`BankEngine::activate`] instead. Bank ids are
+//! full `u32`s: the decode front-end never narrows them, so geometries
+//! beyond 65 536 banks route correctly.
 //!
 //! ```
 //! use cat_engine::BankEngine;
@@ -109,8 +98,8 @@
 mod address;
 pub mod checkpoint;
 pub mod ingest;
-mod pool;
 pub mod router;
+mod shard;
 mod sparse;
 mod system;
 pub mod wire;
@@ -122,7 +111,6 @@ pub use address::{
 pub use system::MemorySystem;
 
 use cat_core::{Refreshes, RowId, SchemeInstance, SchemeSpec, SchemeStats, SparseSlab};
-use pool::ShardPool;
 use sparse::SparseBanks;
 
 /// Computes the epoch **cut positions** inside a batch of `len` accesses:
@@ -130,11 +118,10 @@ use sparse::SparseBanks;
 /// global epoch boundary falls" (`on_epoch_end` fires there). Positions are
 /// strictly increasing, in `1..=len`; `cuts` is cleared first.
 ///
-/// This is *the* epoch-phase arithmetic — the flat batched path, the
-/// sharded scatter and the [`MemorySystem`] router all derive their cut
-/// lists here, so the paths cannot drift apart (their bit-identical
-/// equivalence depends on agreeing about boundary positions, see
-/// `DESIGN.md §7`).
+/// This is *the* epoch-phase arithmetic — the flat batched path and the
+/// [`MemorySystem`] scatter both derive their cut lists here, so the paths
+/// cannot drift apart (their bit-identical equivalence depends on agreeing
+/// about boundary positions, see `DESIGN.md §7`).
 pub(crate) fn epoch_cuts(
     len: usize,
     accesses_so_far: u64,
@@ -229,7 +216,7 @@ pub struct EngineFootprint {
     pub scheme_bytes: usize,
     /// Resident bytes of everything execution-strategy-dependent: the
     /// sparse containers' own block storage, per-bank activation
-    /// counters, and the pooled path's scatter scratch. Depends on the
+    /// counters, and the batch path's scatter scratch. Depends on the
     /// engine split and shard count, so it stays out of the wire
     /// snapshot.
     pub accounting_bytes: usize,
@@ -242,7 +229,7 @@ impl EngineFootprint {
     }
 
     /// Accumulates another engine's footprint (the [`MemorySystem`] sums
-    /// its per-channel engines this way).
+    /// its per-slice engines this way).
     pub fn merge(&mut self, other: &EngineFootprint) {
         self.banks += other.banks;
         self.materialized_banks += other.materialized_banks;
@@ -289,9 +276,10 @@ impl EngineReport {
     }
 }
 
-/// A multi-bank mitigation engine: one [`SchemeInstance`] per bank,
-/// batched activation processing with epoch accounting, and a deterministic
-/// bank-sharded runner on a persistent worker pool.
+/// A multi-bank mitigation engine: one [`SchemeInstance`] per bank and
+/// batched activation processing with epoch accounting — the unit a
+/// [`MemorySystem`] slices its banks into and replays, inline or on a
+/// shard worker.
 ///
 /// Bank storage is **sparse and lazily materialized** (`DESIGN.md §10`): a
 /// bank's scheme instance is built from the spec on the bank's first
@@ -302,30 +290,24 @@ pub struct BankEngine {
     /// Per-bank row-activation counters, sparse like the scheme storage
     /// (an absent entry is a bank that was never activated).
     pub(crate) activations: SparseSlab<u64>,
-    /// Dense scatter scratch loaned to the pooled path's counting sort,
-    /// allocated lazily on the first sharded batch; the flat batch path
-    /// reuses it as its per-segment bank counts.
+    /// Per-segment bank counts of the batch path's counting sort,
+    /// allocated lazily on the first batch. Dense by design, but written
+    /// only at touched banks.
     pub(crate) act_scratch: Vec<u64>,
-    /// Counting-sort cursors for the flat batch path's per-segment
-    /// scatter, allocated lazily on the first flat batch. Scratch like
-    /// `act_scratch`: dense by design, but written only at touched banks.
+    /// Counting-sort cursors for the batch path's per-segment scatter,
+    /// allocated lazily on the first batch, like `act_scratch`.
     pub(crate) seg_cursor: Vec<u32>,
-    /// Banks touched in the current flat segment, in first-touch order —
-    /// lets the scatter reset only what it dirtied (O(touched), not
-    /// O(banks)).
+    /// Banks touched in the current segment, in first-touch order — lets
+    /// the scatter reset only what it dirtied (O(touched), not O(banks)).
     pub(crate) touched: Vec<u32>,
-    /// Row scatter buffer of the flat batch path (one slot per access of
-    /// the current segment).
+    /// Row scatter buffer of the batch path (one slot per access of the
+    /// current segment).
     pub(crate) row_scratch: Vec<u32>,
     pub(crate) accesses: u64,
     pub(crate) epochs: u64,
     /// Accesses per auto-refresh epoch; `None` disables access-count epoch
     /// accounting (the timed simulator fires epochs by cycle count instead).
     pub(crate) epoch_len: Option<u64>,
-    /// Persistent shard workers, spawned lazily on the first sharded batch
-    /// and kept for the engine's lifetime (rebuilt only if the shard count
-    /// changes).
-    pool: Option<ShardPool>,
 }
 
 impl BankEngine {
@@ -342,10 +324,10 @@ impl BankEngine {
     }
 
     /// Like [`new`](Self::new), but bank `b` is instantiated as bank index
-    /// `bank_base + b`. [`MemorySystem`] builds its per-channel engines
-    /// with the channel's first global bank as the base, so every bank
+    /// `bank_base + b`. [`MemorySystem`] builds its per-slice engines
+    /// with the slice's first global bank as the base, so every bank
     /// keeps the PRA seed it would have in one system-wide engine — that
-    /// is what keeps per-channel routing bit-identical to the flat path.
+    /// is what keeps per-slice routing bit-identical to the flat path.
     pub fn with_bank_base(
         spec: SchemeSpec,
         banks: u32,
@@ -366,7 +348,6 @@ impl BankEngine {
             accesses: 0,
             epochs: 0,
             epoch_len: None,
-            pool: None,
         }
     }
 
@@ -478,7 +459,7 @@ impl BankEngine {
     /// Cheap (O(materialized banks)); differencing two snapshots gives a
     /// batch's outcome without putting any accounting in the
     /// per-activation loop.
-    pub(crate) fn refresh_totals(&self) -> (u64, u64) {
+    fn refresh_totals(&self) -> (u64, u64) {
         let mut events = 0u64;
         let mut rows = 0u64;
         for (_, s) in self.banks.iter() {
@@ -517,7 +498,7 @@ impl BankEngine {
     /// nondecreasing and at most `batch.len()`; `0` and duplicates are
     /// allowed (boundaries before the first access / back-to-back empty
     /// epochs). This is the entry point [`MemorySystem`] routes each
-    /// channel's whole batch through, so a channel's banks are visited once
+    /// engine's whole batch through, so an engine's banks are visited once
     /// per batch rather than once per epoch segment (`DESIGN.md §7`).
     ///
     /// ```
@@ -553,8 +534,7 @@ impl BankEngine {
     /// [`process_with_cuts`](Self::process_with_cuts): per segment, a
     /// counting-sort scatter of the accesses by bank, then each touched
     /// bank replays its whole subsequence through one monomorphic
-    /// [`SchemeInstance::run`] loop — the same replay shape the shard
-    /// workers use, minus the threads. Schemes never observe other banks'
+    /// [`SchemeInstance::run`] loop. Schemes never observe other banks'
     /// activations (the determinism contract, `DESIGN.md §7`), so the
     /// replay is bit-identical to interleaved per-access dispatch while
     /// paying the bank lookup once per touched bank per segment instead
@@ -630,131 +610,27 @@ impl BankEngine {
         }
     }
 
-    /// Processes a batch like [`process`](Self::process), but partitioned
-    /// per bank and replayed bank-by-bank on `shards` persistent worker
-    /// threads (each owns a contiguous range of banks; threads are spawned
-    /// once and fed sub-batches over channels). Results are bit-identical
-    /// to the sequential path for every shard count (see the crate-level
-    /// determinism contract).
-    ///
-    /// Beyond the thread-level parallelism, the per-bank replay is also the
-    /// fastest sequential path: each bank's activations run through one
-    /// monomorphic [`SchemeInstance::run`] loop (no per-access dispatch)
-    /// with that bank's counter state hot in cache.
-    ///
-    /// `shards` is clamped to `1..=bank_count`; changing the count between
-    /// calls rebuilds the pool (the only time threads respawn).
-    ///
-    /// ```
-    /// use cat_core::SchemeSpec;
-    /// use cat_engine::BankEngine;
-    ///
-    /// let spec = SchemeSpec::Drcat { counters: 64, levels: 11, threshold: 256 };
-    /// let batch: Vec<(u32, u32)> = (0..40_000).map(|i| (i % 8, i / 13 % 4096)).collect();
-    /// let mut flat = BankEngine::new(spec, 8, 4096).with_epoch_length(9_000);
-    /// let mut sharded = BankEngine::new(spec, 8, 4096).with_epoch_length(9_000);
-    /// flat.process(&batch);
-    /// sharded.process_sharded(&batch, 4);
-    /// assert_eq!(sharded.stats(), flat.stats()); // bit-identical, any shard count
-    /// ```
-    pub fn process_sharded(&mut self, batch: &[(u32, u32)], shards: usize) -> BatchOutcome {
-        let mut cuts = Vec::new();
-        epoch_cuts(batch.len(), self.accesses, self.epoch_len, &mut cuts);
-        self.run_sharded(batch, &cuts, shards)
-    }
-
-    /// [`process_sharded`](Self::process_sharded) with caller-dictated
-    /// epoch boundaries — the sharded counterpart of
-    /// [`process_with_cuts`](Self::process_with_cuts). The banks are loaned
-    /// to the worker pool **once for the whole batch**; the workers fire
-    /// each bank's `on_epoch_end`s at the recorded positions of its own
-    /// subsequence, so small epochs no longer drain the pool pipeline per
-    /// segment (`DESIGN.md §7`).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as
-    /// [`process_with_cuts`](Self::process_with_cuts).
-    pub fn process_sharded_with_cuts(
-        &mut self,
-        batch: &[(u32, u32)],
-        cuts: &[usize],
-        shards: usize,
-    ) -> BatchOutcome {
-        assert!(
-            self.epoch_len.is_none(),
-            "BankEngine::process_sharded_with_cuts cannot be mixed with access-count \
-             epoch accounting (with_epoch_length): the engine would fire each boundary twice"
-        );
-        validate_cuts(cuts, batch.len());
-        self.run_sharded(batch, cuts, shards)
-    }
-
-    /// The shared pool-backed core of the sharded entry points: ensures the
-    /// pool, loans the banks once, replays the whole batch (the pool chunks
-    /// it into cache-sized sub-batches internally), reclaims.
-    fn run_sharded(&mut self, batch: &[(u32, u32)], cuts: &[usize], shards: usize) -> BatchOutcome {
-        let (events_before, rows_before) = self.refresh_totals();
-        let nbanks = self.banks.capacity().max(1);
-        let shards = shards.clamp(1, nbanks);
-        if self.pool.as_ref().map(ShardPool::shards) != Some(shards) {
-            self.pool = Some(ShardPool::new(shards, nbanks));
+    /// Moves every bank `donor` holds inside this engine's bank range —
+    /// scheme instances and activation counts, keyed by global bank —
+    /// into this engine, and moves the activations' access count with
+    /// them. O(materialized banks moved): the re-carve step behind
+    /// [`MemorySystem::with_shards`] and cross-layout checkpoint restore.
+    pub(crate) fn adopt(&mut self, donor: &mut BankEngine) {
+        let base = self.banks.base() as usize;
+        let donor_base = donor.banks.base() as usize;
+        let lo = base.max(donor_base);
+        let hi = (base + self.bank_count()).min(donor_base + donor.bank_count());
+        if lo >= hi {
+            return;
         }
-        let mut pool = self.pool.take().expect("pool just ensured");
-        for w in 0..pool.shards() {
-            let range = pool.shard_range(w);
-            let range =
-                range.start.min(self.banks.capacity())..range.end.min(self.banks.capacity());
-            pool.loan_shard(w, self.banks.take_range(range));
+        let from = lo - donor_base..hi - donor_base;
+        let at = lo - base;
+        self.banks.adopt_range(at, &mut donor.banks, from.clone());
+        for (bank, count) in donor.activations.drain_range(from.clone()) {
+            self.activations.insert(at + bank - from.start, count);
+            self.accesses += count;
+            donor.accesses -= count;
         }
-        if self.act_scratch.len() < nbanks {
-            self.act_scratch.resize(nbanks, 0);
-        }
-        self.act_scratch[..nbanks].fill(0);
-        pool.run_batch(batch, cuts, &mut self.act_scratch[..nbanks]);
-        for w in 0..pool.shards() {
-            let start = pool.shard_range(w).start.min(self.banks.capacity());
-            self.banks.absorb(start, pool.reclaim_shard(w));
-        }
-        self.pool = Some(pool);
-        for (bank, &count) in self.act_scratch[..nbanks].iter().enumerate() {
-            if count > 0 {
-                *self.activations.get_or_insert_with(bank, u64::default) += count;
-            }
-        }
-        self.accesses += batch.len() as u64;
-        self.epochs += cuts.len() as u64;
-        let (events, rows) = self.refresh_totals();
-        BatchOutcome {
-            accesses: batch.len() as u64,
-            epochs: cuts.len() as u64,
-            refresh_events: events - events_before,
-            refreshed_rows: rows - rows_before,
-        }
-    }
-
-    /// Hands the per-bank scheme storage to [`MemorySystem`]'s shared pool
-    /// for the duration of one batch (the system-level counterpart of the
-    /// loan/reclaim protocol in [`pool`](self)).
-    pub(crate) fn banks_mut(&mut self) -> &mut SparseBanks {
-        &mut self.banks
-    }
-
-    /// Folds the per-bank activation counts and epoch count of one
-    /// system-pooled batch into this engine's accounting ([`MemorySystem`]
-    /// drives the banks directly through the shared pool, bypassing the
-    /// per-engine batch paths).
-    pub(crate) fn absorb_pooled_batch(&mut self, counts: &[u64], epochs: u64) {
-        debug_assert_eq!(counts.len(), self.banks.capacity());
-        let mut total = 0u64;
-        for (bank, &count) in counts.iter().enumerate() {
-            if count > 0 {
-                *self.activations.get_or_insert_with(bank, u64::default) += count;
-                total += count;
-            }
-        }
-        self.accesses += total;
-        self.epochs += epochs;
     }
 
     /// Scheme statistics aggregated across banks, in ascending bank order.
@@ -835,6 +711,19 @@ mod tests {
             .collect()
     }
 
+    /// One channel of `banks` banks: the system counterpart of a flat
+    /// `BankEngine::new(spec, banks, 4096)`.
+    fn one_channel(banks: u32) -> MemGeometry {
+        MemGeometry {
+            channels: 1,
+            ranks_per_channel: 1,
+            banks_per_rank: banks,
+            rows_per_bank: 4096,
+            lines_per_row: 16,
+            line_bytes: 64,
+        }
+    }
+
     #[test]
     fn epoch_accounting_fires_at_global_positions() {
         let spec = SchemeSpec::Sca {
@@ -888,8 +777,10 @@ mod tests {
         let mut seq = BankEngine::new(spec, 8, 4096).with_epoch_length(7_000);
         seq.process(&trace);
         for shards in [1, 2, 4, 8, 64] {
-            let mut sharded = BankEngine::new(spec, 8, 4096).with_epoch_length(7_000);
-            sharded.process_sharded(&trace, shards);
+            let mut sharded = MemorySystem::new(one_channel(8), spec)
+                .with_epoch_length(7_000)
+                .with_shards(shards);
+            sharded.process(&trace);
             assert_eq!(sharded.stats(), seq.stats(), "{shards} shards");
             assert_eq!(sharded.per_bank_stats(), seq.per_bank_stats());
             assert_eq!(sharded.activations_per_bank(), seq.activations_per_bank());
@@ -901,8 +792,9 @@ mod tests {
 
     #[test]
     fn pool_survives_shard_count_changes() {
-        // The persistent pool is rebuilt when the shard count changes and
-        // keeps producing sequential-identical results either way.
+        // Changing the shard count of a live system re-carves its engines
+        // (banks move by global index, scheme state intact) and keeps
+        // producing sequential-identical results either way.
         let spec = SchemeSpec::Sca {
             counters: 16,
             threshold: 128,
@@ -910,9 +802,10 @@ mod tests {
         let trace = batch(30_000, 8);
         let mut seq = BankEngine::new(spec, 8, 4096).with_epoch_length(4_000);
         seq.process(&trace);
-        let mut pooled = BankEngine::new(spec, 8, 4096).with_epoch_length(4_000);
+        let mut pooled = MemorySystem::new(one_channel(8), spec).with_epoch_length(4_000);
         for (chunk, shards) in trace.chunks(10_000).zip([2usize, 4, 2]) {
-            pooled.process_sharded(chunk, shards);
+            pooled = pooled.with_shards(shards);
+            pooled.process(chunk);
         }
         assert_eq!(pooled.stats(), seq.stats());
         assert_eq!(pooled.epochs(), seq.epochs());

@@ -46,11 +46,6 @@ impl SparseBanks {
         }
     }
 
-    /// The placeholder a pool worker holds between loans.
-    pub(crate) fn empty() -> Self {
-        Self::new(SchemeSpec::None, 0, 8, 0)
-    }
-
     /// Number of banks this storage spans (materialized or not).
     pub(crate) fn capacity(&self) -> usize {
         self.slab.capacity()
@@ -113,14 +108,6 @@ impl SparseBanks {
         }))
     }
 
-    /// The scheme of `bank` only if already materialized — epoch
-    /// boundaries use this: an unmaterialized bank is fresh, and
-    /// `on_epoch_end` on fresh is a no-op (fresh-idempotence), so it can
-    /// skip the boundary without observable difference.
-    pub(crate) fn materialized_mut(&mut self, bank: usize) -> Option<&mut SchemeInstance> {
-        self.slab.get_mut(bank)
-    }
-
     /// Materialized schemes in ascending bank order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, &SchemeInstance)> {
         self.slab.iter()
@@ -131,30 +118,21 @@ impl SparseBanks {
         self.slab.iter_mut()
     }
 
-    /// Splits off the banks in `range` as a standalone `SparseBanks`
-    /// (local index 0 = this storage's `range.start`, global indices
-    /// preserved) — the loan half of the pool's ownership protocol. Cost
-    /// is O(materialized in range), not O(range).
-    pub(crate) fn take_range(&mut self, range: std::ops::Range<usize>) -> SparseBanks {
-        let mut sub = SparseBanks::new(
-            self.spec,
-            (range.end - range.start) as u32,
-            self.rows,
-            self.base + range.start as u32,
-        );
-        for (bank, instance) in self.slab.drain_range(range.clone()) {
-            sub.slab.insert(bank - range.start, instance);
-        }
-        sub
-    }
-
-    /// Merges a loaned-out range back in at `offset` — the reclaim half
-    /// of the pool protocol. Ascending inserts, so re-absorbing a shard
-    /// is amortized O(materialized in shard).
-    pub(crate) fn absorb(&mut self, offset: usize, mut sub: SparseBanks) {
-        let span = sub.capacity();
-        for (bank, instance) in sub.slab.drain_range(0..span) {
-            self.slab.insert(offset + bank, instance);
+    /// Moves the donor's materialized banks in `range` (donor-local
+    /// indices) here, the donor's `range.start` landing at local bank
+    /// `at` — the re-carve step of `BankEngine::adopt`. An instance keeps
+    /// the global index it was built with, so both sides must agree on
+    /// it. Ascending inserts: O(materialized in range), not O(range).
+    pub(crate) fn adopt_range(
+        &mut self,
+        at: usize,
+        donor: &mut SparseBanks,
+        range: std::ops::Range<usize>,
+    ) {
+        debug_assert_eq!(self.base as usize + at, donor.base as usize + range.start);
+        let start = range.start;
+        for (bank, instance) in donor.slab.drain_range(range) {
+            self.slab.insert(at + bank - start, instance);
         }
     }
 

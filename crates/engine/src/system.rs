@@ -1,11 +1,11 @@
-//! [`MemorySystem`] — the system-level front-end over per-channel
+//! [`MemorySystem`] — the system-level front-end over per-slice
 //! [`BankEngine`]s.
 //!
 //! ABACuS and CoMeT evaluate mitigation trackers as *memory-system*
 //! components sitting behind a channel/rank/bank decode, and every consumer
 //! in this repo used to hand-roll exactly that layer: decode an address,
 //! flatten it to a global bank id, feed an engine. `MemorySystem` owns that
-//! path — [`AddressMapping`] decode, per-channel routing, global epoch
+//! path — [`AddressMapping`] decode, per-slice routing, global epoch
 //! accounting, streaming ingestion — behind the same batched
 //! `process`/report API as [`BankEngine`], at whole-system scope.
 //!
@@ -13,50 +13,47 @@
 //!
 //! Every batch (explicit via [`MemorySystem::process`], or an internal
 //! flush of the staging buffer behind [`MemorySystem::push`]) takes the
-//! **cut-aware** path: the epoch boundary positions inside the batch are
-//! computed once up front (`crate::epoch_cuts`), and the whole batch is
-//! then handed over in one piece —
+//! same **cut-aware** path: the epoch boundary positions inside the batch
+//! are computed once up front (`crate::epoch_cuts`), one stable scatter
+//! splits the batch into per-engine sub-batches (recording each engine's
+//! cut positions along the way), and each engine replays its whole
+//! sub-batch in one [`BankEngine::process_with_cuts`] call — banks are
+//! visited once per batch, never once per epoch segment.
 //!
-//! * **routed** (`shards == 1`): one stable scatter into per-channel
-//!   sub-batches, each channel's cut positions recorded along the way, then
-//!   one [`BankEngine::process_with_cuts`] call per channel — each
-//!   channel's banks are visited once per batch, never once per epoch
-//!   segment;
-//! * **pooled** (`shards > 1`): every channel's banks are loaned to **one
-//!   shared worker pool** whose shards span all channels, the batch is
-//!   scattered by global bank, and the workers fire the epoch cuts
-//!   themselves — independent channels proceed concurrently on the same
-//!   `shards` threads.
+//! [`with_shards`](MemorySystem::with_shards) decides only where those
+//! calls run. A shard is an engine slice: one shard replays every engine
+//! on the calling thread; `n` shards refine the engine split to at least
+//! `n` engines and replay contiguous engine groups on `n` persistent
+//! workers, which borrow the engines by value for the batch.
 //!
 //! ## Equivalence
 //!
-//! Routing through per-channel engines — serial, pooled, or streaming — is
-//! bit-identical to one system-wide engine (asserted by
+//! Routing through per-slice engines — on any shard count, batched or
+//! streaming — is bit-identical to one system-wide engine (asserted by
 //! `tests/equivalence.rs`; the invariants are spelled out in
 //! `DESIGN.md §7`):
 //!
-//! * the global bank order is channel-major, so per-channel engines with a
+//! * the global bank order is channel-major, so per-slice engines with a
 //!   [bank base](BankEngine::with_bank_base) hold exactly the banks (and
 //!   PRA seeds) of the flat engine's contiguous ranges;
 //! * per-bank access order is preserved by the stable scatter;
 //! * epoch boundaries are positions in the *system-wide* access stream:
 //!   the cut list is computed once per batch and every bank receives
 //!   `on_epoch_end` at the same point of its own subsequence, whichever
-//!   path replays it.
+//!   engine replays it.
 
 use cat_core::{Refreshes, SchemeInstance, SchemeSpec, SchemeStats};
 
 use crate::ingest::{IngestConsumer, IngestEvent};
-use crate::pool::ShardPool;
-use crate::sparse::SparseBanks;
+use crate::shard::{self, Route, ShardWorkers};
 use crate::{
     epoch_cuts, AddressMapping, BankEngine, BatchOutcome, EngineFootprint, EngineReport,
     GeometrySlice, MemGeometry, Partition,
 };
 
-/// A whole memory system: address decode, per-channel [`BankEngine`]s,
-/// global epoch accounting, streaming ingestion, and an optional shared
-/// worker pool overlapping the channels.
+/// A whole memory system: address decode, per-slice [`BankEngine`]s,
+/// global epoch accounting, streaming ingestion, and optional shard
+/// workers replaying the engines in parallel.
 ///
 /// ```
 /// use cat_core::SchemeSpec;
@@ -95,32 +92,23 @@ pub struct MemorySystem {
     pub(crate) engines: Vec<BankEngine>,
     /// The slice each engine owns, parallel to `engines`.
     engine_slices: Vec<GeometrySlice>,
+    /// The construction-time split of the owned range, which
+    /// [`with_shards`](Self::with_shards) refines: the engine layout is a
+    /// function of the shard count alone, never of earlier calls.
+    split: Vec<GeometrySlice>,
     /// `log2(slice size)` when every engine slice spans the same bank
-    /// count — the routed scatter is then a shift/mask, not a search.
+    /// count — the scatter is then a shift/mask, not a search.
     uniform_shift: Option<u32>,
     pub(crate) epoch_len: Option<u64>,
     pub(crate) accesses: u64,
     pub(crate) epochs: u64,
-    shards: usize,
-    /// Shared worker pool for the pooled path (spawned lazily on the first
-    /// `shards > 1` batch; its shards span all channels' banks).
-    pool: Option<ShardPool>,
-    /// Per-channel scatter buffers, reused across batches (routed path).
-    route: Vec<Vec<(u32, u32)>>,
-    /// Per-channel epoch cut positions, parallel to `route`.
-    route_cuts: Vec<Vec<usize>>,
+    /// Persistent shard workers; `None` replays every engine inline.
+    workers: Option<ShardWorkers>,
+    /// Per-engine scatter buffers, parallel to `engines`, reused across
+    /// batches.
+    route: Vec<Route>,
     /// Global cut-position scratch, reused across batches.
     cut_scratch: Vec<usize>,
-    /// Rebase scratch of the pooled path for slice-owning systems: the
-    /// shared pool scatters by owned-range offset, so a nonzero slice
-    /// base rebases the batch once per run (empty and unused otherwise).
-    pool_rebase: Vec<(u32, u32)>,
-    /// Per-batch activation counts for the pooled path (one slot per
-    /// global bank), folded back into the channel engines after each
-    /// batch. Allocated lazily on the first pooled batch, so a system
-    /// that never shards — the huge-geometry configurations — pays
-    /// nothing for it.
-    pub(crate) act_scratch: Vec<u64>,
     /// Streaming staging buffer (decoded, not yet processed accesses).
     pub(crate) staged: Vec<(u32, u32)>,
     /// Staging capacity at which `push` flushes automatically.
@@ -207,46 +195,82 @@ impl MemorySystem {
             .collect()
     }
 
-    /// The shared constructor core: one engine per slice, each seeded
-    /// with its slice's first **global** bank as the bank base.
-    fn build(owned: GeometrySlice, engine_slices: Vec<GeometrySlice>, spec: SchemeSpec) -> Self {
+    /// The shared constructor core: one engine per slice of `split`, each
+    /// seeded with its slice's first **global** bank as the bank base.
+    fn build(owned: GeometrySlice, split: Vec<GeometrySlice>, spec: SchemeSpec) -> Self {
         let geometry = *owned.geometry();
-        let mapping = AddressMapping::new(geometry);
-        let engines: Vec<BankEngine> = engine_slices
-            .iter()
-            .map(|s| {
-                BankEngine::with_bank_base(spec, s.banks(), geometry.rows_per_bank, s.start_bank())
-            })
-            .collect();
-        let size = engine_slices[0].banks();
-        let uniform_shift = engine_slices
-            .iter()
-            .all(|s| s.banks() == size)
-            .then(|| size.trailing_zeros());
-        let route = engine_slices.iter().map(|_| Vec::new()).collect();
-        let route_cuts = engine_slices.iter().map(|_| Vec::new()).collect();
-        MemorySystem {
+        let mut system = MemorySystem {
             geometry,
             spec,
-            mapping,
+            mapping: AddressMapping::new(geometry),
             owned,
-            engines,
-            engine_slices,
-            uniform_shift,
+            engines: Vec::new(),
+            engine_slices: Vec::new(),
+            split: split.clone(),
+            uniform_shift: None,
             epoch_len: None,
             accesses: 0,
             epochs: 0,
-            shards: 1,
-            pool: None,
-            route,
-            route_cuts,
+            workers: None,
+            route: Vec::new(),
             cut_scratch: Vec::new(),
-            pool_rebase: Vec::new(),
-            act_scratch: Vec::new(),
             staged: Vec::new(),
             stream_capacity: Self::DEFAULT_STREAM_CAPACITY,
             staged_outcome: BatchOutcome::default(),
-        }
+        };
+        system.carve(Vec::new(), split);
+        system
+    }
+
+    /// Lays the engines out over `slices` (ascending, tiling the owned
+    /// range), taking every bank's state from `from`: engines over the
+    /// same owned range in any layout. An engine whose slice equals a
+    /// target slice moves over whole, scratch high-water marks included.
+    /// Every other target engine is built fresh and
+    /// [adopts](BankEngine::adopt) its banks — scheme instances and
+    /// activation counts, keyed by global bank — from the engines it
+    /// overlaps. The primitive behind [`with_shards`](Self::with_shards)
+    /// and cross-layout checkpoint restore (`DESIGN.md §11`).
+    pub(crate) fn carve(&mut self, from: Vec<BankEngine>, slices: Vec<GeometrySlice>) {
+        let spans: Vec<(u32, u32)> = from
+            .iter()
+            .map(|e| (e.banks.base(), e.banks.base() + e.bank_count() as u32))
+            .collect();
+        let mut from: Vec<Option<BankEngine>> = from.into_iter().map(Some).collect();
+        let (spec, rows, epochs) = (self.spec, self.geometry.rows_per_bank, self.epochs);
+        let mut first = 0usize;
+        self.engines = slices
+            .iter()
+            .map(|s| {
+                let (lo, hi) = (s.start_bank(), s.end_bank());
+                while first < spans.len() && spans[first].1 <= lo {
+                    first += 1;
+                }
+                if spans.get(first) == Some(&(lo, hi)) {
+                    if let Some(whole) = from[first].take() {
+                        return whole;
+                    }
+                }
+                let mut engine = BankEngine::with_bank_base(spec, s.banks(), rows, lo);
+                engine.epochs = epochs;
+                for (donor, span) in from[first..].iter_mut().zip(&spans[first..]) {
+                    if span.0 >= hi {
+                        break;
+                    }
+                    if let Some(donor) = donor {
+                        engine.adopt(donor);
+                    }
+                }
+                engine
+            })
+            .collect();
+        let size = slices[0].banks();
+        self.uniform_shift = slices
+            .iter()
+            .all(|s| s.banks() == size)
+            .then(|| size.trailing_zeros());
+        self.route = slices.iter().map(|_| Route::default()).collect();
+        self.engine_slices = slices;
     }
 
     /// Enables access-count epoch accounting: every `accesses_per_epoch`
@@ -261,15 +285,16 @@ impl MemorySystem {
         self
     }
 
-    /// Runs batches on `shards` persistent worker threads **shared by all
-    /// channels** (1 = sequential in the calling thread, the default).
-    /// Results are bit-identical for every shard count.
+    /// Replays batches on `shards` persistent worker threads (1 = inline in
+    /// the calling thread, the default). Results are bit-identical for
+    /// every shard count.
     ///
-    /// The pool's shards partition the *global* bank range, so independent
-    /// channels overlap on the same workers instead of running serially —
-    /// `shards` threads total serve the whole system, and a batch loans
-    /// every channel's banks to the pool exactly once however many epoch
-    /// segments it spans (`DESIGN.md §7`).
+    /// A shard is an engine slice. With one shard the engines follow the
+    /// construction split. With `n > 1` the split is refined by halving
+    /// the largest slice (lowest bank first) until there are at least `n`
+    /// engines or every engine is one bank, and `n` workers each replay a
+    /// contiguous group of engines. Calling this on a system that already
+    /// holds state re-carves that state onto the new layout.
     ///
     /// ```
     /// use cat_core::SchemeSpec;
@@ -286,16 +311,27 @@ impl MemorySystem {
     /// let spec = SchemeSpec::Sca { counters: 16, threshold: 64 };
     /// let batch: Vec<(u32, u32)> = (0..40_000).map(|i| (i % 16, 9)).collect();
     /// let mut serial = MemorySystem::new(&geometry, spec).with_epoch_length(700);
-    /// let mut pooled = MemorySystem::new(&geometry, spec)
+    /// let mut sharded = MemorySystem::new(&geometry, spec)
     ///     .with_epoch_length(700)
     ///     .with_shards(4);
     /// serial.process(&batch);
-    /// pooled.process(&batch);
-    /// assert_eq!(pooled.stats(), serial.stats()); // bit-identical
+    /// sharded.process(&batch);
+    /// assert_eq!(sharded.engine_slices().len(), 4); // two channels, halved
+    /// assert_eq!(sharded.stats(), serial.stats()); // bit-identical
     /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is zero.
     pub fn with_shards(mut self, shards: usize) -> Self {
         assert!(shards >= 1, "at least one shard");
-        self.shards = shards;
+        self.workers = None;
+        let slices = refine(&self.split, shards);
+        let engines = std::mem::take(&mut self.engines);
+        self.carve(engines, slices);
+        if shards > 1 && self.engines.len() > 1 {
+            self.workers = Some(ShardWorkers::new(shards, self.engines.len()));
+        }
         self
     }
 
@@ -522,10 +558,9 @@ impl MemorySystem {
 
     /// Processes a batch of `(global bank, row)` activations in order
     /// through the cut-aware batch path (see the module docs): epoch
-    /// boundaries (if configured) fire at the right system-wide positions,
-    /// each channel's banks are visited once per batch, and with
-    /// [`with_shards`](Self::with_shards) the channels overlap on the
-    /// shared pool.
+    /// boundaries (if configured) fire at the right system-wide positions
+    /// and each engine's banks are visited once per batch, on the shard
+    /// workers when [`with_shards`](Self::with_shards) asked for them.
     ///
     /// Any [staged](Self::push) accesses are flushed first so the stream
     /// order is preserved (their outcome stays accumulated for the next
@@ -535,191 +570,72 @@ impl MemorySystem {
         self.process_batch(batch)
     }
 
-    /// Decodes and processes a batch of physical addresses (see
-    /// [`process`](Self::process)).
-    pub fn process_addrs(&mut self, addrs: &[u64]) -> BatchOutcome {
-        let batch: Vec<(u32, u32)> = addrs.iter().map(|&a| self.decode(a)).collect();
-        self.process(&batch)
-    }
-
-    /// The cut-aware batch core: computes the global cut list once, then
-    /// dispatches to the routed (serial) or pooled path.
+    /// The cut-aware batch core: computes the global cut list once,
+    /// scatters once, and replays every engine's route — inline or on the
+    /// shard workers.
     fn process_batch(&mut self, batch: &[(u32, u32)]) -> BatchOutcome {
         let mut cuts = std::mem::take(&mut self.cut_scratch);
         epoch_cuts(batch.len(), self.accesses, self.epoch_len, &mut cuts);
-        let mut out = BatchOutcome {
+        self.scatter(batch, &cuts);
+        let (refresh_events, refreshed_rows) = match &mut self.workers {
+            Some(workers) => workers.replay(&mut self.engines, &mut self.route),
+            None => shard::replay(&mut self.engines, &self.route),
+        };
+        let out = BatchOutcome {
             accesses: batch.len() as u64,
             epochs: cuts.len() as u64,
-            ..BatchOutcome::default()
+            refresh_events,
+            refreshed_rows,
         };
-        if self.shards > 1 {
-            self.pooled_batch(batch, &cuts, &mut out);
-        } else {
-            self.routed_batch(batch, &cuts, &mut out);
-        }
-        self.accesses += batch.len() as u64;
-        self.epochs += cuts.len() as u64;
+        self.accesses += out.accesses;
+        self.epochs += out.epochs;
         self.cut_scratch = cuts;
         out
     }
 
-    /// Serial path: one stable scatter of the whole batch into per-slice
-    /// sub-batches (recording each slice's cut positions), then one
-    /// cut-aware engine call per slice.
-    fn routed_batch(&mut self, batch: &[(u32, u32)], cuts: &[usize], out: &mut BatchOutcome) {
-        for buf in self.route.iter_mut() {
-            buf.clear();
+    /// One stable scatter of the whole batch into per-engine routes,
+    /// recording each engine's cut positions (an engine that sees no
+    /// access between two boundaries gets a duplicate position: an empty
+    /// segment whose boundary still fires).
+    fn scatter(&mut self, batch: &[(u32, u32)], cuts: &[usize]) {
+        for route in &mut self.route {
+            route.batch.clear();
+            route.cuts.clear();
         }
-        for buf in self.route_cuts.iter_mut() {
-            buf.clear();
-        }
-        {
-            let route = &mut self.route;
-            let route_cuts = &mut self.route_cuts;
-            let base = self.owned.start_bank();
-            match self.uniform_shift {
-                // Uniform slice sizes (every built-in layout): the
-                // per-record slice split is a shift/mask, not a search —
-                // slices are pow2-sized and naturally aligned
-                // (GeometrySlice::new), so `bank & mask` *is* the
-                // engine-local bank index.
-                Some(shift) => {
-                    let mask = (1u32 << shift) - 1;
-                    crate::for_each_segment(batch.len(), cuts, |range, on_boundary| {
-                        for &(bank, row) in &batch[range] {
-                            route[((bank - base) >> shift) as usize].push((bank & mask, row));
-                        }
-                        if on_boundary {
-                            for (s, s_cuts) in route_cuts.iter_mut().enumerate() {
-                                s_cuts.push(route[s].len());
-                            }
-                        }
-                    });
-                }
-                // Mixed slice sizes: binary-search the owning slice.
-                None => {
-                    let slices = &self.engine_slices;
-                    crate::for_each_segment(batch.len(), cuts, |range, on_boundary| {
-                        for &(bank, row) in &batch[range] {
-                            let s = slices.partition_point(|sl| sl.end_bank() <= bank);
-                            route[s].push((bank - slices[s].start_bank(), row));
-                        }
-                        if on_boundary {
-                            for (s, s_cuts) in route_cuts.iter_mut().enumerate() {
-                                s_cuts.push(route[s].len());
-                            }
-                        }
-                    });
-                }
-            }
-        }
-        for (s, engine) in self.engines.iter_mut().enumerate() {
-            if self.route[s].is_empty() && cuts.is_empty() {
-                continue; // nothing to replay, no boundary to fire
-            }
-            let o = engine.process_with_cuts(&self.route[s], &self.route_cuts[s]);
-            out.refresh_events += o.refresh_events;
-            out.refreshed_rows += o.refreshed_rows;
-        }
-    }
-
-    /// Pooled path: every slice's banks are loaned to the shared pool
-    /// once, the whole batch is scattered by bank, and the workers replay
-    /// it — epoch cuts included — with independent slices overlapping on
-    /// the same shard threads.
-    fn pooled_batch(&mut self, batch: &[(u32, u32)], cuts: &[usize], out: &mut BatchOutcome) {
-        let nbanks = self.bank_count().max(1);
-        let shards = self.shards.clamp(1, nbanks);
-        if self.pool.as_ref().map(ShardPool::shards) != Some(shards) {
-            self.pool = Some(ShardPool::new(shards, nbanks));
-        }
-        // cat-lint: allow(panic-path) -- infallible: the pool is (re)built two lines above, not peer-reachable
-        let mut pool = self.pool.take().expect("pool just ensured");
-        let (events_before, rows_before) = self.refresh_totals();
-
-        // The pool partitions the *owned* range by offset; a slice-owning
-        // system rebases the batch's global banks once up front (the
-        // full-range case is base 0 and passes the batch straight
-        // through).
+        let route = &mut self.route;
         let base = self.owned.start_bank();
-        let batch: &[(u32, u32)] = if base == 0 {
-            batch
-        } else {
-            self.pool_rebase.clear();
-            self.pool_rebase
-                .extend(batch.iter().map(|&(bank, row)| (bank - base, row)));
-            &self.pool_rebase
-        };
-
-        // Loan each shard a carrier assembled — in bank order — from the
-        // slice ranges the shard straddles. Splitting and re-absorbing
-        // costs O(materialized banks), not O(banks) (`DESIGN.md §10`),
-        // and a scheme built by a worker keeps its global bank index: the
-        // carrier's base is the shard's first **global** bank.
-        let rows_per_bank = self.geometry.rows_per_bank;
-        let slices = &self.engine_slices;
-        for w in 0..pool.shards() {
-            let range = pool.shard_range(w);
-            let mut carrier = SparseBanks::new(
-                self.spec,
-                (range.end - range.start) as u32,
-                rows_per_bank,
-                base + range.start as u32,
-            );
-            for (s, engine) in self.engines.iter_mut().enumerate() {
-                let e_lo = (slices[s].start_bank() - base) as usize;
-                let e_hi = (slices[s].end_bank() - base) as usize;
-                let g_lo = range.start.max(e_lo);
-                let g_hi = range.end.min(e_hi);
-                if g_lo >= g_hi {
-                    continue;
-                }
-                let sub = engine.banks_mut().take_range(g_lo - e_lo..g_hi - e_lo);
-                carrier.absorb(g_lo - range.start, sub);
+        match self.uniform_shift {
+            // Uniform slice sizes (every built-in layout): the per-record
+            // slice split is a shift/mask, not a search — slices are
+            // pow2-sized and naturally aligned (GeometrySlice::new), so
+            // `bank & mask` *is* the engine-local bank index.
+            Some(shift) => {
+                let mask = (1u32 << shift) - 1;
+                crate::for_each_segment(batch.len(), cuts, |range, on_boundary| {
+                    for &(bank, row) in &batch[range] {
+                        route[((bank - base) >> shift) as usize]
+                            .batch
+                            .push((bank & mask, row));
+                    }
+                    if on_boundary {
+                        mark_cut(route);
+                    }
+                });
             }
-            pool.loan_shard(w, carrier);
-        }
-        if self.act_scratch.len() < nbanks {
-            self.act_scratch.resize(nbanks, 0);
-        }
-        self.act_scratch[..nbanks].fill(0);
-        pool.run_batch(batch, cuts, &mut self.act_scratch[..nbanks]);
-
-        // Reclaim each shard's carrier, hand every slice its banks back,
-        // and fold the batch into each engine's accounting.
-        for w in 0..pool.shards() {
-            let range = pool.shard_range(w);
-            let mut carrier = pool.reclaim_shard(w);
-            for (s, engine) in self.engines.iter_mut().enumerate() {
-                let e_lo = (slices[s].start_bank() - base) as usize;
-                let e_hi = (slices[s].end_bank() - base) as usize;
-                let g_lo = range.start.max(e_lo);
-                let g_hi = range.end.min(e_hi);
-                if g_lo >= g_hi {
-                    continue;
-                }
-                let sub = carrier.take_range(g_lo - range.start..g_hi - range.start);
-                engine.banks_mut().absorb(g_lo - e_lo, sub);
+            // Mixed slice sizes: binary-search the owning slice.
+            None => {
+                let slices = &self.engine_slices;
+                crate::for_each_segment(batch.len(), cuts, |range, on_boundary| {
+                    for &(bank, row) in &batch[range] {
+                        let s = slices.partition_point(|sl| sl.end_bank() <= bank);
+                        route[s].batch.push((bank - slices[s].start_bank(), row));
+                    }
+                    if on_boundary {
+                        mark_cut(route);
+                    }
+                });
             }
         }
-        for (s, engine) in self.engines.iter_mut().enumerate() {
-            let e_lo = (slices[s].start_bank() - base) as usize;
-            let e_hi = (slices[s].end_bank() - base) as usize;
-            engine.absorb_pooled_batch(&self.act_scratch[e_lo..e_hi], cuts.len() as u64);
-        }
-        self.pool = Some(pool);
-
-        let (events, rows) = self.refresh_totals();
-        out.refresh_events += events - events_before;
-        out.refreshed_rows += rows - rows_before;
-    }
-
-    /// Running (refresh events, refreshed rows) totals across slices.
-    fn refresh_totals(&self) -> (u64, u64) {
-        self.engines
-            .iter()
-            .map(BankEngine::refresh_totals)
-            .fold((0, 0), |(e, r), (ce, cr)| (e + ce, r + cr))
     }
 
     /// Routes a global bank to `(engine index, engine-local bank)`.
@@ -772,14 +688,27 @@ impl MemorySystem {
     /// [`activate_global`](Self::activate_global) addressed as
     /// `(channel, bank-in-channel)` — the coordinates the per-channel
     /// memory controllers use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel` or `bank` is out of range for the geometry —
+    /// a bank past the channel's last would otherwise silently drive a
+    /// bank of the next channel — and under the conditions of
+    /// [`activate_global`](Self::activate_global).
     #[inline]
     pub fn activate_in_channel(&mut self, channel: usize, bank: usize, row: u32) -> Refreshes {
-        let bpc = self.geometry.banks_per_channel();
-        self.activate_global(channel as u32 * bpc + bank as u32, row)
+        let channels = self.geometry.channels as usize;
+        let bpc = self.geometry.banks_per_channel() as usize;
+        assert!(
+            channel < channels && bank < bpc,
+            "channel {channel} bank {bank} out of range for {channels} channels \
+             of {bpc} banks"
+        );
+        self.activate_global((channel * bpc + bank) as u32, row)
     }
 
     /// Signals an auto-refresh epoch boundary to every bank of every
-    /// channel. Any [staged](Self::push) accesses are flushed first so the
+    /// engine. Any [staged](Self::push) accesses are flushed first so the
     /// boundary lands after them in the stream, exactly where the caller
     /// issued it.
     ///
@@ -838,19 +767,18 @@ impl MemorySystem {
     }
 
     /// The per-slice engines, in ascending bank order (diagnostics) —
-    /// per-channel unless the system was built over another partition.
+    /// per-channel unless the system was built over another partition or
+    /// refined by [`with_shards`](Self::with_shards).
     pub fn engines(&self) -> &[BankEngine] {
         &self.engines
     }
 
-    /// Resident-memory snapshot across every slice's sparse bank
-    /// storage, plus the system's own pooled-path scatter scratch.
+    /// Resident-memory snapshot across every engine's sparse bank storage.
     pub fn footprint(&self) -> EngineFootprint {
         let mut total = EngineFootprint::default();
         for engine in &self.engines {
             total.merge(&engine.footprint());
         }
-        total.accounting_bytes += self.act_scratch.capacity() * std::mem::size_of::<u64>();
         total
     }
 
@@ -864,6 +792,43 @@ impl MemorySystem {
             per_bank_stats: self.per_bank_stats(),
             footprint: self.footprint(),
         }
+    }
+}
+
+/// Records an epoch boundary at the current end of every route.
+fn mark_cut(routes: &mut [Route]) {
+    for route in routes {
+        route.cuts.push(route.batch.len());
+    }
+}
+
+/// The engine layout for `shards` shards: `split`, refined by halving the
+/// largest slice (lowest bank first) until there are at least `shards`
+/// slices or every slice is one bank.
+fn refine(split: &[GeometrySlice], shards: usize) -> Vec<GeometrySlice> {
+    let mut slices = split.to_vec();
+    loop {
+        let largest = slices.iter().map(GeometrySlice::banks).max().unwrap_or(1);
+        if slices.len() >= shards || largest == 1 {
+            return slices;
+        }
+        // One pass halves the largest slices in bank order, as many as
+        // are still wanted — the same result as halving one at a time.
+        let mut wanted = shards - slices.len();
+        let mut refined = Vec::with_capacity(slices.len() + wanted);
+        for s in slices {
+            if s.banks() < largest || wanted == 0 {
+                refined.push(s);
+                continue;
+            }
+            wanted -= 1;
+            let half = largest / 2;
+            for start in [s.start_bank(), s.start_bank() + half] {
+                // cat-lint: allow(panic-path) -- construction-time: halves of an aligned power-of-two slice are aligned, not peer-reachable
+                refined.push(GeometrySlice::new(*s.geometry(), start, half).expect("aligned half"));
+            }
+        }
+        slices = refined;
     }
 }
 
@@ -923,8 +888,8 @@ mod tests {
     #[test]
     fn small_epochs_loan_once_and_stay_identical() {
         // Epoch length far below the batch size: the cut-aware path must
-        // fire every boundary inside one loan and still match the flat
-        // engine bit for bit.
+        // fire every boundary inside one replay per engine and still
+        // match the flat engine bit for bit.
         let spec = SchemeSpec::Drcat {
             counters: 64,
             levels: 11,
@@ -946,11 +911,37 @@ mod tests {
     }
 
     #[test]
+    fn shards_refine_the_construction_split() {
+        // One shard keeps the per-channel split; n shards halve the
+        // largest slice, lowest bank first, until there are at least n
+        // engines or every engine is one bank. The layout depends on the
+        // shard count alone.
+        let spans = |shards: usize| {
+            MemorySystem::new(geometry(), SchemeSpec::None)
+                .with_shards(shards)
+                .engine_slices()
+                .iter()
+                .map(|s| (s.start_bank(), s.banks()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(spans(1), [(0, 8), (8, 8)]);
+        assert_eq!(spans(2), [(0, 8), (8, 8)]);
+        assert_eq!(spans(3), [(0, 4), (4, 4), (8, 8)]);
+        assert_eq!(spans(4), [(0, 4), (4, 4), (8, 4), (12, 4)]);
+        assert_eq!(spans(64).len(), 16);
+        let back = MemorySystem::new(geometry(), SchemeSpec::None)
+            .with_shards(4)
+            .with_shards(1);
+        assert_eq!(back.engine_slices().len(), 2);
+    }
+
+    #[test]
     fn decode_and_addr_batches_route_by_address() {
         let mut system = MemorySystem::new(geometry(), SchemeSpec::None);
         let addr = system.mapping().encode_line(1, 0, 3, 42, 0);
         assert_eq!(system.decode(addr), (11, 42));
-        system.process_addrs(&[addr, addr, addr]);
+        system.push_iter([addr, addr, addr]);
+        system.flush();
         assert_eq!(system.activations_per_bank()[11], 3);
         assert_eq!(system.accesses(), 3);
     }
@@ -998,7 +989,7 @@ mod tests {
     }
 
     #[test]
-    fn push_iter_decodes_like_process_addrs() {
+    fn push_iter_decodes_like_process() {
         let spec = SchemeSpec::Sca {
             counters: 16,
             threshold: 16,
@@ -1011,7 +1002,8 @@ mod tests {
                     .encode_line((i % 2) as u32, 0, (i % 8) as u32, 1234, 0)
             })
             .collect();
-        a.process_addrs(&addrs);
+        let decoded: Vec<(u32, u32)> = addrs.iter().map(|&addr| a.decode(addr)).collect();
+        a.process(&decoded);
         b.push_iter(addrs.iter().copied());
         b.flush();
         assert_eq!(a.stats(), b.stats());
@@ -1058,6 +1050,14 @@ mod tests {
         assert_eq!(system.activations_per_bank()[10], 16);
         assert_eq!(system.epochs(), 1);
         assert_eq!(system.report().accesses, 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "channel 0 bank 8 out of range")]
+    fn activate_in_channel_rejects_a_bank_past_the_channel() {
+        // Bank 8 of channel 0 would otherwise alias channel 1, bank 0.
+        let mut system = MemorySystem::new(geometry(), SchemeSpec::None);
+        let _ = system.activate_in_channel(0, 8, 1);
     }
 
     #[test]

@@ -8,13 +8,15 @@
 //! comparison pins high-water marks, slab directory capacities and lazy
 //! materialization order, not just counter values.
 //!
-//! Covers all three execution paths of the determinism contract
-//! (`DESIGN.md §7`): the flat [`BankEngine::process`] path, the pooled
-//! [`BankEngine::process_sharded`] path, and the routed
-//! [`MemorySystem`] per-channel path (itself pooled for `shards > 1`).
+//! Covers the flat [`BankEngine::process`] path, the [`MemorySystem`]
+//! path on one shard (inline) and on several (shard workers), and images
+//! restored into a different shard count, where restore re-carves the
+//! saved engine sections onto the target's layout (`DESIGN.md §7`).
 
-use cat_core::SchemeSpec;
-use cat_engine::{BankEngine, MemGeometry, MemorySystem};
+use cat_core::{SchemeSpec, SchemeStats};
+use cat_engine::{
+    BankEngine, EngineFootprint, GeometrySlice, MemGeometry, MemorySystem, Partition,
+};
 
 const BANKS: u32 = 16;
 const ROWS: u32 = 4096;
@@ -92,9 +94,17 @@ fn cuts() -> Vec<usize> {
 }
 
 fn fresh_system(spec: SchemeSpec, shards: usize) -> MemorySystem {
-    MemorySystem::new(geometry(), spec)
-        .with_epoch_length(EPOCH)
-        .with_shards(shards)
+    system_over(None, spec, shards)
+}
+
+/// A system over the whole geometry (`owned` is `None`) or over one slice
+/// of it, with the suite's epoch clock and `shards` shards.
+fn system_over(owned: Option<GeometrySlice>, spec: SchemeSpec, shards: usize) -> MemorySystem {
+    let system = match owned {
+        None => MemorySystem::new(geometry(), spec),
+        Some(slice) => MemorySystem::for_slice(&slice, spec),
+    };
+    system.with_epoch_length(EPOCH).with_shards(shards)
 }
 
 #[test]
@@ -149,26 +159,75 @@ fn system_kill_and_resume_is_bit_identical_for_every_spec_and_shard_count() {
     }
 }
 
+/// What the engine-scope sweep checkpoints: the flat engine over all 16
+/// banks, or the same 16 banks as a sharded system.
+enum Subject {
+    Flat(BankEngine),
+    Sharded(MemorySystem),
+}
+
+impl Subject {
+    fn fresh(spec: SchemeSpec, shards: usize) -> Self {
+        if shards == 1 {
+            Subject::Flat(BankEngine::new(spec, BANKS, ROWS).with_epoch_length(EPOCH))
+        } else {
+            Subject::Sharded(fresh_system(spec, shards))
+        }
+    }
+
+    fn process(&mut self, batch: &[(u32, u32)]) {
+        match self {
+            Subject::Flat(engine) => {
+                engine.process(batch);
+            }
+            Subject::Sharded(system) => {
+                system.process(batch);
+            }
+        }
+    }
+
+    fn checkpoint(&self) -> std::io::Result<Vec<u8>> {
+        match self {
+            Subject::Flat(engine) => engine.checkpoint(),
+            Subject::Sharded(system) => system.checkpoint(),
+        }
+    }
+
+    fn restore(&mut self, image: &[u8]) -> std::io::Result<()> {
+        match self {
+            Subject::Flat(engine) => engine.restore(image),
+            Subject::Sharded(system) => system.restore(image),
+        }
+    }
+
+    fn stats(&self) -> SchemeStats {
+        match self {
+            Subject::Flat(engine) => engine.stats(),
+            Subject::Sharded(system) => system.stats(),
+        }
+    }
+
+    fn footprint(&self) -> EngineFootprint {
+        match self {
+            Subject::Flat(engine) => engine.footprint(),
+            Subject::Sharded(system) => system.footprint(),
+        }
+    }
+}
+
 #[test]
 fn engine_kill_and_resume_is_bit_identical_on_flat_and_pooled_paths() {
     let trace = trace();
     for spec in specs() {
         for shards in [1usize, 4] {
             for cut in cuts() {
-                let run = |engine: &mut BankEngine, batch: &[(u32, u32)]| {
-                    if shards == 1 {
-                        engine.process(batch)
-                    } else {
-                        engine.process_sharded(batch, shards)
-                    }
-                };
-                let mut original = BankEngine::new(spec, BANKS, ROWS).with_epoch_length(EPOCH);
-                run(&mut original, &trace[..cut]);
+                let mut original = Subject::fresh(spec, shards);
+                original.process(&trace[..cut]);
                 let image = original
                     .checkpoint()
                     .unwrap_or_else(|e| panic!("{spec} x{shards} cut {cut}: checkpoint: {e}"));
 
-                let mut resumed = BankEngine::new(spec, BANKS, ROWS).with_epoch_length(EPOCH);
+                let mut resumed = Subject::fresh(spec, shards);
                 resumed
                     .restore(&image)
                     .unwrap_or_else(|e| panic!("{spec} x{shards} cut {cut}: restore: {e}"));
@@ -176,8 +235,8 @@ fn engine_kill_and_resume_is_bit_identical_on_flat_and_pooled_paths() {
                 assert_eq!(resumed.footprint(), original.footprint());
 
                 if cut < trace.len() {
-                    run(&mut original, &trace[cut..]);
-                    run(&mut resumed, &trace[cut..]);
+                    original.process(&trace[cut..]);
+                    resumed.process(&trace[cut..]);
                 }
                 assert_eq!(
                     resumed.stats(),
@@ -194,30 +253,76 @@ fn engine_kill_and_resume_is_bit_identical_on_flat_and_pooled_paths() {
     }
 }
 
+/// Asserts that two systems hold the same state: counters, every per-bank
+/// vector, and the split-invariant footprint fields.
+fn assert_same_state(a: &MemorySystem, b: &MemorySystem, what: &str) {
+    assert_eq!(a.accesses(), b.accesses(), "{what}: accesses");
+    assert_eq!(a.epochs(), b.epochs(), "{what}: epochs");
+    assert_eq!(a.stats(), b.stats(), "{what}: stats");
+    assert_eq!(
+        a.per_bank_stats(),
+        b.per_bank_stats(),
+        "{what}: per-bank stats"
+    );
+    assert_eq!(
+        a.activations_per_bank(),
+        b.activations_per_bank(),
+        "{what}: activations"
+    );
+    let (fa, fb) = (a.footprint(), b.footprint());
+    assert_eq!(
+        fa.materialized_banks, fb.materialized_banks,
+        "{what}: materialized banks"
+    );
+    assert_eq!(fa.scheme_bytes, fb.scheme_bytes, "{what}: scheme bytes");
+}
+
 #[test]
 fn images_restore_across_shard_counts() {
     // Shard count is an execution-strategy knob, not state (`DESIGN.md
-    // §7`): an image taken from a 1-shard run must restore into a
-    // 4-shard system (and vice versa) and still finish bit-identically.
-    let trace = trace();
-    let spec = SchemeSpec::Drcat {
-        counters: 64,
-        levels: 11,
-        threshold: 512,
-    };
-    let cut = 4_500;
-    let mut narrow = fresh_system(spec, 1);
-    narrow.process(&trace[..cut]);
-    let image = narrow.checkpoint().unwrap();
+    // §7`), but the engine layout follows it, so restore re-carves the
+    // saved engine sections onto the target's layout. An image taken on
+    // any shard count must restore into any other — on a whole-geometry
+    // system and on a fleet backend's slice — with the same per-bank
+    // state, and finish bit-identically. Footprints compare only in their
+    // split-invariant fields: scratch high-water marks (and so
+    // `accounting_bytes`) legitimately depend on the layout.
+    let full = trace();
+    let slice = Partition::uniform(geometry(), 2).unwrap().slices()[1];
+    let sliced: Vec<(u32, u32)> = full
+        .iter()
+        .copied()
+        .filter(|&(bank, _)| slice.contains(bank))
+        .collect();
+    let cut = 2 * EPOCH as usize;
+    let specs = [
+        SchemeSpec::pra(0.001),
+        SchemeSpec::Drcat {
+            counters: 64,
+            levels: 11,
+            threshold: 512,
+        },
+    ];
+    for spec in specs {
+        for (owned, trace) in [(None, &full), (Some(slice), &sliced)] {
+            let scope = if owned.is_some() { "for_slice" } else { "new" };
+            for from in [1usize, 3, 4, 8] {
+                for to in [1usize, 3, 4, 8] {
+                    let what = format!("{spec} {scope} x{from} -> x{to}");
+                    let mut narrow = system_over(owned, spec, from);
+                    narrow.process(&trace[..cut]);
+                    let image = narrow.checkpoint().unwrap();
 
-    let mut wide = fresh_system(spec, 4);
-    wide.restore(&image).unwrap();
-    narrow.process(&trace[cut..]);
-    wide.process(&trace[cut..]);
-    // Stats only: scratch high-water marks (and so `accounting_bytes`)
-    // legitimately depend on the execution strategy, so footprint
-    // equality holds within a shard count, not across them.
-    assert_eq!(wide.stats(), narrow.stats());
-    assert_eq!(wide.accesses(), narrow.accesses());
-    assert_eq!(wide.epochs(), narrow.epochs());
+                    let mut wide = system_over(owned, spec, to);
+                    wide.restore(&image)
+                        .unwrap_or_else(|e| panic!("{what}: restore: {e}"));
+                    assert_same_state(&wide, &narrow, &format!("{what} at the cut"));
+
+                    narrow.process(&trace[cut..]);
+                    wide.process(&trace[cut..]);
+                    assert_same_state(&wide, &narrow, &format!("{what} after resume"));
+                }
+            }
+        }
+    }
 }

@@ -1,13 +1,12 @@
-//! Differential test: for every `SchemeSpec` variant the batched engine,
-//! the pool-backed bank-sharded engine, and the per-channel `MemorySystem`
-//! routing — serial, pooled-overlapped, and streaming — must all produce
-//! exactly the same `SchemeStats` as the old sequential boxed-dyn
-//! per-access loop, invariant under 1/2/4/8 shard threads, arbitrary batch
-//! boundaries, streaming staging capacities, and epoch lengths smaller
-//! than the batch (the cut-aware path's hard case). PRA is included —
-//! per-bank PRNG seeding (with the channel engines' bank bases) makes both
-//! bank-sharding and channel routing deterministic. The invariants being
-//! exercised are spelled out in `DESIGN.md §7`.
+//! Differential test: for every `SchemeSpec` variant the batched engine
+//! and the per-slice `MemorySystem` routing — inline, on shard workers,
+//! and streaming — must all produce exactly the same `SchemeStats` as the
+//! old sequential boxed-dyn per-access loop, invariant under 1/2/4/8
+//! shards, arbitrary batch boundaries, streaming staging capacities, and
+//! epoch lengths smaller than the batch (the cut-aware path's hard case).
+//! PRA is included — per-bank PRNG seeding (with the engines' bank bases)
+//! makes both bank-sharding and channel routing deterministic. The
+//! invariants being exercised are spelled out in `DESIGN.md §7`.
 
 use cat_core::{MitigationScheme, RowId, SchemeSpec, SchemeStats};
 use cat_engine::{BankEngine, MemGeometry, MemorySystem};
@@ -24,6 +23,19 @@ fn geometry() -> MemGeometry {
         channels: 2,
         ranks_per_channel: 1,
         banks_per_rank: 8,
+        rows_per_bank: ROWS,
+        lines_per_row: 16,
+        line_bytes: 64,
+    }
+}
+
+/// One channel of `banks` banks: a `MemorySystem` over the same banks as a
+/// flat `BankEngine::new(spec, banks, ROWS)`.
+fn one_channel(banks: u32) -> MemGeometry {
+    MemGeometry {
+        channels: 1,
+        ranks_per_channel: 1,
+        banks_per_rank: banks,
         rows_per_bank: ROWS,
         lines_per_row: 16,
         line_bytes: 64,
@@ -133,10 +145,12 @@ fn engine_matches_old_loop_for_every_spec_and_shard_count() {
         );
         assert_eq!(engine.epochs(), 150_000 / EPOCH);
 
-        // Pool-backed sharding, 1/2/4/8 worker threads.
+        // The same 16 banks on 1/2/4/8 shards.
         for shards in [1usize, 2, 4, 8] {
-            let mut sharded = BankEngine::new(spec, BANKS, ROWS).with_epoch_length(EPOCH);
-            sharded.process_sharded(&trace, shards);
+            let mut sharded = MemorySystem::new(geometry(), spec)
+                .with_epoch_length(EPOCH)
+                .with_shards(shards);
+            sharded.process(&trace);
             assert_eq!(
                 sharded.stats(),
                 old_total,
@@ -245,10 +259,10 @@ fn streaming_push_matches_old_loop_for_every_spec() {
 #[test]
 fn small_epochs_match_old_loop_for_every_spec_and_path() {
     // Epoch lengths far below the batch (and chunk) size: the cut-aware
-    // batch path must fire hundreds of boundaries inside a single bank
-    // loan — including segments in which a whole channel sees no access —
-    // and stay bit-identical on the flat, sharded, routed and pooled
-    // paths.
+    // batch path must fire hundreds of boundaries inside a single replay
+    // per engine — including segments in which a whole engine sees no
+    // access — and stay bit-identical on the flat engine and on systems
+    // of 1/2/4/8 shards.
     let trace = trace(60_000);
     for epoch in [61u64, 997] {
         for spec in all_specs() {
@@ -258,9 +272,11 @@ fn small_epochs_match_old_loop_for_every_spec_and_path() {
             flat.process(&trace);
             assert_eq!(flat.stats(), old_total, "{spec}: flat != old loop @{epoch}");
 
-            let mut sharded = BankEngine::new(spec, BANKS, ROWS).with_epoch_length(epoch);
+            let mut sharded = MemorySystem::new(geometry(), spec)
+                .with_epoch_length(epoch)
+                .with_shards(4);
             for chunk in trace.chunks(13_337) {
-                sharded.process_sharded(chunk, 4);
+                sharded.process(chunk);
             }
             assert_eq!(
                 sharded.stats(),
@@ -294,9 +310,10 @@ fn small_epochs_match_old_loop_for_every_spec_and_path() {
 
 #[test]
 fn external_cuts_match_internal_epoch_accounting() {
-    // process_with_cuts / process_sharded_with_cuts with the cut positions
-    // with_epoch_length would have computed must land on identical stats —
-    // the cut-list form is the same epoch clock, just caller-owned.
+    // process_with_cuts, and a clockless 4-shard system ending an epoch at
+    // each cut, with the cut positions with_epoch_length would have
+    // computed must land on identical stats — the cut-list form is the
+    // same epoch clock, just caller-owned.
     let spec = SchemeSpec::Drcat {
         counters: 64,
         levels: 11,
@@ -318,8 +335,14 @@ fn external_cuts_match_internal_epoch_accounting() {
     assert_eq!(external.epochs(), internal.epochs());
     assert_eq!(out.epochs, cuts.len() as u64);
 
-    let mut external_sharded = BankEngine::new(spec, BANKS, ROWS);
-    external_sharded.process_sharded_with_cuts(&trace, &cuts, 4);
+    let mut external_sharded = MemorySystem::new(geometry(), spec).with_shards(4);
+    let mut done = 0;
+    for &cut in &cuts {
+        external_sharded.process(&trace[done..cut]);
+        external_sharded.end_epoch();
+        done = cut;
+    }
+    external_sharded.process(&trace[done..]);
     assert_eq!(external_sharded.stats(), internal.stats());
     assert_eq!(external_sharded.per_bank_stats(), internal.per_bank_stats());
 }
@@ -438,9 +461,10 @@ fn sparse_storage_matches_dense_reference_across_touch_patterns() {
             }
 
             for shards in [1usize, 2, 4] {
-                let mut sharded =
-                    BankEngine::new(spec, SPARSE_BANKS, ROWS).with_epoch_length(EPOCH);
-                sharded.process_sharded(trace, shards);
+                let mut sharded = MemorySystem::new(one_channel(SPARSE_BANKS), spec)
+                    .with_epoch_length(EPOCH)
+                    .with_shards(shards);
+                sharded.process(trace);
                 assert_eq!(
                     sharded.stats(),
                     old_total,
@@ -488,10 +512,12 @@ fn cold_banks_never_materialize_at_big_geometry() {
         fp.resident_bytes(),
         dense_estimate
     );
-    // The pooled path must stay lazy too (shard workers materialize only
+    // The sharded path must stay lazy too (shard workers materialize only
     // on rows), and keep matching the flat run.
-    let mut pooled = BankEngine::new(spec, BIG, ROWS).with_epoch_length(1_000);
-    pooled.process_sharded(&trace, 4);
+    let mut pooled = MemorySystem::new(one_channel(BIG), spec)
+        .with_epoch_length(1_000)
+        .with_shards(4);
+    pooled.process(&trace);
     assert_eq!(pooled.stats(), engine.stats());
     assert_eq!(pooled.footprint().materialized_banks, 64);
 }
@@ -499,8 +525,8 @@ fn cold_banks_never_materialize_at_big_geometry() {
 #[test]
 fn sharded_batches_compose_across_process_calls() {
     // Epoch state must carry across repeated sharded batches exactly as in
-    // one big sequential run — and the persistent pool must keep producing
-    // identical results when fed many small batches.
+    // one big sequential run — and the persistent shard workers must keep
+    // producing identical results when fed many small batches.
     let spec = SchemeSpec::Drcat {
         counters: 64,
         levels: 11,
@@ -508,9 +534,11 @@ fn sharded_batches_compose_across_process_calls() {
     };
     let trace = trace(90_000);
     let (old_total, _) = old_sequential_loop(spec, &trace);
-    let mut engine = BankEngine::new(spec, BANKS, ROWS).with_epoch_length(EPOCH);
+    let mut engine = MemorySystem::new(geometry(), spec)
+        .with_epoch_length(EPOCH)
+        .with_shards(4);
     for chunk in trace.chunks(13_337) {
-        engine.process_sharded(chunk, 4);
+        engine.process(chunk);
     }
     assert_eq!(engine.stats(), old_total);
     assert_eq!(engine.epochs(), 90_000 / EPOCH);

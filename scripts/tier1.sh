@@ -82,7 +82,9 @@ run_catd_smoke 4 4
 # Kill-and-resume smoke (DESIGN.md §11): session 1 checkpoints into a
 # directory and ends after 110 000 of 240 000 accesses — past the epoch-50k
 # image at 100 000, leaving a 10 000-record trace-log tail. Session 2
-# starts with --resume, must report exactly the recovered position, and
+# starts with --resume on 4 shards instead of 2, so restore re-carves the
+# image onto a different engine layout, must report exactly the
+# recovered position, and
 # the load generator (skip=110000) verifies the *combined* result
 # bit-identically against its local single-process replay of the full
 # trace. A broken image, log, or replay fails the scrape or the replay
@@ -106,7 +108,7 @@ run_catd_resume_smoke() {
     CATD_PID=""
 
     : >"$CATD_LOG"
-    ./target/release/examples/catd 127.0.0.1:0 drcat:64:11:2048 2 50000 2 \
+    ./target/release/examples/catd 127.0.0.1:0 drcat:64:11:2048 2 50000 4 \
         --checkpoint-dir "$ckpt_dir" --resume >"$CATD_LOG" &
     CATD_PID=$!
     addr=""
