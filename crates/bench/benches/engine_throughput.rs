@@ -2,10 +2,12 @@
 //! per-bank mitigation schemes over the same pre-decoded workload trace —
 //!
 //! * `boxed-dyn`    — the old hand-rolled loop: `Vec<Option<Box<dyn
-//!   MitigationScheme>>>`, one virtual call per activation, modulo epoch
-//!   rollover (kept here as the baseline the engine replaced);
+//!   MitigationScheme>>>` (each `build_instance` boxed explicitly), one
+//!   virtual call per activation, modulo epoch rollover. Kept as one
+//!   historical row, and as every row's stats oracle;
 //! * `instance`     — `cat_engine::BankEngine::process` over the
-//!   statically-dispatched `SchemeInstance` shards;
+//!   statically-dispatched `SchemeInstance` values: the speedup baseline
+//!   of every standard row;
 //! * `stream`       — `cat_engine::MemorySystem` streaming ingestion:
 //!   `push_decoded` per access, staging buffer flushing through the
 //!   cut-aware batch path;
@@ -31,17 +33,18 @@
 //! * `sparse-1m-*`  — the huge-geometry rows (DESIGN.md §10): 1 Mi banks
 //!   with ~1% of them hot, as one flat engine (`sparse-1m-flat`) and as a
 //!   4-shard `MemorySystem` over one 1 Mi-bank channel
-//!   (`sparse-1m-pool-4`). Construction is O(1) in bank count and only touched banks
-//!   materialize scheme state, so these rows also record the resident
-//!   footprint (`resident_bytes`, amortized `bytes_per_bank`, and the
-//!   arithmetic dense estimate — per-instance bytes × total banks — the
-//!   sparse storage is beating). Speedups are reported against
-//!   `sparse-1m-flat`, not `boxed-dyn`: the dense baseline at this
-//!   geometry would spend its time in construction, not the hot path;
-//! * `*-small`      — `boxed-dyn` and `overlap-4` at an epoch length of
-//!   65 536 accesses (hundreds of boundaries per replay): the cut-aware
-//!   regression guard. Small-epoch rows report speedups vs.
-//!   `boxed-dyn-small`.
+//!   (`sparse-1m-shards-4`). Construction is O(1) in bank count and only
+//!   touched banks materialize scheme state, so these rows also record the
+//!   resident footprint (`resident_bytes`, amortized `bytes_per_bank`, and
+//!   the arithmetic dense estimate — per-instance bytes × total banks —
+//!   the sparse storage is beating). Speedups are reported against
+//!   `sparse-1m-flat`: a dense baseline at this geometry would spend its
+//!   time in construction, not the hot path;
+//! * `*-small`      — `instance` (a `BankEngine`) and `overlap-4` at an
+//!   epoch length of 65 536 accesses (hundreds of boundaries per replay):
+//!   the cut-aware regression guard. Small-epoch rows report speedups vs.
+//!   `instance-small` and check their stats against the boxed loop at the
+//!   same epoch length.
 //!
 //! The schemes measured are the per-bank state machines with real
 //! per-activation work: the paper's tree family (PRCAT/DRCAT) and the
@@ -138,7 +141,9 @@ fn measure<F: FnMut() -> SchemeStats>(accesses: u64, mut f: F) -> (f64, SchemeSt
     (rates[rates.len() / 2], stats.expect("at least one replay"))
 }
 
-/// The pre-engine loop, reproduced verbatim as the baseline.
+/// The pre-engine loop, reproduced as the historical row and stats oracle:
+/// each scheme is boxed behind a trait object, so every activation pays
+/// the virtual call the engine's static dispatch removed.
 fn boxed_dyn_loop(
     cfg: &SystemConfig,
     spec: SchemeSpec,
@@ -146,7 +151,10 @@ fn boxed_dyn_loop(
     per_epoch: u64,
 ) -> SchemeStats {
     let mut schemes: Vec<Option<Box<dyn MitigationScheme + Send>>> = (0..cfg.total_banks())
-        .map(|b| spec.build(cfg.rows_per_bank, b))
+        .map(|b| {
+            spec.build_instance(cfg.rows_per_bank, b)
+                .map(|s| Box::new(s) as Box<dyn MitigationScheme + Send>)
+        })
         .collect();
     let mut accesses = 0u64;
     for &(bank, row) in entries {
@@ -201,8 +209,14 @@ fn main() {
         "scheme", "path", "acts/sec", "speedup"
     );
     for spec in specs {
-        let (base_rate, base_stats) = measure(accesses, || {
+        let (boxed_rate, base_stats) = measure(accesses, || {
             boxed_dyn_loop(&cfg, spec, &trace.entries, trace.per_epoch)
+        });
+        let (instance_rate, instance_stats) = measure(accesses, || {
+            let mut engine = BankEngine::new(spec, cfg.total_banks(), cfg.rows_per_bank)
+                .with_epoch_length(trace.per_epoch);
+            engine.process(&trace.entries);
+            engine.stats()
         });
         let mut row = |path: &'static str,
                        rate: f64,
@@ -230,15 +244,20 @@ fn main() {
                 footprint: None,
             });
         };
-        row("boxed-dyn", base_rate, &base_stats, &base_stats, base_rate);
-
-        let (rate, stats) = measure(accesses, || {
-            let mut engine = BankEngine::new(spec, cfg.total_banks(), cfg.rows_per_bank)
-                .with_epoch_length(trace.per_epoch);
-            engine.process(&trace.entries);
-            engine.stats()
-        });
-        row("instance", rate, &stats, &base_stats, base_rate);
+        row(
+            "boxed-dyn",
+            boxed_rate,
+            &base_stats,
+            &base_stats,
+            instance_rate,
+        );
+        row(
+            "instance",
+            instance_rate,
+            &instance_stats,
+            &base_stats,
+            instance_rate,
+        );
 
         // Streaming ingestion: per-access push through the staging buffer,
         // flushed through the cut-aware routed batch path.
@@ -250,7 +269,7 @@ fn main() {
             system.flush();
             system.stats()
         });
-        row("stream", rate, &stats, &base_stats, base_rate);
+        row("stream", rate, &stats, &base_stats, instance_rate);
 
         // Queue ingestion: producer threads feed the bounded deterministic
         // merge, the consumer drains it into the streaming path (the catd
@@ -280,7 +299,7 @@ fn main() {
                 });
                 system.stats()
             });
-            row(path, rate, &stats, &base_stats, base_rate);
+            row(path, rate, &stats, &base_stats, instance_rate);
         }
 
         // Partitioned datapath: scatter by Partition::route into sliced
@@ -314,7 +333,7 @@ fn main() {
                 }
                 stats
             });
-            row("fleet-2", rate, &stats, &base_stats, base_rate);
+            row("fleet-2", rate, &stats, &base_stats, instance_rate);
         }
 
         // Engine slices replayed on N shard workers.
@@ -326,19 +345,24 @@ fn main() {
                 system.process(&trace.entries);
                 system.stats()
             });
-            row(path, rate, &stats, &base_stats, base_rate);
+            row(path, rate, &stats, &base_stats, instance_rate);
         }
 
         // Small-epoch rows: the cut-aware regression guard (speedups vs.
-        // the small-epoch boxed baseline — different epoch count, so the
-        // stats checksum differs from the rows above).
-        let (small_rate, small_stats) = measure(accesses, || {
-            boxed_dyn_loop(&cfg, spec, &trace.entries, SMALL_EPOCH)
+        // the small-epoch engine — different epoch count, so the stats
+        // checksum, one unmeasured boxed replay, differs from the rows
+        // above).
+        let small_stats = boxed_dyn_loop(&cfg, spec, &trace.entries, SMALL_EPOCH);
+        let (small_rate, stats) = measure(accesses, || {
+            let mut engine = BankEngine::new(spec, cfg.total_banks(), cfg.rows_per_bank)
+                .with_epoch_length(SMALL_EPOCH);
+            engine.process(&trace.entries);
+            engine.stats()
         });
         row(
-            "boxed-dyn-small",
+            "instance-small",
             small_rate,
-            &small_stats,
+            &stats,
             &small_stats,
             small_rate,
         );
@@ -463,15 +487,15 @@ fn sparse_1m_rows(results: &mut Vec<Measurement>) {
         sharded_fp = system.footprint();
         system.stats()
     });
-    row("sparse-1m-pool-4", rate, &stats, sharded_fp);
+    row("sparse-1m-shards-4", rate, &stats, sharded_fp);
     println!();
 }
 
 /// Minimal JSON writer (the workspace has no serde — offline build).
-/// `*-small` rows report their speedup against `boxed-dyn-small` (same
+/// `*-small` rows report their speedup against `instance-small` (same
 /// epoch length) and `sparse-1m-*` rows against `sparse-1m-flat` (a dense
 /// baseline at 1 Mi banks would measure construction, not the hot path);
-/// everything else against `boxed-dyn`. The sparse rows additionally
+/// everything else against `instance`. The sparse rows additionally
 /// carry their resident footprint — `bytes_per_bank` is the amortized
 /// cost over **all** banks, the number a dense layout cannot get below
 /// one full instance. New fields always go after `acts_per_sec`: the
@@ -483,11 +507,11 @@ fn write_json(path: &str, accesses: u64, results: &[Measurement]) {
         let (speedup_key, baseline) = if m.path.starts_with("sparse-1m") {
             ("speedup_vs_sparse_flat", "sparse-1m-flat")
         } else if m.path.ends_with("-small") {
-            ("speedup_vs_boxed_dyn", "boxed-dyn-small")
+            ("speedup_vs_instance", "instance-small")
         } else {
-            ("speedup_vs_boxed_dyn", "boxed-dyn")
+            ("speedup_vs_instance", "instance")
         };
-        let boxed = results
+        let base = results
             .iter()
             .find(|b| b.scheme == m.scheme && b.path == baseline)
             .expect("baseline measured first");
@@ -512,7 +536,7 @@ fn write_json(path: &str, accesses: u64, results: &[Measurement]) {
             m.scheme,
             m.path,
             m.acts_per_sec,
-            m.acts_per_sec / boxed.acts_per_sec,
+            m.acts_per_sec / base.acts_per_sec,
             m.refresh_events,
             if i + 1 == results.len() { "" } else { "," }
         ));

@@ -11,7 +11,8 @@
 #![warn(missing_docs)]
 
 use cat_bench::{banner, decode_trace, replay_cmrpo};
-use cat_sim::{SchemeSpec, SystemConfig};
+use cat_core::SchemeSpec;
+use cat_sim::SystemConfig;
 use cat_workloads::catalog;
 
 fn main() {

@@ -10,9 +10,10 @@
 #![warn(missing_docs)]
 
 use cat_bench::{banner, mean, quick_factor, system_stream};
+use cat_core::SchemeSpec;
 use cat_energy::sram::{counter_cache_energy_nj, fig2_sweep};
 use cat_sim::functional::run_functional;
-use cat_sim::{SchemeSpec, SystemConfig};
+use cat_sim::SystemConfig;
 use cat_workloads::catalog;
 
 fn main() {

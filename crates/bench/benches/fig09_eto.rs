@@ -7,7 +7,8 @@
 #![warn(missing_docs)]
 
 use cat_bench::{banner, mean, timed_run};
-use cat_sim::{SchemeSpec, SystemConfig};
+use cat_core::SchemeSpec;
+use cat_sim::SystemConfig;
 use cat_workloads::catalog;
 
 fn schemes(t: u32) -> Vec<SchemeSpec> {

@@ -11,7 +11,8 @@
 #![warn(missing_docs)]
 
 use cat_bench::{banner, decode_trace, mean, replay_cmrpo, DecodedTrace};
-use cat_sim::{SchemeSpec, SystemConfig};
+use cat_core::SchemeSpec;
+use cat_sim::SystemConfig;
 use cat_workloads::catalog;
 
 fn scaled(w: &cat_workloads::WorkloadSpec, factor: f64) -> cat_workloads::WorkloadSpec {

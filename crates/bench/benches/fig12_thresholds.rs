@@ -7,7 +7,8 @@
 #![warn(missing_docs)]
 
 use cat_bench::{banner, decode_trace, mean, replay_cmrpo, timed_run, DecodedTrace};
-use cat_sim::{SchemeSpec, SystemConfig};
+use cat_core::SchemeSpec;
+use cat_sim::SystemConfig;
 use cat_workloads::catalog;
 
 fn mean_cmrpo(cfg: &SystemConfig, spec: SchemeSpec, traces: &[DecodedTrace]) -> f64 {

@@ -10,7 +10,8 @@
 #![warn(missing_docs)]
 
 use cat_bench::{banner, mean, quick_factor};
-use cat_sim::{MemAccess, SchemeSpec, Simulator, SystemConfig};
+use cat_core::SchemeSpec;
+use cat_sim::{MemAccess, Simulator, SystemConfig};
 use cat_workloads::{catalog, AttackMode, KernelAttack};
 
 fn attack_traces(

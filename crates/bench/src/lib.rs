@@ -16,11 +16,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use cat_core::HardwareProfile;
+use cat_core::{HardwareProfile, SchemeSpec};
 use cat_energy::{cmrpo_from_stats, CmrpoBreakdown};
 use cat_engine::MemorySystem;
 use cat_sim::functional::run_functional;
-use cat_sim::{MemAccess, SchemeSpec, SimReport, Simulator, SystemConfig};
+use cat_sim::{MemAccess, SimReport, Simulator, SystemConfig};
 use cat_workloads::{AccessStream, WorkloadSpec};
 
 /// Trace-length divisor from `REPRO_QUICK` (1 = full fidelity).

@@ -4,9 +4,9 @@
 //! The per-activation virtual call through `Box<dyn MitigationScheme>` costs
 //! an indirect branch plus a heap pointer chase on the hottest path in the
 //! repo (every simulated row activation). `SchemeInstance` replaces it with
-//! an enum match the compiler can inline, while [`SchemeInstance::Boxed`]
-//! keeps the trait-object escape hatch for schemes defined outside this
-//! crate.
+//! an enum match the compiler can inline. The set of schemes is closed: a
+//! new mitigation (e.g. a successor scheme) lands as a new variant, so
+//! every variant has a state-capture contract and an exact footprint.
 
 use crate::scheme::{HardwareProfile, MitigationScheme, Refreshes};
 use crate::state::{StateError, StateReader};
@@ -16,8 +16,8 @@ use crate::{CounterCache, Drcat, Pra, Prcat, RowId, Sca, SchemeStats, SpaceSavin
 ///
 /// Constructed from a [`crate::SchemeSpec`] via
 /// [`build_instance`](crate::SchemeSpec::build_instance); also implements
-/// [`MitigationScheme`] itself so it can stand wherever a trait object was
-/// expected.
+/// [`MitigationScheme`] itself so it can stand wherever a trait object is
+/// expected (the reference oracle, the historical boxed bench row).
 ///
 /// ```
 /// use cat_core::{MitigationScheme, RowId, SchemeSpec};
@@ -40,9 +40,6 @@ pub enum SchemeInstance {
     CounterCache(CounterCache),
     /// Space-Saving frequent-item tracker.
     SpaceSaving(SpaceSaving),
-    /// Escape hatch: any external [`MitigationScheme`] behind a trait object
-    /// (pays the virtual call the other variants avoid).
-    Boxed(Box<dyn MitigationScheme + Send>),
 }
 
 // Stable state-image kind tags (never renumber: checkpoints persist).
@@ -63,7 +60,6 @@ macro_rules! dispatch {
             SchemeInstance::Drcat($inner) => $body,
             SchemeInstance::CounterCache($inner) => $body,
             SchemeInstance::SpaceSaving($inner) => $body,
-            SchemeInstance::Boxed($inner) => $body,
         }
     };
 }
@@ -122,20 +118,8 @@ impl SchemeInstance {
     /// Resident bytes of this scheme's live state: the enum itself plus
     /// each variant's heap allocations (tree slabs, counter arrays, the
     /// counter cache's per-row backing store, …).
-    ///
-    /// For [`SchemeInstance::Boxed`] only the trait object's immediate
-    /// size is visible, so external schemes report that lower bound.
     pub fn footprint_bytes(&self) -> usize {
-        let heap = match self {
-            SchemeInstance::Pra(s) => s.heap_bytes(),
-            SchemeInstance::Sca(s) => s.heap_bytes(),
-            SchemeInstance::Prcat(s) => s.heap_bytes(),
-            SchemeInstance::Drcat(s) => s.heap_bytes(),
-            SchemeInstance::CounterCache(s) => s.heap_bytes(),
-            SchemeInstance::SpaceSaving(s) => s.heap_bytes(),
-            SchemeInstance::Boxed(b) => std::mem::size_of_val(&**b),
-        };
-        std::mem::size_of::<Self>() + heap
+        std::mem::size_of::<Self>() + dispatch!(self, s => s.heap_bytes())
     }
 
     /// Appends this scheme's complete mutable state (a stable kind tag
@@ -143,9 +127,8 @@ impl SchemeInstance {
     ///
     /// # Errors
     ///
-    /// Returns [`StateError::Unsupported`] for [`SchemeInstance::Boxed`]
-    /// (external schemes have no state-capture contract) and for PRA
-    /// backends without PRNG state capture.
+    /// Returns [`StateError::Unsupported`] for PRA backends without PRNG
+    /// state capture.
     pub fn save_state(&self, out: &mut Vec<u64>) -> Result<(), StateError> {
         match self {
             SchemeInstance::Pra(s) => {
@@ -172,9 +155,6 @@ impl SchemeInstance {
                 out.push(KIND_SPACE_SAVING);
                 s.save_state(out);
             }
-            SchemeInstance::Boxed(_) => {
-                return Err(StateError::Unsupported("boxed external scheme"));
-            }
         }
         Ok(())
     }
@@ -196,17 +176,7 @@ impl SchemeInstance {
             (KIND_DRCAT, SchemeInstance::Drcat(s)) => s.restore_state(r),
             (KIND_COUNTER_CACHE, SchemeInstance::CounterCache(s)) => s.restore_state(r),
             (KIND_SPACE_SAVING, SchemeInstance::SpaceSaving(s)) => s.restore_state(r),
-            (_, SchemeInstance::Boxed(_)) => Err(StateError::Unsupported("boxed external scheme")),
             _ => Err(StateError::Invalid("scheme kind tag mismatch")),
-        }
-    }
-
-    /// Converts into a trait object. A [`SchemeInstance::Boxed`] variant is
-    /// unwrapped rather than double-boxed.
-    pub fn into_boxed(self) -> Box<dyn MitigationScheme + Send> {
-        match self {
-            SchemeInstance::Boxed(b) => b,
-            other => Box::new(other),
         }
     }
 }
@@ -259,7 +229,8 @@ mod tests {
             threshold: 512,
         };
         let mut instance = spec.build_instance(4096, 0).unwrap();
-        let mut boxed = spec.build(4096, 0).unwrap();
+        let mut boxed: Box<dyn MitigationScheme + Send> =
+            Box::new(spec.build_instance(4096, 0).unwrap());
         for i in 0..20_000u32 {
             let row = RowId(if i % 3 == 0 { 77 } else { i % 4096 });
             assert_eq!(instance.on_activation(row), boxed.on_activation(row));
@@ -273,25 +244,6 @@ mod tests {
             instance.stats().refresh_events > 0,
             "hammered row must fire"
         );
-    }
-
-    #[test]
-    fn boxed_escape_hatch_delegates() {
-        let spec = SchemeSpec::Sca {
-            counters: 16,
-            threshold: 64,
-        };
-        let mut ext = SchemeInstance::Boxed(spec.build(1024, 0).unwrap());
-        for _ in 0..64 {
-            ext.on_activation(RowId(3));
-        }
-        assert_eq!(ext.stats().activations, 64);
-        assert_eq!(ext.name(), "SCA_16");
-        assert_eq!(ext.rows(), 1024);
-        // into_boxed must not double-box.
-        let b = ext.into_boxed();
-        assert_eq!(b.name(), "SCA_16");
-        assert!(format!("{:?}", SchemeInstance::Boxed(b)).contains("SCA_16"));
     }
 
     #[test]

@@ -10,8 +10,8 @@ use std::str::FromStr;
 
 use crate::instance::SchemeInstance;
 use crate::{
-    CatConfig, CounterCache, CounterCacheConfig, Drcat, HardwareProfile, MitigationScheme, Pra,
-    Prcat, Sca, SchemeKind, SpaceSaving, ThresholdPolicy,
+    CatConfig, CounterCache, CounterCacheConfig, Drcat, HardwareProfile, Pra, Prcat, Sca,
+    SchemeKind, SpaceSaving, ThresholdPolicy,
 };
 
 /// Which crosstalk-mitigation scheme a simulation attaches to every bank.
@@ -19,9 +19,9 @@ use crate::{
 /// ```
 /// use cat_core::SchemeSpec;
 /// let spec = SchemeSpec::Drcat { counters: 64, levels: 11, threshold: 32_768 };
-/// let scheme = spec.build(65_536, 0).unwrap();
+/// let scheme = spec.build_instance(65_536, 0).unwrap();
 /// assert_eq!(scheme.name(), "DRCAT_64");
-/// assert_eq!(SchemeSpec::None.build(65_536, 0).is_none(), true);
+/// assert!(SchemeSpec::None.build_instance(65_536, 0).is_none());
 /// ```
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub enum SchemeSpec {
@@ -161,25 +161,13 @@ impl SchemeSpec {
         }
     }
 
-    /// Instantiates the scheme for one bank behind a trait object.
-    ///
-    /// Retained for extensibility (schemes outside the [`SchemeInstance`]
-    /// enum); hot paths should prefer [`build_instance`](Self::build_instance).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`build_instance`](Self::build_instance).
-    pub fn build(&self, rows: u32, bank_index: u32) -> Option<Box<dyn MitigationScheme + Send>> {
-        self.build_instance(rows, bank_index)
-            .map(SchemeInstance::into_boxed)
-    }
-
     /// The hardware footprint the scheme would occupy per bank of `rows`
     /// rows, computed directly from the specification (no scheme instance is
     /// constructed). Returns `None` for [`SchemeSpec::None`].
     ///
-    /// Guaranteed to equal `self.build(rows, 0).unwrap().hardware()` for
-    /// every buildable spec (asserted by unit tests).
+    /// Guaranteed to equal `self.build_instance(rows, 0).unwrap().hardware()`
+    /// for every buildable spec (asserted by unit tests), so callers that
+    /// only need the footprint never build a scheme.
     pub fn profile(&self, rows: u32) -> Option<HardwareProfile> {
         debug_assert!(
             rows.is_power_of_two() && rows >= 8,
@@ -370,7 +358,7 @@ fn parse_seed(raw: &str) -> Result<u64, ParseSpecError> {
 }
 
 /// Semantic checks on parsed values that the scheme constructors would only
-/// reject later (with a panic, via `build`) or that `profile` assumes — text
+/// reject later (with a panic, via `build_instance`) or that `profile` assumes — text
 /// input must fail with a proper error instead.
 fn check(spec: SchemeSpec) -> Result<SchemeSpec, ParseSpecError> {
     let threshold_of = |t: u32| {
@@ -524,22 +512,22 @@ mod tests {
     #[test]
     fn builds_every_scheme() {
         for spec in all_buildable() {
-            let s = spec.build(65_536, 3).expect("buildable");
+            let s = spec.build_instance(65_536, 3).expect("buildable");
             assert_eq!(s.rows(), 65_536);
             assert!(!spec.label().is_empty());
         }
-        assert!(SchemeSpec::None.build(65_536, 0).is_none());
+        assert!(SchemeSpec::None.build_instance(65_536, 0).is_none());
         assert_eq!(SchemeSpec::None.label(), "baseline");
     }
 
     #[test]
     fn pra_banks_get_distinct_seeds() {
         let spec = SchemeSpec::pra(0.5);
-        let mut a = spec.build(1024, 0).unwrap();
-        let mut b = spec.build(1024, 1).unwrap();
+        let mut a = spec.build_instance(1024, 0).unwrap();
+        let mut b = spec.build_instance(1024, 1).unwrap();
         // With p = 0.5 the decision streams diverge almost immediately if
         // the seeds differ.
-        let fire = |s: &mut Box<dyn MitigationScheme + Send>| {
+        let fire = |s: &mut SchemeInstance| {
             (0..64)
                 .map(|_| !s.on_activation(RowId(5)).is_empty())
                 .collect::<Vec<_>>()
@@ -563,7 +551,7 @@ mod tests {
     #[test]
     fn profile_matches_built_hardware() {
         for spec in all_buildable() {
-            let built = spec.build(65_536, 0).unwrap().hardware();
+            let built = spec.build_instance(65_536, 0).unwrap().hardware();
             let computed = spec.profile(65_536).unwrap();
             assert_eq!(computed, built, "{spec}");
         }
@@ -630,7 +618,7 @@ mod tests {
             "cc:1024:8",
             "ss:64",
             // Well-formed but semantically invalid: must error, not panic
-            // later in build()/profile().
+            // later in build_instance()/profile().
             "sca:64:0",
             "drcat:64:11:1",
             "pra:0.7",

@@ -19,7 +19,8 @@ pub enum StateError {
     Exhausted,
     /// A value was out of range or inconsistent; the message names it.
     Invalid(&'static str),
-    /// The scheme cannot capture or restore state (boxed external schemes).
+    /// The scheme cannot capture or restore state (a PRA backend without
+    /// PRNG state capture).
     Unsupported(&'static str),
 }
 

@@ -1,16 +1,18 @@
-//! Epoch-consistent checkpoint/restore of engine and system state
+//! Epoch-consistent checkpoint/restore of [`MemorySystem`] state
 //! (`DESIGN.md §11`).
 //!
 //! A checkpoint is a versioned, length-prefixed little-endian image of the
-//! *complete* mutable state behind [`BankEngine`] or [`MemorySystem`]:
-//! every materialized scheme instance's counters, tree shape and PRNG
-//! state (via the schemes' `save_state` word streams), the sparse slabs'
-//! occupancy **and** their touch-order-dependent block-directory
+//! *complete* mutable state behind a [`MemorySystem`] — the one checkpoint
+//! scope: every materialized scheme instance's counters, tree shape and
+//! PRNG state (via the schemes' `save_state` word streams), the sparse
+//! slabs' occupancy **and** their touch-order-dependent block-directory
 //! capacities, the epoch position, and the scratch-buffer high-water
-//! marks. Restoring an image into a freshly built engine of the same
+//! marks. Restoring an image into a freshly built system of the same
 //! configuration therefore reproduces not just bit-identical stats for
 //! the rest of the run but a bit-identical [`crate::EngineFootprint`] —
-//! the kill-and-resume differential suite asserts both.
+//! the kill-and-resume differential suite asserts both. A lone
+//! [`BankEngine`]'s banks checkpoint as a one-engine system
+//! ([`MemorySystem::partitioned`] over `Partition::uniform(geometry, 1)`).
 //!
 //! Checkpoints are taken **only at epoch cuts** (positions in the global
 //! access stream that are multiples of the epoch length, vacuously any
@@ -21,8 +23,8 @@
 //! sections name their own bank range, and restore re-carves them onto
 //! the target's engine layout, so an image restores into any shard count.
 //!
-//! Decode is hardened like [`crate::wire`]: magic + version + scope are
-//! checked first, every count is validated against the bytes actually
+//! Decode is hardened like [`crate::wire`]: magic + version are checked
+//! first, every count is validated against the bytes actually
 //! remaining *before* anything is allocated, capacities are bounded by
 //! hard caps, and the image carries a trailing FNV-1a integrity hash so
 //! torn or bit-flipped files surface as typed [`io::Error`]s instead of
@@ -41,7 +43,7 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use cat_core::{SchemeSpec, StateError, StateReader};
+use cat_core::{StateError, StateReader};
 
 use crate::ingest::{IngestConsumer, IngestEvent};
 use crate::wire::{pack_record, unpack_record, MAX_SPEC_LEN};
@@ -58,8 +60,11 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"CATC";
 /// count) to the system section, so a fleet backend's image is pinned to
 /// its slice and cannot be restored into a backend serving a different
 /// partition. Version 3 dropped a system-level scratch capacity from the
-/// system section.
-pub const CHECKPOINT_VERSION: u16 = 3;
+/// system section. Version 4 dropped the scope byte (the image always
+/// captures a [`MemorySystem`]) and moved the spec string from every
+/// engine section into the system section, which now also fixes the row
+/// count and the epoch clock for its engine sections.
+pub const CHECKPOINT_VERSION: u16 = 4;
 
 /// Hard cap on a checkpoint image/file size — bounds what [`resume_from_dir`]
 /// will read into memory.
@@ -70,11 +75,6 @@ pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
 
 /// Trace-log filename inside a checkpoint directory.
 pub const TRACE_LOG_FILE: &str = "trace.log";
-
-/// Scope byte: the image captures one [`BankEngine`].
-const SCOPE_ENGINE: u8 = 1;
-/// Scope byte: the image captures a whole [`MemorySystem`].
-const SCOPE_SYSTEM: u8 = 2;
 
 /// Hard cap on one bank's scheme-state word count — bounds the per-bank
 /// allocation a forged length prefix can force.
@@ -243,13 +243,12 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-fn put_header(buf: &mut Vec<u8>, scope: u8) {
+fn put_header(buf: &mut Vec<u8>) {
     buf.extend_from_slice(&CHECKPOINT_MAGIC);
     put_u16(buf, CHECKPOINT_VERSION);
-    buf.push(scope);
 }
 
-fn read_header(r: &mut ByteReader<'_>, want_scope: u8) -> io::Result<()> {
+fn read_header(r: &mut ByteReader<'_>) -> io::Result<()> {
     let magic = r.take(4, "magic")?;
     if magic != CHECKPOINT_MAGIC {
         return Err(bad(format!("bad checkpoint magic {magic:02x?}")));
@@ -258,19 +257,6 @@ fn read_header(r: &mut ByteReader<'_>, want_scope: u8) -> io::Result<()> {
     if version != CHECKPOINT_VERSION {
         return Err(bad(format!(
             "checkpoint version {version}, this build reads {CHECKPOINT_VERSION}"
-        )));
-    }
-    let scope = r.u8("scope")?;
-    if scope != want_scope {
-        let describe = |s: u8| match s {
-            SCOPE_ENGINE => "a BankEngine".to_string(),
-            SCOPE_SYSTEM => "a MemorySystem".to_string(),
-            other => format!("unknown scope {other}"),
-        };
-        return Err(bad(format!(
-            "checkpoint captures {}, restore target is {}",
-            describe(scope),
-            describe(want_scope)
         )));
     }
     Ok(())
@@ -305,12 +291,11 @@ fn read_epoch_len(r: &mut ByteReader<'_>) -> io::Result<Option<u64>> {
 // Engine section
 // ---------------------------------------------------------------------------
 
-/// Appends one engine's complete state. Layout (all little-endian):
+/// Appends one engine's complete state. The system section fixes the
+/// spec, the row count and the epoch clock, and writes the engine's bank
+/// range ahead of this body. Layout (all little-endian):
 ///
 /// ```text
-/// u16 spec_len + spec string   canonical SchemeSpec form, validated on restore
-/// u32 banks, rows, base        geometry, validated on restore
-/// u8 flag + u64 epoch_len      epoch clock, validated on restore
 /// u64 accesses, epochs
 /// u64 act_block_cap            activation slab directory capacity (high-water)
 /// u64 act_occupied             then that many (u64 bank, u64 count) ascending
@@ -321,16 +306,6 @@ fn read_epoch_len(r: &mut ByteReader<'_>) -> io::Result<Option<u64>> {
 ///                                touched, row_scratch (high-water marks)
 /// ```
 fn encode_engine_section(e: &BankEngine, out: &mut Vec<u8>) -> io::Result<()> {
-    let spec = e.banks.spec().to_string();
-    if spec.len() > usize::from(MAX_SPEC_LEN) {
-        return Err(bad(format!("spec string of {} bytes", spec.len())));
-    }
-    put_u16(out, spec.len() as u16);
-    out.extend_from_slice(spec.as_bytes());
-    put_u32(out, e.banks.capacity() as u32);
-    put_u32(out, e.banks.rows());
-    put_u32(out, e.banks.base());
-    put_epoch_len(out, e.epoch_len);
     put_u64(out, e.accesses);
     put_u64(out, e.epochs);
 
@@ -401,54 +376,13 @@ fn read_scratch_cap(r: &mut ByteReader<'_>, what: &str) -> io::Result<usize> {
     Ok(cap as usize)
 }
 
-/// Reads one engine section into a freshly built engine. The section must
-/// carry `spec`, `rows` and `epoch_len`; `place(base, banks)` checks the
-/// section's bank range against the caller's layout before anything is
-/// built. Validates every structural invariant.
-fn decode_engine_section(
-    r: &mut ByteReader<'_>,
-    spec: SchemeSpec,
-    rows: u32,
-    epoch_len: Option<u64>,
-    place: impl FnOnce(u32, u32) -> io::Result<()>,
-) -> io::Result<BankEngine> {
-    let spec_len = usize::from(r.u16("spec length")?);
-    if spec_len > usize::from(MAX_SPEC_LEN) {
-        return Err(bad(format!("spec string of {spec_len} bytes")));
-    }
-    let spec_bytes = r.take(spec_len, "spec string")?;
-    let saved = std::str::from_utf8(spec_bytes).map_err(|e| bad(format!("spec not UTF-8: {e}")))?;
-    let own = spec.to_string();
-    if saved != own {
-        return Err(bad(format!(
-            "checkpoint spec `{saved}` does not match engine spec `{own}`"
-        )));
-    }
-    let banks = r.u32("bank count")?;
-    let saved_rows = r.u32("row count")?;
-    if saved_rows != rows {
-        return Err(bad(format!(
-            "checkpoint banks have {saved_rows} rows, engine banks have {rows}"
-        )));
-    }
-    let base = r.u32("bank base")?;
-    place(base, banks)?;
-    let saved_epoch_len = read_epoch_len(r)?;
-    if saved_epoch_len != epoch_len {
-        return Err(bad(format!(
-            "checkpoint epoch length {saved_epoch_len:?}, engine configured with {epoch_len:?}"
-        )));
-    }
+/// Reads one engine section into `e`, a freshly built engine over the
+/// section's bank range (the caller reads and checks that range first).
+/// Validates every structural invariant.
+fn decode_engine_section(r: &mut ByteReader<'_>, e: &mut BankEngine) -> io::Result<()> {
     let accesses = r.u64("access count")?;
     let epochs = r.u64("epoch count")?;
-    if !aligned(accesses, epoch_len) {
-        return Err(bad(format!(
-            "checkpoint position {accesses} is not an epoch cut of {epoch_len:?}"
-        )));
-    }
-    let mut e = BankEngine::with_bank_base(spec, banks, rows, base);
-    e.epoch_len = epoch_len;
-    let banks = banks as usize;
+    let banks = e.bank_count();
 
     // Activation counters: reserve the saved directory high-water mark,
     // then re-insert in ascending bank order — that reproduces the slab's
@@ -552,17 +486,32 @@ fn decode_engine_section(
 
     e.accesses = accesses;
     e.epochs = epochs;
-    Ok(e)
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // System section
 // ---------------------------------------------------------------------------
 
-/// Appends one system's complete state: geometry + owned slice + epoch
-/// clock + counters, the staging buffer's high-water mark, then every
-/// engine's section in slice order.
+/// Appends one system's complete state. Layout (all little-endian):
+///
+/// ```text
+/// u16 spec_len + spec string   canonical SchemeSpec form, validated on restore
+/// u32 × 6                      geometry, validated on restore
+/// u32 start, banks             owned slice, validated on restore
+/// u8 flag + u64 epoch_len      epoch clock, validated on restore
+/// u64 accesses, epochs
+/// u64 staged_cap               staging buffer capacity (high-water)
+/// u32 engines                  then per engine in slice order:
+///                                u32 banks, u32 base, engine section
+/// ```
 fn encode_system_section(s: &MemorySystem, out: &mut Vec<u8>) -> io::Result<()> {
+    let spec = s.spec.to_string();
+    if spec.len() > usize::from(MAX_SPEC_LEN) {
+        return Err(bad(format!("spec string of {} bytes", spec.len())));
+    }
+    put_u16(out, spec.len() as u16);
+    out.extend_from_slice(spec.as_bytes());
     let g = s.geometry;
     for field in [
         g.channels,
@@ -582,6 +531,8 @@ fn encode_system_section(s: &MemorySystem, out: &mut Vec<u8>) -> io::Result<()> 
     put_u64(out, s.staged.capacity() as u64);
     put_u32(out, s.engines.len() as u32);
     for engine in &s.engines {
+        put_u32(out, engine.banks.capacity() as u32);
+        put_u32(out, engine.banks.base());
         encode_engine_section(engine, out)?;
     }
     Ok(())
@@ -596,6 +547,18 @@ fn encode_system_section(s: &MemorySystem, out: &mut Vec<u8>) -> io::Result<()> 
 fn decode_system_section(s: &mut MemorySystem, r: &mut ByteReader<'_>) -> io::Result<()> {
     if s.accesses != 0 || s.epochs != 0 || !s.staged.is_empty() {
         return Err(bad("restore target is not freshly built"));
+    }
+    let spec_len = usize::from(r.u16("spec length")?);
+    if spec_len > usize::from(MAX_SPEC_LEN) {
+        return Err(bad(format!("spec string of {spec_len} bytes")));
+    }
+    let spec_bytes = r.take(spec_len, "spec string")?;
+    let saved = std::str::from_utf8(spec_bytes).map_err(|e| bad(format!("spec not UTF-8: {e}")))?;
+    let own = s.spec.to_string();
+    if saved != own {
+        return Err(bad(format!(
+            "checkpoint spec `{saved}` does not match system spec `{own}`"
+        )));
     }
     let mut fields = [0u32; 6];
     for f in &mut fields {
@@ -650,16 +613,17 @@ fn decode_system_section(s: &mut MemorySystem, r: &mut ByteReader<'_>) -> io::Re
     let mut saved = Vec::new();
     let mut next = u64::from(owned.start_bank());
     for _ in 0..count {
-        let engine = decode_engine_section(r, s.spec, rows, None, |base, banks| {
-            let (start, end) = (u64::from(base), u64::from(base) + u64::from(banks));
-            if start != next || banks == 0 || end > u64::from(owned.end_bank()) {
-                return Err(bad(format!(
-                    "engine section over banks {start}..{end} does not continue \
-                     the owned {owned} at bank {next}"
-                )));
-            }
-            Ok(())
-        })?;
+        let banks = r.u32("bank count")?;
+        let base = r.u32("bank base")?;
+        let (start, end) = (u64::from(base), u64::from(base) + u64::from(banks));
+        if start != next || banks == 0 || end > u64::from(owned.end_bank()) {
+            return Err(bad(format!(
+                "engine section over banks {start}..{end} does not continue \
+                 the owned {owned} at bank {next}"
+            )));
+        }
+        let mut engine = BankEngine::with_bank_base(s.spec, banks, rows, base);
+        decode_engine_section(r, &mut engine)?;
         if engine.epochs != epochs {
             return Err(bad(format!(
                 "engine counted {} epochs, system counted {epochs}",
@@ -690,74 +654,6 @@ fn decode_system_section(s: &mut MemorySystem, r: &mut ByteReader<'_>) -> io::Re
     Ok(())
 }
 
-impl BankEngine {
-    /// Serializes this engine's complete state as a sealed checkpoint
-    /// image (see the [module docs](self) for the format).
-    ///
-    /// # Errors
-    ///
-    /// [`io::ErrorKind::InvalidData`] if the engine is not at an epoch cut
-    /// (with an epoch clock configured, `accesses` must be a multiple of
-    /// the epoch length); [`io::ErrorKind::Unsupported`] if a bank holds a
-    /// scheme without a state-capture contract (boxed external schemes).
-    pub fn checkpoint(&self) -> io::Result<Vec<u8>> {
-        if !aligned(self.accesses, self.epoch_len) {
-            return Err(bad(format!(
-                "checkpoint off the epoch cut: {} accesses with {:?}-access epochs",
-                self.accesses, self.epoch_len
-            )));
-        }
-        let mut out = Vec::new();
-        put_header(&mut out, SCOPE_ENGINE);
-        encode_engine_section(self, &mut out)?;
-        seal(&mut out);
-        Ok(out)
-    }
-
-    /// Restores a [`checkpoint`](Self::checkpoint) image onto this engine,
-    /// which must be freshly built with the same spec, geometry and epoch
-    /// configuration. After a successful restore the engine is bit-equal —
-    /// stats, behaviour *and* [`crate::EngineFootprint`] — to the engine
-    /// the image was taken from.
-    ///
-    /// # Errors
-    ///
-    /// [`io::ErrorKind::InvalidData`] on a corrupted or truncated image, a
-    /// configuration mismatch, or a non-fresh target. On error the engine
-    /// may hold partial state and must be discarded.
-    pub fn restore(&mut self, image: &[u8]) -> io::Result<()> {
-        if self.accesses != 0
-            || self.epochs != 0
-            || self.activations.occupied() != 0
-            || self.banks.materialized() != 0
-        {
-            return Err(bad("restore target is not freshly built"));
-        }
-        let body = verify_sealed(image)?;
-        let mut r = ByteReader::new(body);
-        read_header(&mut r, SCOPE_ENGINE)?;
-        let (own_banks, own_base) = (self.bank_count(), self.banks.base());
-        let spec = self.banks.spec();
-        let rows = self.banks.rows();
-        let restored = decode_engine_section(&mut r, spec, rows, self.epoch_len, |base, banks| {
-            if banks as usize != own_banks {
-                return Err(bad(format!(
-                    "checkpoint spans {banks} banks, engine has {own_banks}"
-                )));
-            }
-            if base != own_base {
-                return Err(bad(format!(
-                    "checkpoint bank base {base}, engine bank base {own_base}"
-                )));
-            }
-            Ok(())
-        })?;
-        r.finish()?;
-        *self = restored;
-        Ok(())
-    }
-}
-
 impl MemorySystem {
     /// Serializes this system's complete state as a sealed checkpoint
     /// image (see the [module docs](self) for the format).
@@ -766,8 +662,8 @@ impl MemorySystem {
     ///
     /// [`io::ErrorKind::InvalidData`] if accesses are still staged
     /// (call [`flush`](MemorySystem::flush) first) or the system is not at
-    /// an epoch cut; [`io::ErrorKind::Unsupported`] for boxed external
-    /// schemes.
+    /// an epoch cut; [`io::ErrorKind::Unsupported`] for PRA backends
+    /// without PRNG state capture.
     pub fn checkpoint(&self) -> io::Result<Vec<u8>> {
         if !self.staged.is_empty() {
             return Err(bad(format!(
@@ -782,7 +678,7 @@ impl MemorySystem {
             )));
         }
         let mut out = Vec::new();
-        put_header(&mut out, SCOPE_SYSTEM);
+        put_header(&mut out);
         encode_system_section(self, &mut out)?;
         seal(&mut out);
         Ok(out)
@@ -805,7 +701,7 @@ impl MemorySystem {
     pub fn restore(&mut self, image: &[u8]) -> io::Result<()> {
         let body = verify_sealed(image)?;
         let mut r = ByteReader::new(body);
-        read_header(&mut r, SCOPE_SYSTEM)?;
+        read_header(&mut r)?;
         decode_system_section(self, &mut r)?;
         r.finish()
     }
@@ -1323,24 +1219,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_round_trip_is_bit_exact() {
-        let trace = trace(6000);
-        let mut original = BankEngine::new(spec(), 16, 4096).with_epoch_length(1000);
-        original.process(&trace[..3000]);
-        let image = original.checkpoint().unwrap();
-
-        let mut restored = BankEngine::new(spec(), 16, 4096).with_epoch_length(1000);
-        restored.restore(&image).unwrap();
-        assert_eq!(restored.stats(), original.stats());
-        assert_eq!(restored.footprint(), original.footprint());
-
-        original.process(&trace[3000..]);
-        restored.process(&trace[3000..]);
-        assert_eq!(restored.stats(), original.stats());
-        assert_eq!(restored.footprint(), original.footprint());
-    }
-
-    #[test]
     fn checkpoint_refuses_misaligned_positions() {
         let trace = trace(1500);
         let mut system = fresh();
@@ -1390,11 +1268,6 @@ mod tests {
         let mut clockless = MemorySystem::new(geometry(), spec());
         let err = clockless.restore(&image).unwrap_err();
         assert!(err.to_string().contains("epoch length"));
-
-        // Wrong scope.
-        let mut engine = BankEngine::new(spec(), 16, 4096).with_epoch_length(1000);
-        let err = engine.restore(&image).unwrap_err();
-        assert!(err.to_string().contains("MemorySystem"));
     }
 
     /// Deterministic LCG for the corruption sweeps (no external RNG and no
@@ -1487,11 +1360,11 @@ mod tests {
         // Walk a reader to the first channel's structural count fields so
         // the forged offsets stay correct if the layout ever shifts.
         let mut r = ByteReader::new(&image[..body_len]);
-        read_header(&mut r, SCOPE_SYSTEM).unwrap();
-        let sys_fixed = SYSTEM_FIXED_BYTES;
-        r.take(sys_fixed, "system fields").unwrap();
+        read_header(&mut r).unwrap();
         let spec_len = usize::from(r.u16("spec length").unwrap());
-        let eng_fixed = spec_len + 12 + 9 + 16; // spec..epoch count
+        r.take(spec_len + SYSTEM_FIXED_BYTES, "system fields")
+            .unwrap();
+        let eng_fixed = 8 + 16; // bank range, access and epoch counts
         r.take(eng_fixed, "engine fields").unwrap();
         let act_cap_off = body_len - r.remaining();
         let act_count_off = act_cap_off + 8;
@@ -1506,7 +1379,8 @@ mod tests {
         }
     }
 
-    /// System-section bytes from the geometry through the engine count.
+    /// System-section bytes from the geometry through the engine count
+    /// (the spec string ahead of them is variable-length).
     const SYSTEM_FIXED_BYTES: usize = 6 * 4 + 8 + 9 + 8 + 8 + 8 + 4;
 
     #[test]
@@ -1525,20 +1399,20 @@ mod tests {
             forged[body_len..].copy_from_slice(&h);
             forged
         }
-        // Image offsets of each engine section's bank count, plus the
-        // engine count field ahead of them.
+        // Image offsets of each engine section's bank count (its base
+        // follows), plus the engine count field ahead of them.
         fn layout(system: &MemorySystem) -> (usize, Vec<usize>) {
             let spec_len = system.spec().to_string().len();
-            let first = 7 + SYSTEM_FIXED_BYTES;
+            let first = 6 + 2 + spec_len + SYSTEM_FIXED_BYTES;
             let mut at = first;
             let banks_at = system
                 .engines
                 .iter()
                 .map(|engine| {
-                    let here = at + 2 + spec_len;
+                    let here = at;
                     let mut section = Vec::new();
                     encode_engine_section(engine, &mut section).unwrap();
-                    at += section.len();
+                    at += 8 + section.len();
                     here
                 })
                 .collect();
@@ -1550,7 +1424,7 @@ mod tests {
         wide.process(&trace(2000));
         let image = wide.checkpoint().unwrap();
         let (count_at, banks_at) = layout(&wide);
-        let base_at = |s: usize| banks_at[s] + 8;
+        let base_at = |s: usize| banks_at[s] + 4;
         // A fleet backend owning banks 8..16 in one section.
         let slice = crate::Partition::uniform(geometry(), 2).unwrap().slices()[1];
         let sliced = || MemorySystem::for_slice(&slice, spec()).with_epoch_length(1000);
@@ -1571,7 +1445,7 @@ mod tests {
             (
                 "below the owned range",
                 &backend_image,
-                vec![(backend_banks_at[0] + 8, 0)],
+                vec![(backend_banks_at[0] + 4, 0)],
             ),
         ];
         for (what, image, edits) in cases {

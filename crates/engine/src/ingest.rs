@@ -757,16 +757,18 @@ const READ_CHUNK_RECORDS: usize = 4096;
 ///
 /// # Errors
 ///
-/// Returns the first accept/handshake error, or the first connection's
-/// protocol error (out-of-order sequence number, out-of-range bank or
-/// row, malformed frame) after the drain completes. Ingested records are
-/// already reflected in `system` either way.
+/// [`io::ErrorKind::InvalidInput`] before anything is accepted if
+/// `producers` or `queue_capacity` is zero. Otherwise returns the first
+/// accept/handshake error, or the first connection's protocol error
+/// (out-of-order sequence number, out-of-range bank or row, malformed
+/// frame) after the drain completes. Ingested records are already
+/// reflected in `system` either way.
 pub fn serve(
     listener: &TcpListener,
     system: &mut MemorySystem,
     options: &ServeOptions,
 ) -> io::Result<ServeReport> {
-    assert!(options.producers >= 1, "serve needs at least one producer");
+    check_session_shape(options.producers, options.queue_capacity)?;
     let hello = ServerHello {
         geometry: *system.geometry(),
         slice_start: system.slice().start_bank(),
@@ -869,6 +871,21 @@ pub fn serve(
             stats_served,
         }),
     }
+}
+
+/// Refuses a session that could never run — no producer connection, or
+/// lanes that buffer no record — with [`io::ErrorKind::InvalidInput`].
+/// Shared by [`serve`] and [`crate::router::serve`], which call it before
+/// they accept or connect anything.
+pub(crate) fn check_session_shape(producers: usize, queue_capacity: usize) -> io::Result<()> {
+    let problem = if producers == 0 {
+        "a session needs at least one producer"
+    } else if queue_capacity == 0 {
+        "a session needs a queue capacity of at least one record"
+    } else {
+        return Ok(());
+    };
+    Err(io::Error::new(io::ErrorKind::InvalidInput, problem))
 }
 
 /// Accepts and handshakes exactly `producers` connections, returning the
@@ -988,15 +1005,6 @@ pub(crate) fn read_connection(
                     ));
                 }
             },
-            FrameHeader::Restore { len } => {
-                return Err(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    format!(
-                        "producer {peer}: {len}-byte restore image refused mid-session \
-                         — recover at startup via --resume"
-                    ),
-                ));
-            }
             FrameHeader::EpochCut { seq } => {
                 if seq != expected_seq {
                     return Err(io::Error::new(

@@ -791,7 +791,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_survives_shard_count_changes() {
+    fn system_survives_shard_count_changes() {
         // Changing the shard count of a live system re-carves its engines
         // (banks move by global index, scheme state intact) and keeps
         // producing sequential-identical results either way.
@@ -802,14 +802,14 @@ mod tests {
         let trace = batch(30_000, 8);
         let mut seq = BankEngine::new(spec, 8, 4096).with_epoch_length(4_000);
         seq.process(&trace);
-        let mut pooled = MemorySystem::new(one_channel(8), spec).with_epoch_length(4_000);
+        let mut sharded = MemorySystem::new(one_channel(8), spec).with_epoch_length(4_000);
         for (chunk, shards) in trace.chunks(10_000).zip([2usize, 4, 2]) {
-            pooled = pooled.with_shards(shards);
-            pooled.process(chunk);
+            sharded = sharded.with_shards(shards);
+            sharded.process(chunk);
         }
-        assert_eq!(pooled.stats(), seq.stats());
-        assert_eq!(pooled.epochs(), seq.epochs());
-        assert_eq!(pooled.activations_per_bank(), seq.activations_per_bank());
+        assert_eq!(sharded.stats(), seq.stats());
+        assert_eq!(sharded.epochs(), seq.epochs());
+        assert_eq!(sharded.activations_per_bank(), seq.activations_per_bank());
     }
 
     #[test]

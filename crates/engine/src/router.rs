@@ -37,7 +37,9 @@ use std::io;
 use std::net::{TcpListener, ToSocketAddrs};
 use std::thread::JoinHandle;
 
-use crate::ingest::{accept_producers, read_connection, IngestClient, IngestEvent, IngestQueue};
+use crate::ingest::{
+    accept_producers, check_session_shape, read_connection, IngestClient, IngestEvent, IngestQueue,
+};
 use crate::wire::{self, ServerHello, StatsSnapshot};
 use crate::{GeometrySlice, Partition};
 
@@ -426,18 +428,19 @@ impl IngestRouter {
 ///
 /// # Errors
 ///
-/// Backend connection/handshake errors ([`IngestRouter::connect`]),
-/// accept/handshake errors, the first client connection's protocol
-/// error, or a fleet accounting mismatch at session end.
+/// [`io::ErrorKind::InvalidInput`] before any backend is connected if
+/// `producers` or `queue_capacity` is zero (the same refusal as
+/// [`crate::ingest::serve`]); backend connection/handshake errors
+/// ([`IngestRouter::connect`]), accept/handshake errors, the first client
+/// connection's protocol error, or a fleet accounting mismatch at session
+/// end.
 pub fn serve<A: ToSocketAddrs>(
     listener: &TcpListener,
     partition: &Partition,
     backends: &[A],
     options: &RouterOptions,
 ) -> io::Result<RouterReport> {
-    if options.producers < 1 {
-        return Err(bad("serve needs at least one producer".into()));
-    }
+    check_session_shape(options.producers, options.queue_capacity)?;
     // Backends first: a misconfigured fleet must fail before any client
     // is accepted (and a slow-starting backend is awaited here, not
     // mid-stream).

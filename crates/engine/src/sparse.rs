@@ -56,18 +56,6 @@ impl SparseBanks {
         self.slab.occupied()
     }
 
-    /// The spec every bank is instantiated from (recorded in checkpoints
-    /// for validation).
-    pub(crate) fn spec(&self) -> SchemeSpec {
-        self.spec
-    }
-
-    /// Rows per bank (the spec instantiation input, recorded in
-    /// checkpoints for validation).
-    pub(crate) fn rows(&self) -> u32 {
-        self.rows
-    }
-
     /// Global index of local bank 0 (see the struct docs).
     pub(crate) fn base(&self) -> u32 {
         self.base

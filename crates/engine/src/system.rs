@@ -886,7 +886,7 @@ mod tests {
     }
 
     #[test]
-    fn small_epochs_loan_once_and_stay_identical() {
+    fn small_epochs_replay_once_per_engine_and_stay_identical() {
         // Epoch length far below the batch size: the cut-aware path must
         // fire every boundary inside one replay per engine and still
         // match the flat engine bit for bit.

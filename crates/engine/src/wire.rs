@@ -37,13 +37,12 @@
 //! [`std::io::Error`] with [`std::io::ErrorKind::InvalidData`] — a protocol
 //! violation and a truncated stream are both connection-fatal.
 //!
-//! Version 2 adds the checkpointing frames (`DESIGN.md §11`):
-//! [`Frame::Checkpoint`] asks a checkpointing server to publish an image
-//! at the next epoch cut (a no-op tagged byte; servers without
-//! `--checkpoint-dir` refuse it), and [`Frame::Restore`] carries a
-//! checkpoint image inline — defined for symmetry and tooling, but `catd`
-//! refuses it mid-session: recovery happens at startup via `--resume`,
-//! never on a live system.
+//! Version 2 adds checkpointing (`DESIGN.md §11`): [`Frame::Checkpoint`]
+//! asks a checkpointing server to publish an image at the next epoch cut
+//! (a no-op tagged byte; servers without `--checkpoint-dir` refuse it).
+//! Recovery happens at startup via `--resume`, never on a live system, so
+//! no frame carries an image: tag `0x05`, once an inline restore image
+//! that no client sent, is reserved and read as an unknown tag.
 //!
 //! Version 3 adds the partitioned datapath (`DESIGN.md §12`): the
 //! [`ServerHello`] advertises the bank slice the backend owns
@@ -68,9 +67,11 @@ pub const MAGIC: [u8; 4] = *b"CATW";
 
 /// Wire format version. Bump on any incompatible change; peers with a
 /// different version refuse the handshake instead of misparsing frames.
-/// Version 2 added the [`Frame::Checkpoint`] and [`Frame::Restore`]
-/// kinds; version 3 added the [`ServerHello`] slice fields,
-/// [`Frame::EpochCut`], and the [`StatsSnapshot`] footprint counters.
+/// Version 2 added the [`Frame::Checkpoint`] kind (and a restore kind
+/// since retired, its tag reserved); version 3 added the [`ServerHello`]
+/// slice fields, [`Frame::EpochCut`], and the [`StatsSnapshot`] footprint
+/// counters. Retiring the restore kind kept version 3: every session a
+/// version-3 peer accepted before is still accepted.
 pub const VERSION: u16 = 3;
 
 /// Hard cap on records per [`Frame::Records`] — bounds the allocation a
@@ -79,10 +80,6 @@ pub const MAX_RECORDS_PER_FRAME: u32 = 1 << 20;
 
 /// Hard cap on the spec string length in a [`ServerHello`].
 pub const MAX_SPEC_LEN: u16 = 1024;
-
-/// Hard cap on the image carried by a [`Frame::Restore`] — bounds the
-/// allocation a forged length prefix can force on the receiver.
-pub const MAX_RESTORE_BYTES: u32 = 1 << 26;
 
 /// Bytes of one `(bank, row)` record on the wire. A record's 8 wire bytes
 /// read as one little-endian `u64` **are** its [`pack_record`] value —
@@ -310,13 +307,6 @@ pub enum Frame {
     /// next epoch cut (`DESIGN.md §11`). Servers without checkpointing
     /// configured refuse the frame (connection-fatal).
     Checkpoint,
-    /// A checkpoint image, inline. `catd` refuses this mid-session
-    /// (recovery happens at startup via `--resume`); the frame exists so
-    /// offline tooling can ship images over the same framing.
-    Restore {
-        /// The sealed checkpoint image (≤ [`MAX_RESTORE_BYTES`]).
-        image: Vec<u8>,
-    },
     /// An epoch boundary in the producer's record stream (`DESIGN.md
     /// §12`): the router owns the fleet's epoch clock and delivers each
     /// cut to every backend at the exact stream position it fired, so
@@ -334,7 +324,8 @@ const TAG_RECORDS: u8 = 0x01;
 const TAG_STATS_REQUEST: u8 = 0x02;
 const TAG_FINISH: u8 = 0x03;
 const TAG_CHECKPOINT: u8 = 0x04;
-const TAG_RESTORE: u8 = 0x05;
+// 0x05 is reserved: it tagged an inline restore image in versions 2 and 3
+// (no client sent it, servers refused it). Never reuse it for a new kind.
 const TAG_EPOCH_CUT: u8 = 0x06;
 
 /// Writes a [`Frame::Records`] directly from a slice (no intermediate
@@ -386,22 +377,13 @@ pub fn encode_records(buf: &mut Vec<u8>, seq: u64, records: &[(u32, u32)]) -> io
 /// # Errors
 ///
 /// [`io::ErrorKind::InvalidData`] if a `Records` frame exceeds
-/// [`MAX_RECORDS_PER_FRAME`] or a `Restore` image exceeds
-/// [`MAX_RESTORE_BYTES`]; I/O errors pass through.
+/// [`MAX_RECORDS_PER_FRAME`]; I/O errors pass through.
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
     match frame {
         Frame::Records { seq, records } => write_records(w, *seq, records),
         Frame::StatsRequest => w.write_all(&[TAG_STATS_REQUEST]),
         Frame::Finish => w.write_all(&[TAG_FINISH]),
         Frame::Checkpoint => w.write_all(&[TAG_CHECKPOINT]),
-        Frame::Restore { image } => {
-            if image.len() > MAX_RESTORE_BYTES as usize {
-                return Err(bad(format!("{}-byte restore image", image.len())));
-            }
-            w.write_all(&[TAG_RESTORE])?;
-            write_u32(w, image.len() as u32)?;
-            w.write_all(image)
-        }
         Frame::EpochCut { seq } => {
             w.write_all(&[TAG_EPOCH_CUT])?;
             write_u64(w, *seq)
@@ -429,12 +411,6 @@ pub enum FrameHeader {
     Finish,
     /// A [`Frame::Checkpoint`] (no payload).
     Checkpoint,
-    /// A [`Frame::Restore`] header; `len` image bytes follow on the
-    /// stream (≤ [`MAX_RESTORE_BYTES`]).
-    Restore {
-        /// Bytes in the unread image payload.
-        len: u32,
-    },
     /// A [`Frame::EpochCut`] (no payload beyond the sequence number).
     EpochCut {
         /// Producer-local sequence number, shared with `Records` frames.
@@ -465,13 +441,6 @@ pub fn read_frame_header<R: Read>(r: &mut R) -> io::Result<FrameHeader> {
         TAG_STATS_REQUEST => Ok(FrameHeader::StatsRequest),
         TAG_FINISH => Ok(FrameHeader::Finish),
         TAG_CHECKPOINT => Ok(FrameHeader::Checkpoint),
-        TAG_RESTORE => {
-            let len = read_u32(r)?;
-            if len > MAX_RESTORE_BYTES {
-                return Err(bad(format!("{len}-byte restore image")));
-            }
-            Ok(FrameHeader::Restore { len })
-        }
         TAG_EPOCH_CUT => {
             let seq = read_u64(r)?;
             Ok(FrameHeader::EpochCut { seq })
@@ -528,11 +497,6 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Frame> {
         FrameHeader::StatsRequest => Ok(Frame::StatsRequest),
         FrameHeader::Finish => Ok(Frame::Finish),
         FrameHeader::Checkpoint => Ok(Frame::Checkpoint),
-        FrameHeader::Restore { len } => {
-            let mut image = vec![0u8; len as usize];
-            r.read_exact(&mut image)?;
-            Ok(Frame::Restore { image })
-        }
         FrameHeader::EpochCut { seq } => Ok(Frame::EpochCut { seq }),
     }
 }
@@ -672,10 +636,6 @@ mod tests {
             Frame::StatsRequest,
             Frame::Finish,
             Frame::Checkpoint,
-            Frame::Restore {
-                image: vec![0xCA, 0x7C, 0x00, 0xFF],
-            },
-            Frame::Restore { image: Vec::new() },
             Frame::EpochCut { seq: 17 },
             Frame::EpochCut { seq: u64::MAX },
         ];
@@ -709,18 +669,13 @@ mod tests {
         };
         assert!(write_frame(&mut Vec::new(), &oversized).is_err());
 
-        // Same for a forged Restore length prefix and an oversized image.
-        let mut buf = Vec::new();
-        buf.push(0x05);
+        // The retired restore tag is reserved: a peer sending it (with
+        // the old length prefix) meets the unknown-tag refusal.
+        let mut buf = vec![0x05];
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
         let err = read_frame(&mut buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("restore image"));
-
-        let oversized = Frame::Restore {
-            image: vec![0; MAX_RESTORE_BYTES as usize + 1],
-        };
-        assert!(write_frame(&mut Vec::new(), &oversized).is_err());
+        assert!(err.to_string().contains("unknown frame tag 0x05"));
     }
 
     #[test]

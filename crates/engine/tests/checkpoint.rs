@@ -8,15 +8,14 @@
 //! comparison pins high-water marks, slab directory capacities and lazy
 //! materialization order, not just counter values.
 //!
-//! Covers the flat [`BankEngine::process`] path, the [`MemorySystem`]
-//! path on one shard (inline) and on several (shard workers), and images
+//! Covers one engine over all banks (a one-engine [`MemorySystem`], the
+//! only checkpoint scope), the per-channel system on one shard (inline)
+//! and on several (shard workers), and images
 //! restored into a different shard count, where restore re-carves the
 //! saved engine sections onto the target's layout (`DESIGN.md §7`).
 
-use cat_core::{SchemeSpec, SchemeStats};
-use cat_engine::{
-    BankEngine, EngineFootprint, GeometrySlice, MemGeometry, MemorySystem, Partition,
-};
+use cat_core::SchemeSpec;
+use cat_engine::{GeometrySlice, MemGeometry, MemorySystem, Partition};
 
 const BANKS: u32 = 16;
 const ROWS: u32 = 4096;
@@ -159,59 +158,17 @@ fn system_kill_and_resume_is_bit_identical_for_every_spec_and_shard_count() {
     }
 }
 
-/// What the engine-scope sweep checkpoints: the flat engine over all 16
-/// banks, or the same 16 banks as a sharded system.
-enum Subject {
-    Flat(BankEngine),
-    Sharded(MemorySystem),
-}
-
-impl Subject {
-    fn fresh(spec: SchemeSpec, shards: usize) -> Self {
-        if shards == 1 {
-            Subject::Flat(BankEngine::new(spec, BANKS, ROWS).with_epoch_length(EPOCH))
-        } else {
-            Subject::Sharded(fresh_system(spec, shards))
-        }
-    }
-
-    fn process(&mut self, batch: &[(u32, u32)]) {
-        match self {
-            Subject::Flat(engine) => {
-                engine.process(batch);
-            }
-            Subject::Sharded(system) => {
-                system.process(batch);
-            }
-        }
-    }
-
-    fn checkpoint(&self) -> std::io::Result<Vec<u8>> {
-        match self {
-            Subject::Flat(engine) => engine.checkpoint(),
-            Subject::Sharded(system) => system.checkpoint(),
-        }
-    }
-
-    fn restore(&mut self, image: &[u8]) -> std::io::Result<()> {
-        match self {
-            Subject::Flat(engine) => engine.restore(image),
-            Subject::Sharded(system) => system.restore(image),
-        }
-    }
-
-    fn stats(&self) -> SchemeStats {
-        match self {
-            Subject::Flat(engine) => engine.stats(),
-            Subject::Sharded(system) => system.stats(),
-        }
-    }
-
-    fn footprint(&self) -> EngineFootprint {
-        match self {
-            Subject::Flat(engine) => engine.footprint(),
-            Subject::Sharded(system) => system.footprint(),
-        }
+/// What the engine sweep checkpoints: one engine over all 16 banks (a
+/// one-engine system over the whole geometry), or the same 16 banks as a
+/// sharded system.
+fn subject(spec: SchemeSpec, shards: usize) -> MemorySystem {
+    if shards == 1 {
+        let one = Partition::uniform(geometry(), 1).unwrap();
+        let system = MemorySystem::partitioned(&one, spec).with_epoch_length(EPOCH);
+        assert_eq!(system.engines().len(), 1, "one engine over {BANKS} banks");
+        system
+    } else {
+        fresh_system(spec, shards)
     }
 }
 
@@ -221,13 +178,13 @@ fn engine_kill_and_resume_is_bit_identical_on_flat_and_pooled_paths() {
     for spec in specs() {
         for shards in [1usize, 4] {
             for cut in cuts() {
-                let mut original = Subject::fresh(spec, shards);
+                let mut original = subject(spec, shards);
                 original.process(&trace[..cut]);
                 let image = original
                     .checkpoint()
                     .unwrap_or_else(|e| panic!("{spec} x{shards} cut {cut}: checkpoint: {e}"));
 
-                let mut resumed = Subject::fresh(spec, shards);
+                let mut resumed = subject(spec, shards);
                 resumed
                     .restore(&image)
                     .unwrap_or_else(|e| panic!("{spec} x{shards} cut {cut}: restore: {e}"));

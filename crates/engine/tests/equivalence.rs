@@ -1,14 +1,14 @@
 //! Differential test: for every `SchemeSpec` variant the batched engine
 //! and the per-slice `MemorySystem` routing — inline, on shard workers,
 //! and streaming — must all produce exactly the same `SchemeStats` as the
-//! old sequential boxed-dyn per-access loop, invariant under 1/2/4/8
+//! old sequential per-access reference loop, invariant under 1/2/4/8
 //! shards, arbitrary batch boundaries, streaming staging capacities, and
 //! epoch lengths smaller than the batch (the cut-aware path's hard case).
 //! PRA is included — per-bank PRNG seeding (with the engines' bank bases)
 //! makes both bank-sharding and channel routing deterministic. The
 //! invariants being exercised are spelled out in `DESIGN.md §7`.
 
-use cat_core::{MitigationScheme, RowId, SchemeSpec, SchemeStats};
+use cat_core::{RowId, SchemeInstance, SchemeSpec, SchemeStats};
 use cat_engine::{BankEngine, MemGeometry, MemorySystem};
 
 const BANKS: u32 = 16;
@@ -65,14 +65,14 @@ fn trace(n: u64) -> Vec<(u32, u32)> {
 }
 
 /// The loop every consumer used to hand-roll before `cat-engine` existed:
-/// boxed trait objects, per-access virtual dispatch, modulo epoch rollover.
+/// one scheme instance per bank, one call per access, modulo epoch rollover.
 fn old_loop_with_epoch(
     spec: SchemeSpec,
     trace: &[(u32, u32)],
     epoch: u64,
 ) -> (SchemeStats, Vec<SchemeStats>) {
-    let mut schemes: Vec<Option<Box<dyn MitigationScheme + Send>>> =
-        (0..BANKS).map(|b| spec.build(ROWS, b)).collect();
+    let mut schemes: Vec<Option<SchemeInstance>> =
+        (0..BANKS).map(|b| spec.build_instance(ROWS, b)).collect();
     let mut accesses = 0u64;
     for &(bank, row) in trace {
         if let Some(s) = &mut schemes[bank as usize] {
@@ -180,7 +180,7 @@ fn engine_matches_old_loop_for_every_spec_and_shard_count() {
 
 #[test]
 fn memory_system_matches_old_loop_for_every_spec_and_shard_count() {
-    // The per-channel routing front-end, sequential and pool-backed, must
+    // The per-channel routing front-end, inline and on shard workers, must
     // be bit-identical to the flat sequential engine (and so to the old
     // loop) — including across batch boundaries that straddle epochs.
     let trace = trace(150_000);
@@ -356,8 +356,8 @@ fn old_loop_over_banks(
     banks: u32,
     rows: u32,
 ) -> (SchemeStats, Vec<SchemeStats>) {
-    let mut schemes: Vec<Option<Box<dyn MitigationScheme + Send>>> =
-        (0..banks).map(|b| spec.build(rows, b)).collect();
+    let mut schemes: Vec<Option<SchemeInstance>> =
+        (0..banks).map(|b| spec.build_instance(rows, b)).collect();
     let mut accesses = 0u64;
     for &(bank, row) in trace {
         if let Some(s) = &mut schemes[bank as usize] {
@@ -385,7 +385,7 @@ fn sparse_storage_matches_dense_reference_across_touch_patterns() {
     // whatever subset of banks a workload touches — a contiguous hot
     // range, a stride that leaves gaps, one single bank, or every bank —
     // the sparse engine must be bit-identical to the dense eagerly-built
-    // reference on the flat and 1/2/4-shard pooled paths, and must have
+    // reference on the flat path and on 1/2/4 shards, and must have
     // materialized exactly the touched banks, never the cold ones.
     const SPARSE_BANKS: u32 = 64;
     const N: u64 = 60_000;
@@ -514,12 +514,12 @@ fn cold_banks_never_materialize_at_big_geometry() {
     );
     // The sharded path must stay lazy too (shard workers materialize only
     // on rows), and keep matching the flat run.
-    let mut pooled = MemorySystem::new(one_channel(BIG), spec)
+    let mut sharded = MemorySystem::new(one_channel(BIG), spec)
         .with_epoch_length(1_000)
         .with_shards(4);
-    pooled.process(&trace);
-    assert_eq!(pooled.stats(), engine.stats());
-    assert_eq!(pooled.footprint().materialized_banks, 64);
+    sharded.process(&trace);
+    assert_eq!(sharded.stats(), engine.stats());
+    assert_eq!(sharded.footprint().materialized_banks, 64);
 }
 
 #[test]

@@ -12,8 +12,9 @@ use std::net::TcpListener;
 
 use cat_core::{SchemeSpec, SchemeStats};
 use cat_engine::ingest::{deal, serve, IngestClient, IngestQueue, ServeOptions};
+use cat_engine::router::{self, RouterOptions};
 use cat_engine::wire::StatsSnapshot;
-use cat_engine::{MemGeometry, MemorySystem};
+use cat_engine::{MemGeometry, MemorySystem, Partition};
 
 const BANKS: u32 = 16;
 const ROWS: u32 = 4096;
@@ -336,4 +337,58 @@ fn duplicate_producer_ids_are_rejected_at_the_handshake() {
     // a closed socket, never a successful session.
     drop(first);
     let _ = second.join().unwrap();
+}
+
+/// Runs both serve loops with `options` over a non-blocking listener and
+/// a fleet whose only backend address refuses connections, so a serve
+/// that accepted or connected before validating its options would fail
+/// with `WouldBlock` or `ConnectionRefused` instead of the refusal.
+fn serve_both(producers: usize, queue_capacity: usize) -> [std::io::Error; 2] {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    listener.set_nonblocking(true).unwrap();
+    let mut system = MemorySystem::new(geometry(), SchemeSpec::None);
+    let backend = serve(
+        &listener,
+        &mut system,
+        &ServeOptions {
+            producers,
+            queue_capacity,
+            checkpoint: None,
+        },
+    )
+    .expect_err("the backend serve must refuse");
+    let closed = TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap();
+    let partition = Partition::uniform(geometry(), 1).unwrap();
+    let fleet = router::serve(
+        &listener,
+        &partition,
+        &[closed],
+        &RouterOptions {
+            producers,
+            queue_capacity,
+            connect_attempts: 1,
+            ..Default::default()
+        },
+    )
+    .expect_err("the router serve must refuse");
+    [backend, fleet]
+}
+
+#[test]
+fn serve_refuses_zero_producers_before_accepting() {
+    for err in serve_both(0, 1 << 16) {
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        assert!(err.to_string().contains("producer"), "{err}");
+    }
+}
+
+#[test]
+fn serve_refuses_zero_queue_capacity_before_accepting() {
+    for err in serve_both(2, 0) {
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        assert!(err.to_string().contains("queue capacity"), "{err}");
+    }
 }

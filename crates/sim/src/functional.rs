@@ -8,11 +8,10 @@
 //! streaming `push` front-end whose staging buffer batches the stream —
 //! this module is now a thin adapter from [`MemAccess`] iterators).
 
-use cat_core::SchemeStats;
+use cat_core::{SchemeSpec, SchemeStats};
 use cat_engine::MemorySystem;
 
 use crate::config::SystemConfig;
-use crate::scheme_spec::SchemeSpec;
 use crate::trace::MemAccess;
 
 /// Result of a functional run.
@@ -35,8 +34,9 @@ pub struct FunctionalReport {
 /// rate-uniform within an epoch — see `DESIGN.md`).
 ///
 /// ```
+/// use cat_core::SchemeSpec;
 /// use cat_sim::functional::run_functional;
-/// use cat_sim::{MemAccess, SchemeSpec, SystemConfig};
+/// use cat_sim::{MemAccess, SystemConfig};
 ///
 /// let cfg = SystemConfig::dual_core_two_channel();
 /// let stream = (0..100_000u64).map(|i| MemAccess {

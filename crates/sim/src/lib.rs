@@ -21,11 +21,12 @@
 //!   mitigation schemes (used for the large CMRPO parameter sweeps).
 //!
 //! Both modes drive the per-bank schemes through `cat_engine::BankEngine`
-//! (statically-dispatched [`cat_core::SchemeInstance`] shards); the
-//! [`SchemeSpec`] type itself lives in `cat-core` and is re-exported here.
+//! (statically-dispatched [`cat_core::SchemeInstance`] values), built
+//! from a [`cat_core::SchemeSpec`].
 //!
 //! ```
-//! use cat_sim::{SchemeSpec, SystemConfig, Simulator};
+//! use cat_core::SchemeSpec;
+//! use cat_sim::{SystemConfig, Simulator};
 //!
 //! // A tiny synthetic trace: every core hammers one hot line.
 //! let cfg = SystemConfig::dual_core_two_channel();
@@ -54,7 +55,6 @@ mod controller;
 mod cpu;
 pub mod functional;
 mod report;
-mod scheme_spec;
 mod sim;
 mod trace;
 pub mod tracefile;
@@ -62,6 +62,5 @@ pub mod tracefile;
 pub use address::{AddressMapping, GeometryError, Location, MemGeometry};
 pub use config::{MappingPolicy, SystemConfig, SystemConfigError, TimingParams};
 pub use report::SimReport;
-pub use scheme_spec::SchemeSpec;
 pub use sim::Simulator;
 pub use trace::{MemAccess, TraceSource};

@@ -1,14 +1,13 @@
 //! The cycle-based system simulator tying cores, channels and mitigation
 //! schemes together.
 
-use cat_core::MitigationScheme;
+use cat_core::{SchemeInstance, SchemeSpec};
 use cat_engine::MemorySystem;
 
 use crate::config::SystemConfig;
 use crate::controller::{Channel, Request};
 use crate::cpu::{Core, IssueResult};
 use crate::report::SimReport;
-use crate::scheme_spec::SchemeSpec;
 use crate::trace::MemAccess;
 
 /// A multi-core, multi-channel DRAM system with one mitigation-scheme
@@ -174,10 +173,8 @@ impl Simulator {
     }
 
     /// Access to the per-bank schemes after a run (diagnostics).
-    pub fn schemes(&self) -> impl Iterator<Item = &(dyn MitigationScheme + Send)> {
-        self.system
-            .schemes()
-            .map(|s| s as &(dyn MitigationScheme + Send))
+    pub fn schemes(&self) -> impl Iterator<Item = &SchemeInstance> {
+        self.system.schemes()
     }
 
     /// Access to the underlying memory system (diagnostics).

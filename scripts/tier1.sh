@@ -22,6 +22,13 @@ cargo run --release -p cat-lint -- --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The end-to-end benchmark is a package of its own (perfbench/, outside the
+# workspace) compiled against the facade's public API: build and test it,
+# and run its selftest (every workload on a tiny trace, untraced and
+# traced), so an API change cannot silently break the benchmark.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+python3 perfbench/run.py --selftest
+
 # Docs are part of the gate: broken intra-doc links and undocumented public
 # items (the engine crates set `warn(missing_docs)`) fail the build.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace

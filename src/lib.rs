@@ -44,8 +44,8 @@ pub use cat_prng as prng;
 pub use cat_core::{
     oracle, rng, thresholds, tree, CatConfig, CatTree, ConfigError, CounterCache,
     CounterCacheConfig, Drcat, HardwareProfile, MitigationScheme, ParseSpecError, Pra, Prcat,
-    Refreshes, RowId, RowRange, Sca, SchemeInstance, SchemeKind, SchemeStats, SpaceSaving,
-    SplitThresholds, ThresholdPolicy,
+    Refreshes, RowId, RowRange, Sca, SchemeInstance, SchemeKind, SchemeSpec, SchemeStats,
+    SpaceSaving, SplitThresholds, ThresholdPolicy,
 };
 pub use cat_energy::{cmrpo_from_stats, CmrpoBreakdown};
 pub use cat_engine::{
@@ -53,8 +53,8 @@ pub use cat_engine::{
     GeometrySlice, Location, MemGeometry, MemorySystem, Partition, PartitionError, SliceError,
 };
 pub use cat_sim::{
-    functional, tracefile, MappingPolicy, MemAccess, SchemeSpec, SimReport, Simulator,
-    SystemConfig, SystemConfigError, TimingParams,
+    functional, tracefile, MappingPolicy, MemAccess, SimReport, Simulator, SystemConfig,
+    SystemConfigError, TimingParams,
 };
 pub use cat_workloads::{
     AccessStream, AttackMode, Cluster, KernelAttack, Mix, RowHistogram, Suite, WorkloadSpec,

@@ -15,8 +15,14 @@
 //! checkpoint.rs`; this test pins the remaining gap: durability across
 //! real sessions — the write-ahead trace log, the image rotation, and
 //! recovery — driven over real sockets through the published facade.
+//!
+//! The client-requested checkpoint (`IngestClient::request_checkpoint`,
+//! the wire `Checkpoint` frame) gets the same treatment: the image must
+//! land at an epoch cut no later than the first cut past the request and
+//! resume bit-identically, and a server without a checkpoint directory
+//! must refuse the request with `ErrorKind::Unsupported`.
 
-use catree::engine::checkpoint::{resume_from_dir, CheckpointConfig};
+use catree::engine::checkpoint::{resume_from_dir, CheckpointConfig, CHECKPOINT_FILE};
 use catree::engine::ingest::{deal, serve, IngestClient, ServeOptions};
 use catree::functional::run_functional;
 use catree::{AccessStream, AddressMapping, MemAccess, MemorySystem, SchemeSpec, SystemConfig};
@@ -161,4 +167,128 @@ fn killed_session_resumes_bit_identically_to_an_uninterrupted_run() {
         reference.activations_per_bank
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A fresh checkpoint directory for one test.
+fn checkpoint_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "catree-checkpoint-e2e-{name}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// The first `n` accesses of a one-core swapt stream, decoded to
+/// `(global bank, row)` records.
+fn decoded_trace(cfg: &SystemConfig, n: usize) -> Vec<(u32, u32)> {
+    let mut one = cfg.clone();
+    one.cores = 1;
+    let workload = catree::workloads::by_name("swapt").unwrap();
+    let mapping = AddressMapping::new(cfg);
+    let decoded: Vec<(u32, u32)> = AccessStream::new(&workload, &one, 0, 64, 7)
+        .take(n)
+        .map(|a| mapping.decode_bank_row(a.addr))
+        .collect();
+    assert_eq!(decoded.len(), n);
+    decoded
+}
+
+#[test]
+fn client_requested_checkpoint_lands_by_the_next_cut_and_resumes_bit_identically() {
+    let cfg = SystemConfig::dual_core_two_channel();
+    let spec = SchemeSpec::Drcat {
+        counters: 64,
+        levels: 11,
+        threshold: 512,
+    };
+    let epoch = 10_000u64;
+    // The request follows record 25 000; the session then streams 2.7
+    // more epochs and finishes at 52 000, off a cut, so no final image is
+    // published. Periodic images never fire either: the interval is far
+    // longer than the session.
+    let (request_at, sent, total) = (25_000usize, 52_000usize, 80_000usize);
+    let decoded = decoded_trace(&cfg, total);
+    let dir = checkpoint_dir("requested");
+    let fresh = || MemorySystem::new(&cfg, spec).with_epoch_length(epoch);
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn({
+        let mut system = fresh();
+        let options = ServeOptions {
+            checkpoint: Some(CheckpointConfig {
+                dir: dir.clone(),
+                every_epochs: 1_000_000,
+            }),
+            ..Default::default()
+        };
+        move || serve(&listener, &mut system, &options)
+    });
+    let mut client = IngestClient::connect(addr, 0).expect("connect");
+    client.send(&decoded[..request_at]).expect("send");
+    client.request_checkpoint().expect("request checkpoint");
+    client.send(&decoded[request_at..sent]).expect("send");
+    let snapshot = client.finish_with_stats().expect("snapshot");
+    let report = server.join().unwrap().expect("serve");
+    assert_eq!(snapshot, report.snapshot);
+    assert_eq!(snapshot.accesses, sent as u64);
+
+    // The only image is the requested one, published at an epoch cut no
+    // later than the first cut past the request's stream position.
+    assert!(dir.join(CHECKPOINT_FILE).exists(), "no image was published");
+    let mut resumed = fresh();
+    let recovered = resume_from_dir(&mut resumed, &dir).expect("recover");
+    assert!(recovered.from_checkpoint);
+    assert_eq!(recovered.accesses, sent as u64);
+    let image_at = recovered.accesses - recovered.replayed;
+    let first_cut_after = (request_at as u64 / epoch + 1) * epoch;
+    assert!(
+        image_at > 0 && image_at.is_multiple_of(epoch) && image_at <= first_cut_after,
+        "image at access {image_at}, request at {request_at}, first cut after it {first_cut_after}"
+    );
+
+    // Image + log tail + the rest of the trace must equal one
+    // uninterrupted run, bank for bank.
+    resumed.process(&decoded[sent..]);
+    let mut reference = fresh();
+    reference.process(&decoded);
+    assert_eq!(resumed.accesses(), reference.accesses());
+    assert_eq!(resumed.epochs(), reference.epochs());
+    assert_eq!(resumed.stats(), reference.stats());
+    let (got, want) = (resumed.report(), reference.report());
+    assert_eq!(got.per_bank_stats, want.per_bank_stats);
+    assert_eq!(got.activations_per_bank, want.activations_per_bank);
+    assert_eq!(
+        got.footprint.materialized_banks,
+        want.footprint.materialized_banks
+    );
+    assert_eq!(got.footprint.scheme_bytes, want.footprint.scheme_bytes);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn checkpoint_request_without_a_checkpoint_dir_fails_the_connection() {
+    let cfg = SystemConfig::dual_core_two_channel();
+    let decoded = decoded_trace(&cfg, 1_000);
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let mut system = MemorySystem::new(&cfg, SchemeSpec::pra(0.002));
+        serve(&listener, &mut system, &ServeOptions::default())
+    });
+    let mut client = IngestClient::connect(addr, 0).expect("connect");
+    // The server may close the socket as soon as it reads the request,
+    // so the client's later writes may fail: only the server's verdict
+    // is asserted.
+    let _ = client.send(&decoded);
+    let _ = client.request_checkpoint();
+    let _ = client.finish();
+    let err = server
+        .join()
+        .unwrap()
+        .expect_err("the request must fail the connection");
+    assert_eq!(err.kind(), std::io::ErrorKind::Unsupported, "{err}");
+    assert!(err.to_string().contains("checkpoint"), "{err}");
 }

@@ -80,7 +80,7 @@ fn cmrpo_ordering_matches_figure8() {
         one.cores = 1;
         let stream = AccessStream::new(&w, &one, 0, 2, 5);
         let report = catree::functional::run_functional(&cfg, spec, stream, w.accesses_per_epoch);
-        let profile = spec.build(cfg.rows_per_bank, 0).unwrap().hardware();
+        let profile = spec.profile(cfg.rows_per_bank).unwrap();
         cmrpo_from_stats(
             &profile,
             &report.scheme_stats,
@@ -254,7 +254,7 @@ fn energy_model_agrees_with_scheme_profiles() {
         ..Default::default()
     };
     for spec in specs {
-        let profile = spec.build(65_536, 0).unwrap().hardware();
+        let profile = spec.profile(65_536).unwrap();
         let c = cmrpo_from_stats(&profile, &stats, 16, 65_536, 0.064);
         assert!(
             c.total().is_finite() && c.total() > 0.0,

@@ -7,7 +7,7 @@
 
 use catree::oracle::SafetyOracle;
 use catree::{
-    AccessStream, AddressMapping, AttackMode, KernelAttack, MitigationScheme, RowId, SchemeSpec,
+    AccessStream, AddressMapping, AttackMode, KernelAttack, RowId, SchemeInstance, SchemeSpec,
     SystemConfig,
 };
 
@@ -21,8 +21,11 @@ fn verify_system(
     epoch_len: u64,
 ) {
     let mapping = AddressMapping::new(cfg);
-    let mut schemes: Vec<Box<dyn MitigationScheme + Send>> = (0..cfg.total_banks())
-        .map(|b| spec.build(cfg.rows_per_bank, b).expect("real scheme"))
+    let mut schemes: Vec<SchemeInstance> = (0..cfg.total_banks())
+        .map(|b| {
+            spec.build_instance(cfg.rows_per_bank, b)
+                .expect("real scheme")
+        })
         .collect();
     let mut oracles: Vec<SafetyOracle> = (0..cfg.total_banks())
         .map(|_| SafetyOracle::new(cfg.rows_per_bank, threshold))
