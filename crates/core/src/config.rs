@@ -96,6 +96,10 @@ impl CatConfig {
     /// The pre-split depth λ defaults to `log2(counters)` (§IV-C) and the
     /// split-threshold policy to [`ThresholdPolicy::PaperCurve`].
     ///
+    /// A [`crate::CatTree`] keeps a `2^{L−1}`-entry `u16` leaf table per
+    /// bank (DESIGN.md §3.6), so its heap grows with `max_levels`, not with
+    /// `counters`: 2 KiB at `L = 11`, doubling with each further level.
+    ///
     /// # Errors
     ///
     /// Returns a [`ConfigError`] if any parameter is out of range, e.g. when

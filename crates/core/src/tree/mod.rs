@@ -2,6 +2,15 @@
 //! §IV-C: an array `I` of intermediate nodes (two tagged child pointers
 //! each), an array `C` of counters, and — starting from a pre-split complete
 //! tree of λ levels — direct indexing of the top `λ−1` address bits.
+//!
+//! The software goes one step further than the hardware: a derived leaf
+//! table direct-indexes the top `L−1` address bits, so an activation finds
+//! its counter with one load instead of the pointer walk. The table is a
+//! software index, not modeled SRAM (DESIGN.md §3.6):
+//! `sram_reads` still counts the nodes the §IV-C walk reads, the table is
+//! counted in `heap_bytes`, and it is never serialized — `restore_state`
+//! rebuilds it with a walk that also checks the restored pointers form a
+//! tree. The walk itself (`locate`) runs only when a leaf splits.
 
 mod layout;
 pub mod reference;
@@ -73,6 +82,12 @@ pub struct CatTree {
     pub(crate) roots: Vec<NodeRef>,
     pub(crate) inodes: Vec<INode>,
     pub(crate) counters: Vec<Counter>,
+    /// Leaf table: entry `i` names the counter whose leaf covers rows
+    /// `[i << leaf_shift, (i + 1) << leaf_shift)`. Derived from the tree,
+    /// never serialized.
+    leaf_of: Vec<u16>,
+    /// `log2(rows) − (L − 1)`: rows per table entry, as a shift.
+    leaf_shift: u32,
     free_counters: Vec<u16>,
     free_inodes: Vec<u16>,
     active_counters: usize,
@@ -84,39 +99,62 @@ impl CatTree {
     /// Builds the initial pre-split tree: `2^{λ−1}` active counters at level
     /// `λ−1`, each covering `N / 2^{λ−1}` rows.
     pub fn new(config: CatConfig) -> Self {
-        let thresholds = config.split_thresholds();
         let m = config.counters();
         let root_count = 1usize << (config.lambda() - 1);
-        let mut counters = vec![Counter::default(); m];
-        let mut roots = Vec::with_capacity(root_count);
-        for (i, counter) in counters.iter_mut().enumerate().take(root_count) {
-            *counter = Counter {
-                value: 0,
-                tli: (config.lambda() - 1) as u8,
-                depth: (config.lambda() - 1) as u8,
-                active: true,
-            };
-            roots.push(NodeRef::Leaf(i as u16));
-        }
-        // Free counters popped in ascending index order.
-        let free_counters: Vec<u16> = (root_count..m).rev().map(|i| i as u16).collect();
-        let all_active = root_count == m;
+        let top = config.max_levels() - 1;
         let mut tree = CatTree {
-            config,
-            thresholds,
-            roots,
+            leaf_shift: config.rows().trailing_zeros() - top,
+            thresholds: config.split_thresholds(),
+            roots: Vec::with_capacity(root_count),
             inodes: Vec::with_capacity(m.saturating_sub(1)),
-            counters,
-            free_counters,
+            counters: Vec::with_capacity(m),
+            leaf_of: Vec::with_capacity(1 << top),
+            free_counters: Vec::with_capacity(m - root_count),
             free_inodes: Vec::new(),
-            active_counters: root_count,
-            all_active,
+            active_counters: 0,
+            all_active: false,
             stats: SchemeStats::default(),
+            config,
         };
-        if all_active {
-            tree.latch_all_thresholds();
-        }
+        tree.rebuild();
         tree
+    }
+
+    /// Puts every slab and the leaf table back to the pre-split shape,
+    /// reusing their allocations. Statistics are left alone.
+    fn rebuild(&mut self) {
+        let lambda = self.config.lambda();
+        let m = self.config.counters();
+        let root_count = 1usize << (lambda - 1);
+        let root = Counter {
+            value: 0,
+            tli: (lambda - 1) as u8,
+            depth: (lambda - 1) as u8,
+            active: true,
+        };
+        self.counters.clear();
+        self.counters.resize(m, Counter::default());
+        self.counters[..root_count].fill(root);
+        self.roots.clear();
+        self.roots
+            .extend((0..root_count).map(|i| NodeRef::Leaf(i as u16)));
+        self.inodes.clear();
+        self.free_inodes.clear();
+        // Free counters popped in ascending index order.
+        self.free_counters.clear();
+        self.free_counters
+            .extend((root_count..m).rev().map(|i| i as u16));
+        // Root g covers table entries [g << (L−λ), (g + 1) << (L−λ)).
+        let top = self.config.max_levels() - 1;
+        let per_root = self.config.max_levels() - lambda;
+        self.leaf_of.clear();
+        self.leaf_of
+            .extend((0..1u32 << top).map(|i| (i >> per_root) as u16));
+        self.active_counters = root_count;
+        self.all_active = root_count == m;
+        if self.all_active {
+            self.latch_all_thresholds();
+        }
     }
 
     /// The configuration this tree was built from.
@@ -130,13 +168,15 @@ impl CatTree {
     }
 
     /// Resident heap bytes of the tree's slabs (`I`, `C`, roots and free
-    /// lists). The slabs are deliberately dense: they hold at most `M`
-    /// (≤ 64 in every paper configuration) entries — the tree itself is
-    /// the compression, so bit-block storage would only add overhead.
+    /// lists) plus the `2^{L−1}`-entry leaf table. The slabs are
+    /// deliberately dense: they hold at most `M` (≤ 64 in every paper
+    /// configuration) entries — the tree itself is the compression, so
+    /// bit-block storage would only add overhead.
     pub fn heap_bytes(&self) -> usize {
         self.roots.capacity() * std::mem::size_of::<NodeRef>()
             + self.inodes.capacity() * std::mem::size_of::<INode>()
             + self.counters.capacity() * std::mem::size_of::<Counter>()
+            + self.leaf_of.capacity() * std::mem::size_of::<u16>()
             + self.free_counters.capacity() * std::mem::size_of::<u16>()
             + self.free_inodes.capacity() * std::mem::size_of::<u16>()
     }
@@ -157,8 +197,19 @@ impl CatTree {
         self.config.rows() >> (self.config.lambda() - 1)
     }
 
-    /// Walks the tree to the leaf covering `row`. Returns the counter index,
-    /// its range, its parent slot and the number of intermediate nodes read.
+    /// The leaf covering `row`, read from the leaf table: its counter and
+    /// row range. A leaf at depth `d` spans `rows >> d` aligned rows.
+    fn leaf(&self, row: u32) -> (u16, u32, u32) {
+        let c = self.leaf_of[(row >> self.leaf_shift) as usize];
+        let span = self.config.rows() >> self.counters[c as usize].depth;
+        let lo = row & !(span - 1);
+        (c, lo, lo + span - 1)
+    }
+
+    /// Walks the tree to the leaf covering `row`, as the §IV-C hardware
+    /// does. Returns the counter index, its range, its parent slot and the
+    /// number of intermediate nodes read. Only splits need the slot; every
+    /// other lookup goes through the leaf table.
     pub(crate) fn locate(&self, row: u32) -> (u16, u32, u32, ParentSlot, u32) {
         debug_assert!(row < self.config.rows());
         let span = self.root_span();
@@ -218,21 +269,17 @@ impl CatTree {
 
     /// Splits leaf `c` (covering `[lo, hi]`, stored in `slot`): the left
     /// half stays with `c`, the right half goes to a newly activated clone
-    /// (Algorithm 1 lines 15–22). Returns `(new counter, new intermediate
-    /// node)`, or `None` when no counter is free or the leaf is one row.
-    pub(crate) fn split_leaf(
-        &mut self,
-        c: u16,
-        lo: u32,
-        hi: u32,
-        slot: ParentSlot,
-    ) -> Option<(u16, u16)> {
-        if lo == hi {
+    /// (Algorithm 1 lines 15–22). Returns the new counter, or `None` when
+    /// no counter is free or the leaf is already at level `L−1` — the leaf
+    /// table's granularity, so no leaf is deeper.
+    pub(crate) fn split_leaf(&mut self, c: u16, lo: u32, hi: u32, slot: ParentSlot) -> Option<u16> {
+        let top = (self.config.max_levels() - 1) as u8;
+        let parent = self.counters[c as usize];
+        if parent.depth >= top {
             return None;
         }
         let nc = self.free_counters.pop()?;
-        let parent = self.counters[c as usize];
-        let child_tli = (parent.tli + 1).min((self.config.max_levels() - 1) as u8);
+        let child_tli = (parent.tli + 1).min(top);
         self.counters[nc as usize] = Counter {
             value: parent.value,
             tli: child_tli,
@@ -246,13 +293,17 @@ impl CatTree {
             right: NodeRef::Leaf(nc),
         });
         self.set_slot(slot, NodeRef::Inode(inode));
+        // The right half's table entries now name the clone.
+        let mid = lo + (hi - lo) / 2;
+        let s = self.leaf_shift;
+        self.leaf_of[((mid + 1) >> s) as usize..=(hi >> s) as usize].fill(nc);
         self.active_counters += 1;
         self.stats.splits += 1;
         self.stats.sram_writes += 2; // new intermediate node + cloned counter
         if self.active_counters == self.config.counters() {
             self.latch_all_thresholds();
         }
-        Some((nc, inode))
+        Some(nc)
     }
 
     /// Records one activation; the core of Algorithm 1's counter module plus
@@ -264,15 +315,13 @@ impl CatTree {
             "row {row} out of range (bank has {rows} rows)"
         );
         self.stats.activations += 1;
-        let (mut c, mut lo, mut hi, mut slot, visits) = self.locate(row.0);
-        // One read per traversed intermediate node, plus the counter
-        // read-modify-write.
-        self.stats.sram_reads += u64::from(visits) + 1;
+        let (mut c, mut lo, mut hi) = self.leaf(row.0);
+        let depth = self.counters[c as usize].depth;
+        // The §IV-C walk reads one intermediate node per level below the
+        // direct-indexed roots, plus the counter read-modify-write.
+        self.stats.sram_reads += u64::from(depth) - u64::from(self.config.lambda() - 1) + 1;
         self.stats.sram_writes += 1;
-        self.stats.max_depth_touched = self
-            .stats
-            .max_depth_touched
-            .max(u64::from(self.counters[c as usize].depth));
+        self.stats.max_depth_touched = self.stats.max_depth_touched.max(u64::from(depth));
 
         self.counters[c as usize].value += 1;
         loop {
@@ -299,23 +348,17 @@ impl CatTree {
             // Split threshold reached below the maximum level: activate a
             // clone (RCM). If no counter is free the tree is fully grown and
             // thresholds were latched to T, so the loop terminates above.
+            // Splits are rare, so only they walk the tree for the slot.
+            let (_, _, _, slot, _) = self.locate(row.0);
             match self.split_leaf(c, lo, hi, slot) {
-                Some((nc, inode)) => {
+                Some(_) => {
                     // Descend into the half containing the activated row;
                     // the clone kept the parent's value, so a larger split
                     // threshold may already be met (cascade).
-                    let mid = lo + (hi - lo) / 2;
-                    if row.0 <= mid {
-                        hi = mid;
-                        slot = ParentSlot::Left(inode);
-                    } else {
-                        lo = mid + 1;
-                        c = nc;
-                        slot = ParentSlot::Right(inode);
-                    }
+                    (c, lo, hi) = self.leaf(row.0);
                 }
                 None => {
-                    // Cannot split further (single-row group): count up to T
+                    // Cannot split further (leaf at level L−1): count up to T
                     // at this level instead.
                     self.counters[c as usize].tli = (self.config.max_levels() - 1) as u8;
                 }
@@ -381,6 +424,10 @@ impl CatTree {
         self.counters[right as usize].depth -= 1;
         self.counters[left as usize] = Counter::default();
         self.set_slot(slot, NodeRef::Leaf(right));
+        self.leaf_of
+            .iter_mut()
+            .filter(|e| **e == left)
+            .for_each(|e| *e = right);
         self.free_inodes.push(inode);
         self.free_counters.push(left);
         self.active_counters -= 1;
@@ -412,16 +459,13 @@ impl CatTree {
     }
 
     /// Splits the (hot) leaf `c` using a previously released counter (§V-B
-    /// step 2). Fails when the leaf is already at the maximum level, covers
-    /// a single row, or no counter is free. Returns the new counter index.
+    /// step 2). Fails when the leaf is already at level `L−1` (see
+    /// `split_leaf`) or no counter is free. Returns the new counter index.
     pub(crate) fn split_hot(&mut self, c: u16) -> Option<u16> {
-        if u32::from(self.counters[c as usize].depth) + 1 > self.config.max_levels() - 1 {
-            return None;
-        }
         let (slot, lo, hi) = self.find_leaf(c)?;
         let was_tli = self.counters[c as usize].tli;
         let split = self.split_leaf(c, lo, hi, slot);
-        if let Some((nc, _)) = split {
+        if let Some(nc) = split {
             // Reconfiguration happens on the fully grown tree: thresholds
             // stay latched at L−1 rather than following the depth.
             if self.all_active {
@@ -439,11 +483,10 @@ impl CatTree {
     }
 
     /// Resets the tree to its initial pre-split state (used by PRCAT at
-    /// every auto-refresh epoch). Statistics are preserved.
+    /// every auto-refresh epoch) in place, without reallocating. Statistics
+    /// are preserved.
     pub fn reset(&mut self) {
-        let stats = self.stats;
-        *self = CatTree::new(self.config.clone());
-        self.stats = stats;
+        self.rebuild();
     }
 
     /// Zeroes every active counter value but keeps the tree structure
@@ -501,12 +544,15 @@ impl CatTree {
     }
 
     /// Restores state captured by [`CatTree::save_state`] onto a freshly
-    /// built tree of the same configuration.
+    /// built tree of the same configuration, and rebuilds the leaf table.
     ///
     /// Every structural invariant is revalidated: index bounds, the active
     /// count against the counter flags, free-list sizes against the active
-    /// count, and entry distinctness — a corrupted stream cannot produce a
-    /// silently inconsistent tree.
+    /// count, entry distinctness, and the shape itself — the walk that
+    /// rebuilds the leaf table accepts only a tree whose leaves are exactly
+    /// the active counters at their recorded depths. A corrupted stream
+    /// cannot produce a silently inconsistent tree, nor one whose walk
+    /// never ends.
     ///
     /// # Errors
     ///
@@ -575,13 +621,15 @@ impl CatTree {
         if active_seen != active_counters {
             return Err(StateError::Invalid("tree active flags vs count"));
         }
+        let (leaf_of, reached) = index_leaves(&self.config, &roots, &inodes, &counters)?;
         let free_counters =
             read_free_list(r, m - active_counters, m, |i| !counters[i as usize].active)?;
+        // The walk reached `active − roots` distinct intermediate nodes
+        // (a full binary forest), so this cannot underflow.
         let live_inodes = active_counters - root_count;
-        if inode_len < live_inodes {
-            return Err(StateError::Invalid("tree inode count vs active"));
-        }
-        let free_inodes = read_free_list(r, inode_len - live_inodes, inode_len, |_| true)?;
+        let free_inodes = read_free_list(r, inode_len - live_inodes, inode_len, |i| {
+            !reached[i as usize]
+        })?;
         // clear + extend (rather than replacing the Vecs) preserves the
         // capacities `new()` established, keeping `heap_bytes` bit-equal
         // with a never-checkpointed tree.
@@ -590,6 +638,7 @@ impl CatTree {
         self.inodes.clear();
         self.inodes.extend(inodes);
         self.counters = counters;
+        self.leaf_of = leaf_of;
         self.free_counters.clear();
         self.free_counters.extend(free_counters);
         self.free_inodes.clear();
@@ -638,6 +687,68 @@ fn unpack_node(w: u64, counters: usize, inodes: usize) -> Result<NodeRef, StateE
     } else {
         Err(StateError::Invalid("tree inode index out of range"))
     }
+}
+
+/// Walks the tree from the root table and returns its leaf table plus which
+/// intermediate nodes the walk reached. The walk is also the shape check
+/// for restored state: every reached intermediate node must be reached
+/// once and sit above level `L−1`; every leaf must be an active counter,
+/// reached once, whose stored depth is its walk depth; and every active
+/// counter must be reached. Node indices are already bounds-checked.
+fn index_leaves(
+    config: &CatConfig,
+    roots: &[NodeRef],
+    inodes: &[INode],
+    counters: &[Counter],
+) -> Result<(Vec<u16>, Vec<bool>), StateError> {
+    let top = config.max_levels() - 1;
+    let shift = config.rows().trailing_zeros() - top;
+    let root_depth = config.lambda() - 1;
+    let span = config.rows() >> root_depth;
+    let mut leaf_of = vec![0u16; 1 << top];
+    let mut inode_seen = vec![false; inodes.len()];
+    let mut counter_seen = vec![false; counters.len()];
+    let mut leaves = 0usize;
+    let mut stack: Vec<(NodeRef, u32, u32)> = roots
+        .iter()
+        .enumerate()
+        .map(|(g, &node)| (node, g as u32 * span, root_depth))
+        .collect();
+    while let Some((node, lo, depth)) = stack.pop() {
+        match node {
+            NodeRef::Inode(i) => {
+                if depth >= top {
+                    return Err(StateError::Invalid("tree deeper than L levels"));
+                }
+                if std::mem::replace(&mut inode_seen[i as usize], true) {
+                    return Err(StateError::Invalid("tree node reached twice"));
+                }
+                let inode = inodes[i as usize];
+                stack.push((inode.left, lo, depth + 1));
+                stack.push((inode.right, lo + (config.rows() >> (depth + 1)), depth + 1));
+            }
+            NodeRef::Leaf(c) => {
+                let counter = counters[c as usize];
+                if !counter.active {
+                    return Err(StateError::Invalid("tree leaf is an inactive counter"));
+                }
+                if u32::from(counter.depth) != depth {
+                    return Err(StateError::Invalid("tree counter depth vs shape"));
+                }
+                if std::mem::replace(&mut counter_seen[c as usize], true) {
+                    return Err(StateError::Invalid("tree counter reached twice"));
+                }
+                leaves += 1;
+                let first = (lo >> shift) as usize;
+                let entries = (config.rows() >> depth >> shift) as usize;
+                leaf_of[first..first + entries].fill(c);
+            }
+        }
+    }
+    if leaves != counters.iter().filter(|c| c.active).count() {
+        return Err(StateError::Invalid("tree active counter unreached"));
+    }
+    Ok((leaf_of, inode_seen))
 }
 
 /// Reads a free list of exactly `expect` entries, each `< bound`, all
@@ -715,7 +826,9 @@ pub(crate) fn build_figure5<S: FnMut(RowId)>(mut access: S) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ThresholdPolicy;
+    use crate::{Drcat, Prcat, ThresholdPolicy};
+    use cat_prng::rngs::StdRng;
+    use cat_prng::{splitmix64, Rng, SeedableRng};
 
     fn small_cfg() -> CatConfig {
         CatConfig::new(1024, 8, 6, 256).unwrap()
@@ -852,10 +965,21 @@ mod tests {
         }
         let activations = tree.stats().activations;
         assert!(tree.shape().max_depth() > 2);
+        let table = tree.leaf_of.as_ptr();
         tree.reset();
         assert_eq!(tree.shape().depth_profile(), vec![2, 2, 2, 2]);
         assert_eq!(tree.stats().activations, activations);
         assert_eq!(tree.active_counters(), 4);
+        // In place, and indistinguishable from a fresh tree.
+        assert_eq!(tree.leaf_of.as_ptr(), table);
+        let mut fresh = CatTree::new(small_cfg());
+        fresh.stats = tree.stats;
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        tree.save_state(&mut a);
+        fresh.save_state(&mut b);
+        assert_eq!(a, b);
+        assert_eq!(tree.leaf_of, fresh.leaf_of);
+        assert_eq!(tree.heap_bytes(), fresh.heap_bytes());
     }
 
     #[test]
@@ -994,5 +1118,156 @@ mod tests {
             let mut r = crate::state::StateReader::new(&bad);
             assert!(fresh.restore_state(&mut r).is_err());
         }
+    }
+
+    /// Word offsets of a saved tree's root table, intermediate nodes and
+    /// counters (see [`CatTree::save_state`] for the order).
+    fn state_layout(words: &[u64]) -> (usize, usize, usize) {
+        let mut stats = Vec::new();
+        SchemeStats::default().save_state(&mut stats);
+        // Active count, growth latch and root count follow the stats.
+        let roots = stats.len() + 3;
+        let inodes = roots + words[roots - 1] as usize + 1;
+        let counters = inodes + 2 * words[inodes - 1] as usize + 1;
+        (roots, inodes, counters)
+    }
+
+    #[test]
+    fn restore_rejects_a_graph_that_is_not_a_tree() {
+        // Figure 5's tree after one merge: 7 active counters and 1 free.
+        let mut tree = CatTree::new(figure5_cfg());
+        tests_build_full(&mut tree);
+        let (slot, inode, l, r) = tree.find_cold_pair(&[0; 8], u16::MAX).unwrap();
+        let freed = tree.merge_pair(slot, inode, l, r);
+        let mut words = Vec::new();
+        tree.save_state(&mut words);
+        let (_, inodes_at, counters_at) = state_layout(&words);
+        // λ = 1: one root, an intermediate node whose left child is an
+        // intermediate node and whose right child is the [16, 32) leaf.
+        let NodeRef::Inode(root) = tree.roots[0] else {
+            panic!("figure 5's root must be split");
+        };
+        let INode {
+            left: NodeRef::Inode(left),
+            right: NodeRef::Leaf(right),
+        } = tree.inodes[root as usize]
+        else {
+            panic!("figure 5's root must hold an inode and a leaf");
+        };
+        let left_word = inodes_at + 2 * root as usize;
+        let right_word = left_word + 1;
+        let forge = |at: usize, word: u64| {
+            let mut forged = words.clone();
+            forged[at] = word;
+            forged
+        };
+        let cases = [
+            (
+                "self-cycle",
+                forge(left_word, pack_node(NodeRef::Inode(root))),
+                "tree node reached twice",
+            ),
+            (
+                "child shared by two slots",
+                forge(right_word, pack_node(NodeRef::Inode(left))),
+                "tree node reached twice",
+            ),
+            (
+                "leaf pointing at an inactive counter",
+                forge(right_word, pack_node(NodeRef::Leaf(freed))),
+                "tree leaf is an inactive counter",
+            ),
+            (
+                "depth off by one",
+                forge(
+                    counters_at + right as usize,
+                    words[counters_at + right as usize] + (1 << 40),
+                ),
+                "tree counter depth vs shape",
+            ),
+        ];
+        for (what, forged, expect) in cases {
+            let mut fresh = CatTree::new(figure5_cfg());
+            let err = fresh
+                .restore_state(&mut StateReader::new(&forged))
+                .expect_err(what);
+            assert_eq!(err, StateError::Invalid(expect), "{what}");
+        }
+        // The unforged image restores, table included.
+        let mut fresh = CatTree::new(figure5_cfg());
+        fresh.restore_state(&mut StateReader::new(&words)).unwrap();
+        assert_eq!(fresh.leaf_of, tree.leaf_of);
+    }
+
+    /// Asserts that the leaf table agrees with the §IV-C pointer walk on
+    /// every row — same counter, same range, and `depth − (λ−1)` equal to
+    /// the walk's intermediate-node reads — and that no leaf is deeper than
+    /// `L−1`, the table's granularity.
+    fn assert_table_matches_walk(tree: &CatTree, at: impl Fn() -> String) {
+        let cfg = tree.config();
+        for row in 0..cfg.rows() {
+            let (c, lo, hi) = tree.leaf(row);
+            let depth = u32::from(tree.counters[c as usize].depth);
+            assert!(depth < cfg.max_levels(), "{}: C{c} at depth {depth}", at());
+            let (wc, wlo, whi, _, visits) = tree.locate(row);
+            assert_eq!(
+                (c, lo, hi, depth - (cfg.lambda() - 1)),
+                (wc, wlo, whi, visits),
+                "{}: row {row}",
+                at()
+            );
+        }
+    }
+
+    #[test]
+    fn leaf_table_matches_the_pointer_walk() {
+        // Seeded like `tests/differential.rs`: case i draws its accesses
+        // from `splitmix64(BASE_SEED ^ i)`.
+        const BASE_SEED: u64 = 0x1EAF_7AB1_E5EE_D000;
+        let policies = [
+            ThresholdPolicy::PaperCurve,
+            ThresholdPolicy::Doubling,
+            ThresholdPolicy::Uniform,
+        ];
+        let mut case = 0u64;
+        let mut reconfigurations = 0;
+        for policy in policies {
+            for lambda in 1u32..=3 {
+                for (rows, counters, extra_levels) in [(64u32, 8usize, 3u32), (256, 16, 4)] {
+                    let cfg = CatConfig::new(rows, counters, lambda + extra_levels, 32)
+                        .unwrap()
+                        .with_policy(policy)
+                        .with_lambda(lambda)
+                        .unwrap();
+                    let seed = splitmix64(BASE_SEED ^ case);
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let mut drcat = Drcat::new(cfg.clone());
+                    let mut prcat = Prcat::new(cfg.clone());
+                    let mut hot = 0;
+                    for i in 0..1500u32 {
+                        // A hot spot that moves every epoch: DRCAT migrates
+                        // counters after it, PRCAT rebuilds at the reset.
+                        if i % 250 == 0 {
+                            hot = rng.gen_range(0..rows);
+                            drcat.on_epoch_end();
+                            prcat.on_epoch_end();
+                        }
+                        let row = if rng.gen_bool(0.6) {
+                            (hot + rng.gen_range(0..4u32)) % rows
+                        } else {
+                            rng.gen_range(0..rows)
+                        };
+                        drcat.on_activation(RowId(row));
+                        prcat.on_activation(RowId(row));
+                        let at = |scheme| format!("{scheme} case {case} seed {seed:#x} access {i}");
+                        assert_table_matches_walk(drcat.tree(), || at("DRCAT"));
+                        assert_table_matches_walk(prcat.tree(), || at("PRCAT"));
+                    }
+                    reconfigurations += drcat.stats().reconfigurations;
+                    case += 1;
+                }
+            }
+        }
+        assert!(reconfigurations > 0, "the sweep must exercise DRCAT merges");
     }
 }

@@ -1460,6 +1460,44 @@ mod tests {
         }
     }
 
+    #[test]
+    fn forged_tree_shapes_are_refused() {
+        // A resealed image whose CAT is not a tree — here a counter whose
+        // stored depth disagrees with its place in the shape — is a typed
+        // error at restore: the leaf-table rebuild is also the shape check.
+        let mut original = fresh();
+        original.process(&trace(2000));
+        let image = original.checkpoint().unwrap();
+        let (_, scheme) = original.engines[0].banks.iter().next().unwrap();
+        let mut words = Vec::new();
+        scheme.save_state(&mut words).unwrap();
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let at = image
+            .windows(bytes.len())
+            .position(|w| w == bytes)
+            .expect("the bank's scheme words are in the image");
+        // DRCAT words: kind tag, stats, active count, growth latch, root
+        // count, roots, inode count, inodes, counter count, counters.
+        let mut stats = Vec::new();
+        cat_core::SchemeStats::default().save_state(&mut stats);
+        let roots_at = 1 + stats.len() + 3;
+        let inodes_at = roots_at + words[roots_at - 1] as usize + 1;
+        let counters_at = inodes_at + 2 * words[inodes_at - 1] as usize + 1;
+        let active = (counters_at..)
+            .find(|&i| words[i] >> 48 & 1 == 1)
+            .expect("a materialized tree has active counters");
+        let mut forged = image.clone();
+        let off = at + 8 * active;
+        let shallower = words[active] - (1 << 40);
+        forged[off..off + 8].copy_from_slice(&shallower.to_le_bytes());
+        let body_len = forged.len() - 8;
+        let h = fnv1a(&forged[..body_len]).to_le_bytes();
+        forged[body_len..].copy_from_slice(&h);
+        let err = fresh().restore(&forged).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("depth vs shape"), "{err}");
+    }
+
     fn temp_dir(name: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("catree-checkpoint-{}-{name}", std::process::id()));

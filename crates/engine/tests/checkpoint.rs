@@ -173,7 +173,7 @@ fn subject(spec: SchemeSpec, shards: usize) -> MemorySystem {
 }
 
 #[test]
-fn engine_kill_and_resume_is_bit_identical_on_flat_and_pooled_paths() {
+fn engine_kill_and_resume_is_bit_identical_on_one_and_four_engines() {
     let trace = trace();
     for spec in specs() {
         for shards in [1usize, 4] {
