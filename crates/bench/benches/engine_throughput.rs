@@ -11,7 +11,7 @@
 //! * `stream`       — `cat_engine::MemorySystem` streaming ingestion:
 //!   `push_decoded` per access, staging buffer flushing through the
 //!   cut-aware batch path;
-//! * `overlap-N`    — `MemorySystem::with_shards(N)`: the engine split
+//! * `shards-N`     — `MemorySystem::with_shards(N)`: the engine split
 //!   refined to at least N engine slices, replayed on N persistent shard
 //!   workers (bit-identical results by the engine's determinism
 //!   contract);
@@ -40,7 +40,7 @@
 //!   the sparse storage is beating). Speedups are reported against
 //!   `sparse-1m-flat`: a dense baseline at this geometry would spend its
 //!   time in construction, not the hot path;
-//! * `*-small`      — `instance` (a `BankEngine`) and `overlap-4` at an
+//! * `*-small`      — `instance` (a `BankEngine`) and `shards-4` at an
 //!   epoch length of 65 536 accesses (hundreds of boundaries per replay):
 //!   the cut-aware regression guard. Small-epoch rows report speedups vs.
 //!   `instance-small` and check their stats against the boxed loop at the
@@ -337,7 +337,7 @@ fn main() {
         }
 
         // Engine slices replayed on N shard workers.
-        for (path, shards) in [("overlap-2", 2usize), ("overlap-4", 4)] {
+        for (path, shards) in [("shards-2", 2usize), ("shards-4", 4)] {
             let (rate, stats) = measure(accesses, || {
                 let mut system = MemorySystem::new(&cfg, spec)
                     .with_epoch_length(trace.per_epoch)
@@ -373,7 +373,7 @@ fn main() {
             system.process(&trace.entries);
             system.stats()
         });
-        row("overlap-4-small", rate, &stats, &small_stats, small_rate);
+        row("shards-4-small", rate, &stats, &small_stats, small_rate);
         println!();
     }
 

@@ -57,6 +57,11 @@ impl Drcat {
         &self.tree
     }
 
+    /// The tree, for run-level replay of quiet activations.
+    pub(crate) fn tree_mut(&mut self) -> &mut CatTree {
+        &mut self.tree
+    }
+
     /// Current weight register values, indexed by counter.
     pub fn weights(&self) -> &[u8] {
         &self.weights
@@ -127,16 +132,11 @@ impl Drcat {
     /// Steps (1)–(3) of §V-B: merge a cold sibling pair, split the hot leaf
     /// with the released counter, and set both new weights to 1.
     fn try_reconfigure(&mut self, hot: u16) {
-        // The hot leaf must be splittable at all (depth and range limits)
-        // before we commit to releasing a counter.
+        // The hot leaf must be splittable at all before we commit to
+        // releasing a counter: `split_leaf` refuses a leaf at level L−1,
+        // and any shallower leaf spans at least two rows.
         let max_depth = self.tree.config().max_levels() - 1;
-        let splittable = self
-            .tree
-            .shape()
-            .leaves()
-            .iter()
-            .any(|l| l.counter == hot && u32::from(l.depth) < max_depth && l.range.len() > 1);
-        if !splittable {
+        if u32::from(self.tree.counters[hot as usize].depth) >= max_depth {
             return;
         }
         let Some((slot, inode, l, r)) = self.tree.find_cold_pair(&self.weights, hot) else {

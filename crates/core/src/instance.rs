@@ -10,7 +10,7 @@
 
 use crate::scheme::{HardwareProfile, MitigationScheme, Refreshes};
 use crate::state::{StateError, StateReader};
-use crate::{CounterCache, Drcat, Pra, Prcat, RowId, Sca, SchemeStats, SpaceSaving};
+use crate::{CatTree, CounterCache, Drcat, Pra, Prcat, RowId, Sca, SchemeStats, SpaceSaving};
 
 /// One concrete mitigation scheme, statically dispatched.
 ///
@@ -100,19 +100,27 @@ impl SchemeInstance {
         dispatch!(self, s => s.name())
     }
 
-    /// Drives a whole run of activations through the scheme, feeding each
-    /// returned [`Refreshes`] to `sink`.
+    /// Drives a whole run of activations through the scheme. `sink` is
+    /// called once per activation, in order, with exactly the
+    /// [`Refreshes`] that [`SchemeInstance::on_activation`] would return;
+    /// the resulting state and statistics are those of the same
+    /// per-activation calls.
     ///
-    /// The variant match is hoisted out of the loop, so each arm compiles to
-    /// a monomorphic inner loop with `on_activation` inlined — this is the
-    /// batched hot path of `cat-engine`'s sharded runner.
+    /// The variant match is hoisted out of the loop — this is the batched
+    /// hot path of `cat-engine`'s bank replay. PRCAT and DRCAT replay
+    /// run-level (DESIGN.md §3.7): activations that reach no threshold are
+    /// counted in a tight loop, and only a threshold-crossing row takes
+    /// Algorithm 1's event path through `on_activation`.
     #[inline]
-    pub fn run(&mut self, rows: &[u32], mut sink: impl FnMut(Refreshes)) {
-        dispatch!(self, s => {
-            for &row in rows {
-                sink(s.on_activation(RowId(row)));
-            }
-        })
+    pub fn run(&mut self, rows: &[u32], sink: impl FnMut(Refreshes)) {
+        match self {
+            SchemeInstance::Prcat(s) => run_cat(s, Prcat::tree_mut, rows, sink),
+            SchemeInstance::Drcat(s) => run_cat(s, Drcat::tree_mut, rows, sink),
+            SchemeInstance::Pra(s) => run_each(s, rows, sink),
+            SchemeInstance::Sca(s) => run_each(s, rows, sink),
+            SchemeInstance::CounterCache(s) => run_each(s, rows, sink),
+            SchemeInstance::SpaceSaving(s) => run_each(s, rows, sink),
+        }
     }
 
     /// Resident bytes of this scheme's live state: the enum itself plus
@@ -178,6 +186,37 @@ impl SchemeInstance {
             (KIND_SPACE_SAVING, SchemeInstance::SpaceSaving(s)) => s.restore_state(r),
             _ => Err(StateError::Invalid("scheme kind tag mismatch")),
         }
+    }
+}
+
+/// Per-activation replay: one `on_activation` per row.
+#[inline]
+fn run_each<S: MitigationScheme>(s: &mut S, rows: &[u32], mut sink: impl FnMut(Refreshes)) {
+    for &row in rows {
+        sink(s.on_activation(RowId(row)));
+    }
+}
+
+/// Run-level replay of a CAT scheme: the tree counts the quiet prefix, then
+/// the scheme's own `on_activation` handles the row that stopped it — a
+/// split or refresh (with DRCAT's weight update), or the out-of-range panic.
+#[inline]
+fn run_cat<S: MitigationScheme>(
+    s: &mut S,
+    tree: fn(&mut S) -> &mut CatTree,
+    mut rows: &[u32],
+    mut sink: impl FnMut(Refreshes),
+) {
+    while !rows.is_empty() {
+        let quiet = tree(s).record_quiet(rows);
+        for _ in 0..quiet {
+            sink(Refreshes::none());
+        }
+        let Some((&row, rest)) = rows[quiet..].split_first() else {
+            return;
+        };
+        sink(s.on_activation(RowId(row)));
+        rows = rest;
     }
 }
 

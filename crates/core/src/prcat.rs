@@ -39,6 +39,11 @@ impl Prcat {
         &self.tree
     }
 
+    /// The tree, for run-level replay of quiet activations.
+    pub(crate) fn tree_mut(&mut self) -> &mut CatTree {
+        &mut self.tree
+    }
+
     /// Resident heap bytes of the scheme's state (the tree slabs).
     pub fn heap_bytes(&self) -> usize {
         self.tree.heap_bytes()

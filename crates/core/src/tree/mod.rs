@@ -11,6 +11,12 @@
 //! counted in `heap_bytes`, and it is never serialized — `restore_state`
 //! rebuilds it with a walk that also checks the restored pointers form a
 //! tree. The walk itself (`locate`) runs only when a leaf splits.
+//!
+//! Runs of activations are replayed in two parts (DESIGN.md §3.7):
+//! `record_quiet` counts the longest prefix in which no counter reaches
+//! its threshold, one table load and one increment per row with the
+//! statistics summed in registers, and [`CatTree::record`] takes only the
+//! threshold-crossing row through Algorithm 1's split/refresh path.
 
 mod layout;
 pub mod reference;
@@ -306,23 +312,66 @@ impl CatTree {
         Some(nc)
     }
 
+    /// Books `n` counter read-modify-writes on leaves whose depths sum to
+    /// `depth_sum`, the deepest at `deepest`. The §IV-C walk reads one
+    /// intermediate node per level below the direct-indexed roots plus the
+    /// counter, so each activation reads `depth − (λ−1) + 1` words.
+    fn book(&mut self, n: u64, depth_sum: u64, deepest: u8) {
+        self.stats.activations += n;
+        self.stats.sram_writes += n;
+        self.stats.sram_reads += depth_sum + n - n * u64::from(self.config.lambda() - 1);
+        self.stats.max_depth_touched = self.stats.max_depth_touched.max(u64::from(deepest));
+    }
+
+    /// Records the longest prefix of `rows` in which no activation brings
+    /// its counter to its threshold, and returns its length. Each such
+    /// activation is only Algorithm 1's counter increment, so
+    /// the statistics are summed in registers and booked once.
+    ///
+    /// Stops *before* the first row that would reach a split or refresh
+    /// threshold, or that is out of range, leaving it untouched for
+    /// [`CatTree::record`]: the table has `rows >> leaf_shift` entries, so
+    /// its bounds check is exactly `row < rows`.
+    pub(crate) fn record_quiet(&mut self, rows: &[u32]) -> usize {
+        let shift = self.leaf_shift;
+        let (leaf_of, counters, thresholds) = (&self.leaf_of, &mut self.counters, &self.thresholds);
+        let (mut depth_sum, mut deepest) = (0u64, 0u8);
+        let mut n = 0;
+        for &row in rows {
+            let Some(&c) = leaf_of.get((row >> shift) as usize) else {
+                break;
+            };
+            let counter = &mut counters[c as usize];
+            if counter.value + 1 >= thresholds.threshold_for_level(u32::from(counter.tli)) {
+                break;
+            }
+            counter.value += 1;
+            depth_sum += u64::from(counter.depth);
+            deepest = deepest.max(counter.depth);
+            n += 1;
+        }
+        self.book(n as u64, depth_sum, deepest);
+        n
+    }
+
     /// Records one activation; the core of Algorithm 1's counter module plus
     /// the reconfiguration counter module's split handling.
     pub fn record(&mut self, row: RowId) -> Activation {
+        if self.record_quiet(std::slice::from_ref(&row.0)) == 1 {
+            return Activation {
+                refresh: None,
+                counter: self.leaf_of[(row.0 >> self.leaf_shift) as usize],
+            };
+        }
+        // The activation reaches a threshold (or is out of range).
         let rows = self.config.rows();
         assert!(
             row.0 < rows,
             "row {row} out of range (bank has {rows} rows)"
         );
-        self.stats.activations += 1;
         let (mut c, mut lo, mut hi) = self.leaf(row.0);
         let depth = self.counters[c as usize].depth;
-        // The §IV-C walk reads one intermediate node per level below the
-        // direct-indexed roots, plus the counter read-modify-write.
-        self.stats.sram_reads += u64::from(depth) - u64::from(self.config.lambda() - 1) + 1;
-        self.stats.sram_writes += 1;
-        self.stats.max_depth_touched = self.stats.max_depth_touched.max(u64::from(depth));
-
+        self.book(1, u64::from(depth), depth);
         self.counters[c as usize].value += 1;
         loop {
             let counter = self.counters[c as usize];

@@ -32,7 +32,7 @@ if [ "$HAVE_OLD" = 1 ]; then
     echo "delta vs committed BENCH_engine.json (HEAD):"
     awk -F'"' '
         # Result rows look like:
-        #   {"scheme": "PRCAT_64", "path": "overlap-4", "acts_per_sec": NNN, ...
+        #   {"scheme": "PRCAT_64", "path": "shards-4", "acts_per_sec": NNN, ...
         /"scheme":/ {
             scheme = $4; path = $8
             # acts_per_sec is the unquoted run after the 5th quoted token:

@@ -29,6 +29,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 python3 perfbench/run.py --selftest
 
+# Quick engine bench as a gate: every row asserts its stats equal the
+# `boxed-dyn` row, which dispatches one activation at a time, so on the
+# swapt trace this checks that run-level scheme replay (DESIGN.md §3.7)
+# matches per-activation dispatch on every engine path (`instance`,
+# `stream`, `queue-*`, `fleet-2`, `shards-*`).
+REPRO_QUICK=1 cargo bench -p cat-bench --bench engine_throughput >/dev/null
+echo "tier-1: quick engine bench OK (every path matches per-activation dispatch)"
+
 # Docs are part of the gate: broken intra-doc links and undocumented public
 # items (the engine crates set `warn(missing_docs)`) fail the build.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
