@@ -59,7 +59,10 @@
 //! replays — single-run numbers are noisy enough to mask a 5%
 //! regression. Override the run count with `BENCH_RUNS`; `REPRO_QUICK`
 //! drops it to 1. Set `BENCH_ENGINE_JSON=/path/to/BENCH_engine.json` to
-//! also write the numbers as JSON (`scripts/bench.sh` does).
+//! also write the numbers as JSON (`scripts/bench.sh` does), headed by a
+//! `host` block: core count, rustc and git revision (from `BENCH_RUSTC`
+//! and `BENCH_GIT_REV`, which `scripts/bench.sh` sets), runs per row and
+//! the quick flag.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -541,9 +544,18 @@ fn write_json(path: &str, accesses: u64, results: &[Measurement]) {
             if i + 1 == results.len() { "" } else { "," }
         ));
     }
+    let env = |key: &str| std::env::var(key).unwrap_or_else(|_| "unknown".to_string());
+    let host = format!(
+        "{{\"cores\": {}, \"rustc\": \"{}\", \"git_rev\": \"{}\", \"runs\": {}, \"quick\": {}}}",
+        std::thread::available_parallelism().map_or(0, |n| n.get()),
+        env("BENCH_RUSTC"),
+        env("BENCH_GIT_REV"),
+        runs_per_row(),
+        quick_factor() > 1
+    );
     let json = format!(
-        "{{\n  \"bench\": \"engine_throughput\",\n  \"trace\": \"swapt\",\n  \
-         \"accesses\": {accesses},\n  \"results\": [\n{rows}  ]\n}}\n"
+        "{{\n  \"bench\": \"engine_throughput\",\n  \"host\": {host},\n  \
+         \"trace\": \"swapt\",\n  \"accesses\": {accesses},\n  \"results\": [\n{rows}  ]\n}}\n"
     );
     std::fs::write(path, json).expect("write BENCH_ENGINE_JSON");
 }

@@ -166,6 +166,7 @@ impl AddressMapping {
     pub fn new(geometry: impl Into<MemGeometry>) -> Self {
         let g = geometry.into();
         if let Err(e) = g.validate() {
+            // cat-lint: allow(panic-path) -- construction-time, documented under Panics: no peer-sent geometry reaches a mapping (the router only compares them)
             panic!("invalid memory geometry: {e}");
         }
         AddressMapping {
@@ -413,11 +414,6 @@ impl GeometrySlice {
     /// One past the last global bank of the slice.
     pub fn end_bank(&self) -> u32 {
         self.start_bank + self.banks
-    }
-
-    /// Whether the slice covers the whole geometry.
-    pub fn is_full(&self) -> bool {
-        self.start_bank == 0 && self.banks == self.geometry.total_banks()
     }
 
     /// Whether global bank `bank` falls inside the slice.
@@ -745,7 +741,6 @@ mod tests {
     #[test]
     fn slice_validation_hard_errors_are_typed() {
         let g = geometry(); // 16 banks, 8 per channel
-        assert!(GeometrySlice::new(g, 0, 16).unwrap().is_full());
         assert_eq!(GeometrySlice::channel(g, 1).unwrap().start_bank(), 8);
         assert_eq!(GeometrySlice::new(g, 0, 0).unwrap_err(), SliceError::Empty);
         assert_eq!(

@@ -46,6 +46,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use cat_core::{StateError, StateReader};
 
 use crate::ingest::{IngestConsumer, IngestEvent};
+use crate::shard::Bucketer;
 use crate::wire::{pack_record, unpack_record, MAX_SPEC_LEN};
 use crate::{BankEngine, BatchOutcome, MemorySystem};
 
@@ -63,8 +64,11 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"CATC";
 /// system section. Version 4 dropped the scope byte (the image always
 /// captures a [`MemorySystem`]) and moved the spec string from every
 /// engine section into the system section, which now also fixes the row
-/// count and the epoch clock for its engine sections.
-pub const CHECKPOINT_VERSION: u16 = 4;
+/// count and the epoch clock for its engine sections. Version 5 replaced
+/// the engine section's four sort-scratch capacities with the four marks
+/// of the bucketing scratch, and added the system's own bucketing marks
+/// to the system section.
+pub const CHECKPOINT_VERSION: u16 = 5;
 
 /// Hard cap on a checkpoint image/file size — bounds what [`resume_from_dir`]
 /// will read into memory.
@@ -302,8 +306,8 @@ fn read_epoch_len(r: &mut ByteReader<'_>) -> io::Result<Option<u64>> {
 /// u64 scheme_block_cap         scheme slab directory capacity (high-water)
 /// u64 materialized             then per bank ascending:
 ///                                u64 bank, u64 nwords, nwords × u64 state
-/// u64 × 4                      scratch capacities: act, seg_cursor,
-///                                touched, row_scratch (high-water marks)
+/// u64 × 4                      bucketing scratch capacities: tally,
+///                                touched, rows, runs (high-water marks)
 /// ```
 fn encode_engine_section(e: &BankEngine, out: &mut Vec<u8>) -> io::Result<()> {
     put_u64(out, e.accesses);
@@ -335,10 +339,7 @@ fn encode_engine_section(e: &BankEngine, out: &mut Vec<u8>) -> io::Result<()> {
         }
     }
 
-    put_u64(out, e.act_scratch.capacity() as u64);
-    put_u64(out, e.seg_cursor.capacity() as u64);
-    put_u64(out, e.touched.capacity() as u64);
-    put_u64(out, e.row_scratch.capacity() as u64);
+    put_marks(out, &e.bucketer);
     Ok(())
 }
 
@@ -362,6 +363,24 @@ fn read_bank_index(
         }
     }
     Ok(bank)
+}
+
+/// Appends a bucketer's four scratch high-water marks.
+fn put_marks(out: &mut Vec<u8>, bucketer: &Bucketer) {
+    for mark in bucketer.marks() {
+        put_u64(out, mark as u64);
+    }
+}
+
+/// Reads four bucketing scratch marks and reserves them on the fresh
+/// `bucketer` ([`Bucketer::reserve`]).
+fn read_marks(r: &mut ByteReader<'_>, bucketer: &mut Bucketer) -> io::Result<()> {
+    let mut marks = [0usize; 4];
+    for (mark, what) in marks.iter_mut().zip(["tally", "touched", "rows", "runs"]) {
+        *mark = read_scratch_cap(r, &format!("bucketing {what} capacity"))?;
+    }
+    bucketer.reserve(marks);
+    Ok(())
 }
 
 /// Reads a saved scratch-capacity high-water mark, bounded by
@@ -471,18 +490,7 @@ fn decode_engine_section(r: &mut ByteReader<'_>, e: &mut BankEngine) -> io::Resu
         sr.finish().map_err(state_err)?;
     }
 
-    // Scratch high-water marks: the restored Vecs are empty, so
-    // `reserve_exact` reproduces the saved capacities exactly; later
-    // fills stay within them because the saved value was the original
-    // run's high-water mark.
-    let act_scratch = read_scratch_cap(r, "act_scratch capacity")?;
-    e.act_scratch.reserve_exact(act_scratch);
-    let seg_cursor = read_scratch_cap(r, "seg_cursor capacity")?;
-    e.seg_cursor.reserve_exact(seg_cursor);
-    let touched = read_scratch_cap(r, "touched capacity")?;
-    e.touched.reserve_exact(touched);
-    let row_scratch = read_scratch_cap(r, "row_scratch capacity")?;
-    e.row_scratch.reserve_exact(row_scratch);
+    read_marks(r, &mut e.bucketer)?;
 
     e.accesses = accesses;
     e.epochs = epochs;
@@ -502,6 +510,8 @@ fn decode_engine_section(r: &mut ByteReader<'_>, e: &mut BankEngine) -> io::Resu
 /// u8 flag + u64 epoch_len      epoch clock, validated on restore
 /// u64 accesses, epochs
 /// u64 staged_cap               staging buffer capacity (high-water)
+/// u64 × 4                      bucketing scratch capacities: tally,
+///                                touched, rows, runs (high-water marks)
 /// u32 engines                  then per engine in slice order:
 ///                                u32 banks, u32 base, engine section
 /// ```
@@ -529,6 +539,7 @@ fn encode_system_section(s: &MemorySystem, out: &mut Vec<u8>) -> io::Result<()> 
     put_u64(out, s.accesses);
     put_u64(out, s.epochs);
     put_u64(out, s.staged.capacity() as u64);
+    put_marks(out, &s.bucketer);
     put_u32(out, s.engines.len() as u32);
     for engine in &s.engines {
         put_u32(out, engine.banks.capacity() as u32);
@@ -602,6 +613,8 @@ fn decode_system_section(s: &mut MemorySystem, r: &mut ByteReader<'_>) -> io::Re
         )));
     }
     let staged = read_scratch_cap(r, "staging buffer capacity")?;
+    s.staged.reserve_exact(staged);
+    read_marks(r, &mut s.bucketer)?;
     let owned = s.owned;
     let count = r.u32("engine count")?;
     if count == 0 || count > owned.banks() {
@@ -646,7 +659,6 @@ fn decode_system_section(s: &mut MemorySystem, r: &mut ByteReader<'_>) -> io::Re
             "engines sum to {engine_accesses} accesses, system counted {accesses}"
         )));
     }
-    s.staged.reserve_exact(staged);
     s.accesses = accesses;
     s.epochs = epochs;
     let layout = s.engine_slices().to_vec();
@@ -1270,6 +1282,30 @@ mod tests {
         assert!(err.to_string().contains("epoch length"));
     }
 
+    #[test]
+    fn version_4_images_are_refused() {
+        // A v4 image is a v5 image without the system section's four
+        // bucketing marks (the engine sections kept four marks each), under
+        // version 4. It fails at the header with the typed version error,
+        // before any of its layout is read.
+        let mut original = fresh();
+        original.process(&trace(2000));
+        let image = original.checkpoint().unwrap();
+        let spec_len = original.spec().to_string().len();
+        let marks_at = 6 + 2 + spec_len + SYSTEM_FIXED_BYTES - 4 - 4 * 8;
+        let mut v4 = image[..image.len() - 8].to_vec();
+        v4.drain(marks_at..marks_at + 4 * 8);
+        v4[4..6].copy_from_slice(&4u16.to_le_bytes());
+        seal(&mut v4);
+        let err = fresh().restore(&v4).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            err.to_string(),
+            format!("checkpoint version 4, this build reads {CHECKPOINT_VERSION}")
+        );
+        assert_eq!(CHECKPOINT_VERSION, 5);
+    }
+
     /// Deterministic LCG for the corruption sweeps (no external RNG and no
     /// wall-clock seeding in tests either).
     struct Lcg(u64);
@@ -1380,8 +1416,10 @@ mod tests {
     }
 
     /// System-section bytes from the geometry through the engine count
-    /// (the spec string ahead of them is variable-length).
-    const SYSTEM_FIXED_BYTES: usize = 6 * 4 + 8 + 9 + 8 + 8 + 8 + 4;
+    /// (the spec string ahead of them is variable-length): geometry, owned
+    /// slice, epoch clock, accesses, epochs, staging capacity, the four
+    /// bucketing marks, engine count.
+    const SYSTEM_FIXED_BYTES: usize = 6 * 4 + 8 + 9 + 8 + 8 + 8 + 4 * 8 + 4;
 
     #[test]
     fn forged_engine_layouts_are_refused() {

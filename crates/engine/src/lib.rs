@@ -15,22 +15,25 @@
 //!
 //! ## One execution path
 //!
-//! Every batch reaches the banks the same way. [`BankEngine::process`] is
-//! the reference semantics: one engine over its banks, replayed in the
-//! calling thread. [`MemorySystem::process`] computes the batch's epoch
-//! boundary positions once, scatters the batch once into per-engine
-//! sub-batches (recording each engine's boundaries as a *cut list*), and
-//! replays each engine's sub-batch in one
-//! [`BankEngine::process_with_cuts`] call — banks are visited once per
-//! batch, never once per epoch segment.
+//! Every batch reaches the banks the same way. Its epoch boundary
+//! positions are computed once (a *cut list*), then one stable
+//! count-then-place pass **buckets** the batch: per epoch segment, each
+//! touched bank's rows in stream order, banks ascending, with a cut marker
+//! where a boundary fires. That is the one copy a record takes after
+//! staging. Each engine then replays its banks' runs — one
+//! [`SchemeInstance::run`] per bank per segment — with no sort of its own.
+//! [`MemorySystem::process`] buckets over its owned range and replays
+//! every engine; [`BankEngine::process`] and
+//! [`BankEngine::process_with_cuts`] are adapters that bucket over the
+//! engine's own banks and replay it, through the same two calls.
 //!
-//! [`MemorySystem::with_shards`] changes only *where* those calls run. A
+//! [`MemorySystem::with_shards`] changes only *where* the replay runs. A
 //! shard is an engine slice: with `n > 1` shards the engine split is
 //! refined until there are at least `n` engines, and `n` persistent worker
 //! threads each replay a contiguous group of them. The engines travel to
-//! the workers by value and come back after the batch, so stats,
-//! checkpoints and single-access calls read the same engines on every
-//! shard count.
+//! the workers by value, with a shared handle on the runs, and come back
+//! before the call returns, so stats, checkpoints and single-access calls
+//! read the same engines on every shard count.
 //!
 //! Single-access callers with their own epoch clock (the cycle-based
 //! timing simulator) use [`BankEngine::activate`] /
@@ -72,11 +75,14 @@
 //! The engine consumes pre-decoded `(bank, row)` batches instead of single
 //! accesses: decoding addresses and driving schemes have very different
 //! costs, and batching keeps the scheme-driving inner loop free of iterator
-//! and dispatch overhead (and is what lets an engine replay each bank's
-//! whole subsequence at once). Single-access callers (the cycle-based
-//! timing simulator) use [`BankEngine::activate`] instead. Bank ids are
-//! full `u32`s: the decode front-end never narrows them, so geometries
-//! beyond 65 536 banks route correctly.
+//! and dispatch overhead. Bucketing it by bank lets each bank replay its
+//! whole subsequence of a segment at once, paying the bank lookup once
+//! per run, not once per access; schemes never observe other banks
+//! (`DESIGN.md §7`), so one pass lays out every engine's runs.
+//! Single-access callers (the cycle-based timing simulator) use
+//! [`BankEngine::activate`] instead. Bank ids are full `u32`s: the decode
+//! front-end never narrows them, so geometries beyond 65 536 banks route
+//! correctly.
 //!
 //! ```
 //! use cat_engine::BankEngine;
@@ -111,6 +117,7 @@ pub use address::{
 pub use system::MemorySystem;
 
 use cat_core::{Refreshes, RowId, SchemeInstance, SchemeSpec, SchemeStats, SparseSlab};
+use shard::Bucketer;
 use sparse::SparseBanks;
 
 /// Computes the epoch **cut positions** inside a batch of `len` accesses:
@@ -118,8 +125,8 @@ use sparse::SparseBanks;
 /// global epoch boundary falls" (`on_epoch_end` fires there). Positions are
 /// strictly increasing, in `1..=len`; `cuts` is cleared first.
 ///
-/// This is *the* epoch-phase arithmetic — the flat batched path and the
-/// [`MemorySystem`] scatter both derive their cut lists here, so the paths
+/// This is *the* epoch-phase arithmetic — [`BankEngine::process`] and
+/// [`MemorySystem`]'s batch path both derive their cut lists here, so the paths
 /// cannot drift apart (their bit-identical equivalence depends on agreeing
 /// about boundary positions, see `DESIGN.md §7`).
 pub(crate) fn epoch_cuts(
@@ -134,25 +141,6 @@ pub(crate) fn epoch_cuts(
     while next <= len as u64 {
         cuts.push(next as usize); // next <= len, so the cast is exact
         next += l;
-    }
-}
-
-/// Walks `len` accesses as segments delimited by `cuts` (positions as in
-/// [`epoch_cuts`], but duplicates and `0` are allowed — they denote empty
-/// segments whose boundary still fires). `f` is called in order with each
-/// segment's index range and whether it ends on a boundary.
-pub(crate) fn for_each_segment(
-    len: usize,
-    cuts: &[usize],
-    mut f: impl FnMut(std::ops::Range<usize>, bool),
-) {
-    let mut prev = 0usize;
-    for &cut in cuts {
-        f(prev..cut, true);
-        prev = cut;
-    }
-    if prev < len {
-        f(prev..len, false);
     }
 }
 
@@ -216,7 +204,7 @@ pub struct EngineFootprint {
     pub scheme_bytes: usize,
     /// Resident bytes of everything execution-strategy-dependent: the
     /// sparse containers' own block storage, per-bank activation
-    /// counters, and the batch path's scatter scratch. Depends on the
+    /// counters, and the batch path's bucketing scratch. Depends on the
     /// engine split and shard count, so it stays out of the wire
     /// snapshot.
     pub accounting_bytes: usize,
@@ -290,19 +278,10 @@ pub struct BankEngine {
     /// Per-bank row-activation counters, sparse like the scheme storage
     /// (an absent entry is a bank that was never activated).
     pub(crate) activations: SparseSlab<u64>,
-    /// Per-segment bank counts of the batch path's counting sort,
-    /// allocated lazily on the first batch. Dense by design, but written
-    /// only at touched banks.
-    pub(crate) act_scratch: Vec<u64>,
-    /// Counting-sort cursors for the batch path's per-segment scatter,
-    /// allocated lazily on the first batch, like `act_scratch`.
-    pub(crate) seg_cursor: Vec<u32>,
-    /// Banks touched in the current segment, in first-touch order — lets
-    /// the scatter reset only what it dirtied (O(touched), not O(banks)).
-    pub(crate) touched: Vec<u32>,
-    /// Row scatter buffer of the batch path (one slot per access of the
-    /// current segment).
-    pub(crate) row_scratch: Vec<u32>,
+    /// Bucketing scratch of [`process`](Self::process) and
+    /// [`process_with_cuts`](Self::process_with_cuts); empty on engines a
+    /// [`MemorySystem`] drives, which buckets for all of its engines.
+    pub(crate) bucketer: Bucketer,
     pub(crate) accesses: u64,
     pub(crate) epochs: u64,
     /// Accesses per auto-refresh epoch; `None` disables access-count epoch
@@ -341,10 +320,7 @@ impl BankEngine {
         BankEngine {
             banks: SparseBanks::new(spec, banks, rows_per_bank, bank_base),
             activations: SparseSlab::new(banks as usize),
-            act_scratch: Vec::new(),
-            seg_cursor: Vec::new(),
-            touched: Vec::new(),
-            row_scratch: Vec::new(),
+            bucketer: Bucketer::default(),
             accesses: 0,
             epochs: 0,
             epoch_len: None,
@@ -455,21 +431,6 @@ impl BankEngine {
         }
     }
 
-    /// Running totals of (refresh events, refreshed rows) across banks.
-    /// Cheap (O(materialized banks)); differencing two snapshots gives a
-    /// batch's outcome without putting any accounting in the
-    /// per-activation loop.
-    fn refresh_totals(&self) -> (u64, u64) {
-        let mut events = 0u64;
-        let mut rows = 0u64;
-        for (_, s) in self.banks.iter() {
-            let stats = s.stats();
-            events += stats.refresh_events;
-            rows += stats.refreshed_rows;
-        }
-        (events, rows)
-    }
-
     /// Processes a batch of `(bank, row)` activations in order, firing epoch
     /// boundaries (if configured) at the right global positions, and returns
     /// the incrementally-aggregated outcome of the batch.
@@ -497,9 +458,8 @@ impl BankEngine {
     /// the batch's first `cuts[i]` accesses. Positions must be
     /// nondecreasing and at most `batch.len()`; `0` and duplicates are
     /// allowed (boundaries before the first access / back-to-back empty
-    /// epochs). This is the entry point [`MemorySystem`] routes each
-    /// engine's whole batch through, so an engine's banks are visited once
-    /// per batch rather than once per epoch segment (`DESIGN.md §7`).
+    /// epochs). It buckets the batch over this engine's banks through the
+    /// same pass as [`MemorySystem`]'s batch path (`DESIGN.md §7`).
     ///
     /// ```
     /// use cat_core::SchemeSpec;
@@ -530,84 +490,41 @@ impl BankEngine {
         self.run_with_cuts(batch, cuts)
     }
 
-    /// The shared sequential core of [`process`](Self::process) and
-    /// [`process_with_cuts`](Self::process_with_cuts): per segment, a
-    /// counting-sort scatter of the accesses by bank, then each touched
-    /// bank replays its whole subsequence through one monomorphic
-    /// [`SchemeInstance::run`] loop. Schemes never observe other banks'
-    /// activations (the determinism contract, `DESIGN.md §7`), so the
-    /// replay is bit-identical to interleaved per-access dispatch while
-    /// paying the bank lookup once per touched bank per segment instead
-    /// of twice per access.
+    /// The shared core of [`process`](Self::process) and
+    /// [`process_with_cuts`](Self::process_with_cuts): the batch path's
+    /// bucketing pass over this engine's banks, then its replay
+    /// (`DESIGN.md §7`).
     fn run_with_cuts(&mut self, batch: &[(u32, u32)], cuts: &[usize]) -> BatchOutcome {
-        let (events_before, rows_before) = self.refresh_totals();
-        let nbanks = self.banks.capacity();
-        if self.act_scratch.len() < nbanks {
-            self.act_scratch.resize(nbanks, 0);
-        }
-        if self.seg_cursor.len() < nbanks {
-            self.seg_cursor.resize(nbanks, 0);
-        }
-        let mut touched = std::mem::take(&mut self.touched);
-        let mut rows_buf = std::mem::take(&mut self.row_scratch);
-        for_each_segment(batch.len(), cuts, |range, on_boundary| {
-            let seg = &batch[range];
-            // Pass 1: per-bank counts, recording each bank at its first
-            // touch so the scratch resets in O(touched), not O(banks).
-            for &(bank, _) in seg {
-                let b = bank as usize;
-                if self.act_scratch[b] == 0 {
-                    touched.push(bank);
-                }
-                self.act_scratch[b] += 1;
-            }
-            // Prefix offsets in first-touch order (replay order across
-            // banks is unobservable: every bank sees only its own rows).
-            let mut acc = 0u32;
-            for &bank in &touched {
-                let b = bank as usize;
-                self.seg_cursor[b] = acc;
-                acc += self.act_scratch[b] as u32;
-            }
-            // Pass 2: scatter. Every slot in [0..seg.len()) is written
-            // exactly once (cursors cover sum(counts)), so stale contents
-            // of the recycled buffer are never read and resize only
-            // zero-fills genuine growth.
-            rows_buf.resize(seg.len(), 0);
-            for &(bank, row) in seg {
-                let c = &mut self.seg_cursor[bank as usize];
-                rows_buf[*c as usize] = row;
-                *c += 1;
-            }
-            // Replay each touched bank's subsequence, fold its count into
-            // the sparse activation accounting, and reset its scratch.
-            let mut start = 0usize;
-            for &bank in &touched {
-                let b = bank as usize;
-                let count = self.act_scratch[b];
-                let end = start + count as usize;
-                if let Some(scheme) = self.banks.scheme_mut(b) {
-                    scheme.run(&rows_buf[start..end], |_| {});
-                }
-                *self.activations.get_or_insert_with(b, u64::default) += count;
-                self.act_scratch[b] = 0;
-                start = end;
-            }
-            touched.clear();
-            if on_boundary {
-                self.fire_epoch();
-            }
+        let before = shard::refresh_totals(std::slice::from_ref(self));
+        let mut bucketer = std::mem::take(&mut self.bucketer);
+        let origin = self.banks.base();
+        bucketer.run(batch, cuts, 0, self.bank_count(), |runs| {
+            shard::replay(std::slice::from_mut(self), runs, origin);
         });
-        self.touched = touched;
-        self.row_scratch = rows_buf;
-        self.accesses += batch.len() as u64;
-        let (events, rows) = self.refresh_totals();
+        self.bucketer = bucketer;
+        let after = shard::refresh_totals(std::slice::from_ref(self));
         BatchOutcome {
             accesses: batch.len() as u64,
             epochs: cuts.len() as u64,
-            refresh_events: events - events_before,
-            refreshed_rows: rows - rows_before,
+            refresh_events: after.0 - before.0,
+            refreshed_rows: after.1 - before.1,
         }
+    }
+
+    /// One past this engine's last global bank.
+    fn end_bank(&self) -> u32 {
+        self.banks.base() + self.bank_count() as u32
+    }
+
+    /// Replays one bucketed run: local bank `bank`'s rows, in stream order,
+    /// through one monomorphic [`SchemeInstance::run`] loop — the bank
+    /// lookup is paid once per run, not once per access.
+    fn replay_run(&mut self, bank: usize, rows: &[u32]) {
+        if let Some(scheme) = self.banks.scheme_mut(bank) {
+            scheme.run(rows, |_| {});
+        }
+        *self.activations.get_or_insert_with(bank, u64::default) += rows.len() as u64;
+        self.accesses += rows.len() as u64;
     }
 
     /// Moves every bank `donor` holds inside this engine's bank range —
@@ -672,10 +589,7 @@ impl BankEngine {
             scheme_bytes: self.banks.scheme_bytes(),
             accounting_bytes: self.banks.container_bytes()
                 + self.activations.heap_bytes()
-                + self.act_scratch.capacity() * std::mem::size_of::<u64>()
-                + self.seg_cursor.capacity() * std::mem::size_of::<u32>()
-                + self.touched.capacity() * std::mem::size_of::<u32>()
-                + self.row_scratch.capacity() * std::mem::size_of::<u32>(),
+                + self.bucketer.heap_bytes(),
         }
     }
 

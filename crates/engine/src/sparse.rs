@@ -82,18 +82,16 @@ impl SparseBanks {
     }
 
     /// The scheme of `bank`, materializing it on first touch. `None` only
-    /// for [`SchemeSpec::None`]. Per-activation path: the materialized
-    /// case is a single slab pass (`SparseSlab::get_or_insert_with`).
+    /// for [`SchemeSpec::None`], which builds no instance.
     #[inline]
     pub(crate) fn scheme_mut(&mut self, bank: usize) -> Option<&mut SchemeInstance> {
-        if !self.has_scheme() {
-            return None;
+        if !self.slab.contains(bank) {
+            let instance = self
+                .spec
+                .build_instance(self.rows, self.base + bank as u32)?;
+            self.slab.insert(bank, instance);
         }
-        let (spec, rows, base) = (self.spec, self.rows, self.base);
-        Some(self.slab.get_or_insert_with(bank, || {
-            spec.build_instance(rows, base + bank as u32)
-                .expect("has_scheme() holds: every non-None spec builds")
-        }))
+        self.slab.get_mut(bank)
     }
 
     /// Materialized schemes in ascending bank order.

@@ -14,17 +14,22 @@
 //! Every batch (explicit via [`MemorySystem::process`], or an internal
 //! flush of the staging buffer behind [`MemorySystem::push`]) takes the
 //! same **cut-aware** path: the epoch boundary positions inside the batch
-//! are computed once up front (`crate::epoch_cuts`), one stable scatter
-//! splits the batch into per-engine sub-batches (recording each engine's
-//! cut positions along the way), and each engine replays its whole
-//! sub-batch in one [`BankEngine::process_with_cuts`] call — banks are
-//! visited once per batch, never once per epoch segment.
+//! are computed once up front (`crate::epoch_cuts`), then one stable
+//! count-then-place pass over the owned bank range buckets the staged
+//! `(bank, row)` records into runs — per epoch segment, each touched
+//! bank's rows in stream order, banks ascending, with a cut marker per
+//! boundary. Engines own ascending bank ranges, so each engine replays
+//! its contiguous share of every segment's runs directly, one
+//! [`SchemeInstance::run`] per bank per segment, with no copy or sort of
+//! its own.
 //!
-//! [`with_shards`](MemorySystem::with_shards) decides only where those
-//! calls run. A shard is an engine slice: one shard replays every engine
+//! [`with_shards`](MemorySystem::with_shards) decides only where the
+//! replay runs. A shard is an engine slice: one shard replays every engine
 //! on the calling thread; `n` shards refine the engine split to at least
 //! `n` engines and replay contiguous engine groups on `n` persistent
-//! workers, which borrow the engines by value for the batch.
+//! workers, which take the engines by value and share the runs of each
+//! bucketed chunk (a batch is bucketed in chunks of whole segments, at
+//! most 8 Mi accesses).
 //!
 //! ## Equivalence
 //!
@@ -36,7 +41,7 @@
 //! * the global bank order is channel-major, so per-slice engines with a
 //!   [bank base](BankEngine::with_bank_base) hold exactly the banks (and
 //!   PRA seeds) of the flat engine's contiguous ranges;
-//! * per-bank access order is preserved by the stable scatter;
+//! * per-bank access order is preserved by the stable bucketing pass;
 //! * epoch boundaries are positions in the *system-wide* access stream:
 //!   the cut list is computed once per batch and every bank receives
 //!   `on_epoch_end` at the same point of its own subsequence, whichever
@@ -45,7 +50,7 @@
 use cat_core::{Refreshes, SchemeInstance, SchemeSpec, SchemeStats};
 
 use crate::ingest::{IngestConsumer, IngestEvent};
-use crate::shard::{self, Route, ShardWorkers};
+use crate::shard::{self, Bucketer, ShardWorkers};
 use crate::{
     epoch_cuts, AddressMapping, BankEngine, BatchOutcome, EngineFootprint, EngineReport,
     GeometrySlice, MemGeometry, Partition,
@@ -96,17 +101,13 @@ pub struct MemorySystem {
     /// [`with_shards`](Self::with_shards) refines: the engine layout is a
     /// function of the shard count alone, never of earlier calls.
     split: Vec<GeometrySlice>,
-    /// `log2(slice size)` when every engine slice spans the same bank
-    /// count — the scatter is then a shift/mask, not a search.
-    uniform_shift: Option<u32>,
     pub(crate) epoch_len: Option<u64>,
     pub(crate) accesses: u64,
     pub(crate) epochs: u64,
     /// Persistent shard workers; `None` replays every engine inline.
     workers: Option<ShardWorkers>,
-    /// Per-engine scatter buffers, parallel to `engines`, reused across
-    /// batches.
-    route: Vec<Route>,
+    /// The batch path's bucketing scratch, over the owned range.
+    pub(crate) bucketer: Bucketer,
     /// Global cut-position scratch, reused across batches.
     cut_scratch: Vec<usize>,
     /// Streaming staging buffer (decoded, not yet processed accesses).
@@ -207,12 +208,11 @@ impl MemorySystem {
             engines: Vec::new(),
             engine_slices: Vec::new(),
             split: split.clone(),
-            uniform_shift: None,
             epoch_len: None,
             accesses: 0,
             epochs: 0,
             workers: None,
-            route: Vec::new(),
+            bucketer: Bucketer::default(),
             cut_scratch: Vec::new(),
             staged: Vec::new(),
             stream_capacity: Self::DEFAULT_STREAM_CAPACITY,
@@ -264,12 +264,6 @@ impl MemorySystem {
                 engine
             })
             .collect();
-        let size = slices[0].banks();
-        self.uniform_shift = slices
-            .iter()
-            .all(|s| s.banks() == size)
-            .then(|| size.trailing_zeros());
-        self.route = slices.iter().map(|_| Route::default()).collect();
         self.engine_slices = slices;
     }
 
@@ -330,7 +324,9 @@ impl MemorySystem {
         let engines = std::mem::take(&mut self.engines);
         self.carve(engines, slices);
         if shards > 1 && self.engines.len() > 1 {
-            self.workers = Some(ShardWorkers::new(shards, self.engines.len()));
+            // A host that cannot spawn the workers replays inline on the
+            // same layout: bit-identical, only slower.
+            self.workers = ShardWorkers::new(shards, self.engines.len()).ok();
         }
         self
     }
@@ -449,7 +445,7 @@ impl MemorySystem {
     ///
     /// Panics if `bank` is outside the [owned slice](Self::slice) — at
     /// the offending call, not at the (arbitrarily later) flush that
-    /// would otherwise trip over it deep inside the scatter.
+    /// would otherwise trip over it deep inside the bucketing pass.
     #[inline]
     pub fn push_decoded(&mut self, bank: u32, row: u32) {
         assert!(
@@ -515,7 +511,7 @@ impl MemorySystem {
                     // The push_decoded bank check, hoisted out of the hot
                     // loop (an `all` scan vectorizes; the offending bank
                     // is only located on the failure arm): fail at the
-                    // ingest, not deep inside a later scatter.
+                    // ingest, not deep inside a later bucketing pass.
                     let fresh = &self.staged[before..];
                     assert!(
                         fresh.iter().all(|&(bank, _)| owned.contains(bank)),
@@ -559,8 +555,8 @@ impl MemorySystem {
     /// Processes a batch of `(global bank, row)` activations in order
     /// through the cut-aware batch path (see the module docs): epoch
     /// boundaries (if configured) fire at the right system-wide positions
-    /// and each engine's banks are visited once per batch, on the shard
-    /// workers when [`with_shards`](Self::with_shards) asked for them.
+    /// and each touched bank replays one run per epoch segment, on the
+    /// shard workers when [`with_shards`](Self::with_shards) asked for them.
     ///
     /// Any [staged](Self::push) accesses are flushed first so the stream
     /// order is preserved (their outcome stays accumulated for the next
@@ -571,86 +567,30 @@ impl MemorySystem {
     }
 
     /// The cut-aware batch core: computes the global cut list once,
-    /// scatters once, and replays every engine's route — inline or on the
-    /// shard workers.
+    /// buckets the batch once, and replays every engine's runs — inline or
+    /// on the shard workers.
     fn process_batch(&mut self, batch: &[(u32, u32)]) -> BatchOutcome {
         let mut cuts = std::mem::take(&mut self.cut_scratch);
         epoch_cuts(batch.len(), self.accesses, self.epoch_len, &mut cuts);
-        self.scatter(batch, &cuts);
-        let (refresh_events, refreshed_rows) = match &mut self.workers {
-            Some(workers) => workers.replay(&mut self.engines, &mut self.route),
-            None => shard::replay(&mut self.engines, &self.route),
-        };
+        let before = shard::refresh_totals(&self.engines);
+        let (origin, banks) = (self.owned.start_bank(), self.owned.banks() as usize);
+        let (engines, workers) = (&mut self.engines, &mut self.workers);
+        self.bucketer
+            .run(batch, &cuts, origin, banks, |runs| match workers {
+                Some(workers) => workers.replay(engines, runs, origin),
+                None => shard::replay(engines, runs, origin),
+            });
+        let after = shard::refresh_totals(&self.engines);
         let out = BatchOutcome {
             accesses: batch.len() as u64,
             epochs: cuts.len() as u64,
-            refresh_events,
-            refreshed_rows,
+            refresh_events: after.0 - before.0,
+            refreshed_rows: after.1 - before.1,
         };
         self.accesses += out.accesses;
         self.epochs += out.epochs;
         self.cut_scratch = cuts;
         out
-    }
-
-    /// One stable scatter of the whole batch into per-engine routes,
-    /// recording each engine's cut positions (an engine that sees no
-    /// access between two boundaries gets a duplicate position: an empty
-    /// segment whose boundary still fires).
-    fn scatter(&mut self, batch: &[(u32, u32)], cuts: &[usize]) {
-        for route in &mut self.route {
-            route.batch.clear();
-            route.cuts.clear();
-        }
-        let route = &mut self.route;
-        let base = self.owned.start_bank();
-        match self.uniform_shift {
-            // Uniform slice sizes (every built-in layout): the per-record
-            // slice split is a shift/mask, not a search — slices are
-            // pow2-sized and naturally aligned (GeometrySlice::new), so
-            // `bank & mask` *is* the engine-local bank index.
-            Some(shift) => {
-                let mask = (1u32 << shift) - 1;
-                crate::for_each_segment(batch.len(), cuts, |range, on_boundary| {
-                    for &(bank, row) in &batch[range] {
-                        route[((bank - base) >> shift) as usize]
-                            .batch
-                            .push((bank & mask, row));
-                    }
-                    if on_boundary {
-                        mark_cut(route);
-                    }
-                });
-            }
-            // Mixed slice sizes: binary-search the owning slice.
-            None => {
-                let slices = &self.engine_slices;
-                crate::for_each_segment(batch.len(), cuts, |range, on_boundary| {
-                    for &(bank, row) in &batch[range] {
-                        let s = slices.partition_point(|sl| sl.end_bank() <= bank);
-                        route[s].batch.push((bank - slices[s].start_bank(), row));
-                    }
-                    if on_boundary {
-                        mark_cut(route);
-                    }
-                });
-            }
-        }
-    }
-
-    /// Routes a global bank to `(engine index, engine-local bank)`.
-    #[inline]
-    fn route_engine(&self, bank: u32) -> (usize, u32) {
-        match self.uniform_shift {
-            Some(shift) => {
-                let idx = ((bank - self.owned.start_bank()) >> shift) as usize;
-                (idx, bank & ((1u32 << shift) - 1))
-            }
-            None => {
-                let idx = self.engine_slices.partition_point(|s| s.end_bank() <= bank);
-                (idx, bank - self.engine_slices[idx].start_bank())
-            }
-        }
     }
 
     /// Drives one activation through global bank `bank` and returns the
@@ -681,7 +621,8 @@ impl MemorySystem {
             self.owned
         );
         self.accesses += 1;
-        let (idx, local) = self.route_engine(bank);
+        let idx = self.engine_slices.partition_point(|s| s.end_bank() <= bank);
+        let local = bank - self.engine_slices[idx].start_bank();
         self.engines[idx].activate(local as usize, row)
     }
 
@@ -773,9 +714,13 @@ impl MemorySystem {
         &self.engines
     }
 
-    /// Resident-memory snapshot across every engine's sparse bank storage.
+    /// Resident-memory snapshot across every engine's sparse bank storage,
+    /// plus the system's own bucketing scratch.
     pub fn footprint(&self) -> EngineFootprint {
-        let mut total = EngineFootprint::default();
+        let mut total = EngineFootprint {
+            accounting_bytes: self.bucketer.heap_bytes(),
+            ..EngineFootprint::default()
+        };
         for engine in &self.engines {
             total.merge(&engine.footprint());
         }
@@ -792,13 +737,6 @@ impl MemorySystem {
             per_bank_stats: self.per_bank_stats(),
             footprint: self.footprint(),
         }
-    }
-}
-
-/// Records an epoch boundary at the current end of every route.
-fn mark_cut(routes: &mut [Route]) {
-    for route in routes {
-        route.cuts.push(route.batch.len());
     }
 }
 

@@ -16,7 +16,7 @@
 //! |---|---|---|
 //! | `hash-order` | `cat-core`, `cat-engine`, `cat-prng` | `HashMap`/`HashSet`/`RandomState` — iteration order depends on hasher state |
 //! | `wall-clock` | everywhere except `crates/bench` | `Instant`/`SystemTime` — wall time is nondeterministic input |
-//! | `panic-path` | `catd` datapath (`wire.rs`, `ingest.rs`, `system.rs`, `checkpoint.rs`, `router.rs`) | `.unwrap()`, `.expect()`, `panic!`, `unreachable!`, `todo!`, `unimplemented!` |
+//! | `panic-path` | `catd` datapath (`wire.rs`, `ingest.rs`, `system.rs`, `shard.rs`, `address.rs`, `sparse.rs`, `checkpoint.rs`, `router.rs`) | `.unwrap()`, `.expect()`, `panic!`, `unreachable!`, `todo!`, `unimplemented!` |
 //! | `lock-order` | `crates/engine/src` | unannotated `Mutex`/`Condvar` fields, unresolvable `.lock()` sites, acquisition-order cycles |
 //! | `atomic-order` | `crates/engine/src` | `Ordering::Relaxed` — cross-thread publication needs Release/Acquire (or SeqCst) |
 //! | `dense-banks` | `crates/engine/src` minus `sparse.rs` | `banks[…]` indexing and `Vec<Option<SchemeInstance>>` — dense per-bank storage outside the sparse accessor module (DESIGN.md §10) |
@@ -519,6 +519,9 @@ fn classify(rel: &str) -> FileScope {
             "crates/engine/src/wire.rs"
                 | "crates/engine/src/ingest.rs"
                 | "crates/engine/src/system.rs"
+                | "crates/engine/src/shard.rs"
+                | "crates/engine/src/address.rs"
+                | "crates/engine/src/sparse.rs"
                 | "crates/engine/src/checkpoint.rs"
                 | "crates/engine/src/router.rs"
         ),

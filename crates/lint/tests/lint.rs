@@ -104,6 +104,28 @@ fn panic_path_good_fragment_is_clean() {
 }
 
 #[test]
+fn panic_path_covers_every_module_a_served_record_passes() {
+    // Decode (address.rs), bucketing and shard replay (shard.rs) and the
+    // bank store (sparse.rs) see every served record, like the wire: the
+    // bad fragment fails there too, and the live files are clean.
+    let src = include_str!("fixtures/panic_path_bad.rs");
+    let root = workspace_root();
+    for rel in [
+        "crates/engine/src/shard.rs",
+        "crates/engine/src/address.rs",
+        "crates/engine/src/sparse.rs",
+    ] {
+        assert_eq!(
+            skeleton(&lint_source(rel, src)),
+            vec![(5, "panic-path"), (7, "panic-path"), (15, "panic-path")],
+            "{rel}"
+        );
+        let live = std::fs::read_to_string(root.join(rel)).expect("read live source");
+        assert_eq!(lint_source(rel, &live), [], "live {rel} must be clean");
+    }
+}
+
+#[test]
 fn panic_path_only_applies_to_the_datapath() {
     let src = include_str!("fixtures/panic_path_bad.rs");
     assert_eq!(lint_source("crates/engine/src/schemes.rs", src), []);

@@ -10,6 +10,11 @@
 # committed number. Override the run count with BENCH_RUNS=N; pass
 # REPRO_QUICK=1 for a fast single-run smoke — but commit numbers from a
 # full (median-of-3) run only.
+#
+# The JSON opens with a `host` block (cores, rustc, git rev, runs, quick
+# flag). Rates from another host are not comparable, so when the
+# committed block's cores or rustc differ from this run's, the script
+# prints a host-mismatch warning instead of the delta table.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,12 +27,27 @@ if git show HEAD:BENCH_engine.json >"$OLD_JSON" 2>/dev/null; then
     HAVE_OLD=1
 fi
 
+BENCH_RUSTC="$(rustc --version)" \
+BENCH_GIT_REV="$(git describe --always --dirty 2>/dev/null || echo unknown)" \
 BENCH_ENGINE_JSON="$PWD/BENCH_engine.json" \
     cargo bench -p cat-bench --bench engine_throughput
 
 echo "bench: wrote BENCH_engine.json"
 
-if [ "$HAVE_OLD" = 1 ]; then
+# The host identity of a JSON file: its cores and rustc fields.
+host_of() {
+    local host
+    host="$(grep -o '"host": {[^}]*}' "$1" |
+        sed -n 's/.*"cores": \([0-9]*\).*"rustc": "\([^"]*\)".*/\1 cores, \2/p')" || true
+    echo "${host:-no host block}"
+}
+
+if [ "$HAVE_OLD" = 1 ] && [ "$(host_of "$OLD_JSON")" != "$(host_of BENCH_engine.json)" ]; then
+    echo
+    echo "bench: WARNING: host mismatch, no delta table. Committed numbers come from"
+    echo "  [$(host_of "$OLD_JSON")], this run from [$(host_of BENCH_engine.json)];"
+    echo "  rates from different hosts are not comparable."
+elif [ "$HAVE_OLD" = 1 ]; then
     echo
     echo "delta vs committed BENCH_engine.json (HEAD):"
     awk -F'"' '
