@@ -298,7 +298,9 @@ fn main() {
                             }
                         });
                     }
-                    system.ingest(&mut consumer);
+                    system
+                        .ingest(&mut consumer)
+                        .expect("in-slice records, no cuts");
                 });
                 system.stats()
             });

@@ -31,12 +31,14 @@
 //! panics or silently wrong state.
 //!
 //! The on-disk recovery protocol of the `catd` front-end pairs the
-//! checkpoint image with a bounded **trace log**: every merged batch is
-//! appended (and synced) to the log *before* it is processed, and taking
-//! a checkpoint rotates the log. Crash recovery
-//! ([`resume_from_dir`]) restores the newest image, then replays the
-//! log tail past the checkpoint position — the rename-then-reset window
-//! is covered by skipping the records the image already contains.
+//! checkpoint image with a bounded **trace log**: the system drain
+//! (`MemorySystem::drain`, the one loop behind live ingestion) appends
+//! every merged batch and stream cut to the log, and syncs it, *before*
+//! processing it, and taking a checkpoint rotates the log. Crash recovery
+//! ([`resume_from_dir`]) restores the newest image, then runs the log's
+//! tail past the checkpoint position through that same drain — the
+//! rename-then-reset window is covered by skipping, in stream order,
+//! exactly the records and cut markers the image already contains.
 
 use std::fs;
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -45,10 +47,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use cat_core::{StateError, StateReader};
 
-use crate::ingest::{IngestConsumer, IngestEvent};
+use crate::ingest::IngestEvent;
 use crate::shard::Bucketer;
-use crate::wire::{pack_record, unpack_record, MAX_SPEC_LEN};
-use crate::{BankEngine, BatchOutcome, MemorySystem};
+use crate::wire::{bad, check_records, pack_record, unpack_record, MAX_SPEC_LEN};
+use crate::{BankEngine, MemorySystem};
 
 /// Checkpoint image magic, the first four bytes of every image
 /// ("CAT Checkpoint").
@@ -105,12 +107,6 @@ const LOG_HEADER_BYTES: u64 = 4 + 2 + 8 + 8;
 /// one marker word, so log replay reproduces the epoch boundaries at the
 /// exact stream positions they fired.
 const CUT_MARKER: u64 = u32::MAX as u64;
-/// Records per [`MemorySystem::process`] call during log replay.
-const REPLAY_CHUNK: usize = 1 << 16;
-
-fn bad(message: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, message.into())
-}
 
 fn state_err(e: StateError) -> io::Error {
     let kind = match e {
@@ -253,14 +249,20 @@ fn put_header(buf: &mut Vec<u8>) {
 }
 
 fn read_header(r: &mut ByteReader<'_>) -> io::Result<()> {
-    let magic = r.take(4, "magic")?;
-    if magic != CHECKPOINT_MAGIC {
-        return Err(bad(format!("bad checkpoint magic {magic:02x?}")));
+    read_magic(r, "checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+}
+
+/// Checks a `what` header's magic and format version — the image's and
+/// the trace log's.
+fn read_magic(r: &mut ByteReader<'_>, what: &str, magic: [u8; 4], version: u16) -> io::Result<()> {
+    let got = r.take(4, "magic")?;
+    if got != magic {
+        return Err(bad(format!("bad {what} magic {got:02x?}")));
     }
-    let version = r.u16("version")?;
-    if version != CHECKPOINT_VERSION {
+    let got = r.u16("version")?;
+    if got != version {
         return Err(bad(format!(
-            "checkpoint version {version}, this build reads {CHECKPOINT_VERSION}"
+            "{what} version {got}, this build reads {version}"
         )));
     }
     Ok(())
@@ -773,10 +775,11 @@ fn write_checkpoint_file(dir: &Path, image: &[u8]) -> io::Result<()> {
 }
 
 /// The append-only record log pairing a checkpoint image: `CATL` magic +
-/// version + the global access position of the first record, then raw
-/// packed records ([`pack_record`] layout). Batches are appended and
-/// synced *before* they are processed, so after a crash the log always
-/// covers everything the engine state could contain.
+/// version + the access position and epoch count it starts at, then
+/// 8-byte words, each a packed record ([`pack_record`] layout) or a
+/// [`CUT_MARKER`]. Batches are appended and synced *before* they are
+/// processed, so after a crash the log always covers everything the
+/// engine state could contain.
 #[derive(Debug)]
 pub(crate) struct TraceLog {
     file: fs::File,
@@ -795,12 +798,7 @@ impl TraceLog {
         expected_epochs: u64,
     ) -> io::Result<TraceLog> {
         let path = dir.join(TRACE_LOG_FILE);
-        let existing = match fs::OpenOptions::new().read(true).write(true).open(&path) {
-            Ok(f) => Some(f),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
-            Err(e) => return Err(e),
-        };
-        let Some(mut file) = existing else {
+        let Some(mut words) = LogReader::open(&path)? else {
             let mut log = TraceLog {
                 file: fs::File::create(&path)?,
                 buf: Vec::new(),
@@ -808,45 +806,23 @@ impl TraceLog {
             log.write_header(expected_end, expected_epochs)?;
             return Ok(log);
         };
-        let mut header = [0u8; LOG_HEADER_BYTES as usize];
-        file.read_exact(&mut header)
-            .map_err(|e| bad(format!("trace log header: {e}")))?;
-        if header[0..4] != LOG_MAGIC {
-            return Err(bad(format!("bad trace log magic {:02x?}", &header[0..4])));
-        }
-        let version = u16::from_le_bytes([header[4], header[5]]);
-        if version != LOG_VERSION {
-            return Err(bad(format!(
-                "trace log version {version}, this build reads {LOG_VERSION}"
-            )));
-        }
-        let mut base = [0u8; 8];
-        base.copy_from_slice(&header[6..14]);
-        let base = u64::from_le_bytes(base);
-        let len = file.metadata()?.len();
-        let words = (len - LOG_HEADER_BYTES) / 8;
-        // Drop a torn trailing word from a crash mid-append.
-        let whole = LOG_HEADER_BYTES + words * 8;
-        if whole != len {
-            file.set_len(whole)?;
-        }
         // Cut markers occupy words but carry no access, so the position
         // arithmetic counts only record words.
-        file.seek(SeekFrom::Start(LOG_HEADER_BYTES))?;
-        let mut records = 0u64;
-        {
-            let mut r = io::BufReader::new(&file);
-            let mut rec = [0u8; 8];
-            while let Some(word) = read_log_record(&mut r, &mut rec)? {
-                if word != CUT_MARKER {
-                    records += 1;
-                }
-            }
+        let (mut whole, mut records) = (LOG_HEADER_BYTES, 0u64);
+        while let Some(word) = words.next_word()? {
+            whole += 8;
+            records += u64::from(word != CUT_MARKER);
         }
-        if base.saturating_add(records) != expected_end {
+        // Drop a torn trailing word from a crash mid-append.
+        let mut file = fs::OpenOptions::new().write(true).open(&path)?;
+        if whole != file.metadata()?.len() {
+            file.set_len(whole)?;
+        }
+        let end = words.base.saturating_add(records);
+        if end != expected_end {
             return Err(bad(format!(
-                "trace log covers accesses {base}..{}, system is at {expected_end}",
-                base + records
+                "trace log covers accesses {}..{end}, system is at {expected_end}",
+                words.base
             )));
         }
         file.seek(SeekFrom::End(0))?;
@@ -898,119 +874,104 @@ impl TraceLog {
     }
 }
 
-/// Reads one packed record; `Ok(None)` at a clean end **or** a torn
-/// trailing record (a crash mid-append truncates to whole records).
-fn read_log_record(r: &mut impl Read, rec: &mut [u8; 8]) -> io::Result<Option<u64>> {
-    let mut got = 0usize;
-    while got < 8 {
-        let n = r.read(&mut rec[got..])?;
-        if n == 0 {
-            return Ok(None);
-        }
-        got += n;
-    }
-    Ok(Some(u64::from_le_bytes(*rec)))
+/// A trace log opened for reading: its checked header, then its words in
+/// order. The one log parser, behind [`TraceLog::open_for_append`] and
+/// recovery's log replay.
+struct LogReader {
+    words: io::BufReader<fs::File>,
+    base: u64,
+    base_epochs: u64,
 }
 
-/// Replays the trace log tail past the system's current position; returns
-/// the number of records replayed (0 if no log exists).
-fn replay_log(system: &mut MemorySystem, path: &Path) -> io::Result<u64> {
-    let file = match fs::File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
-        Err(e) => return Err(e),
+impl LogReader {
+    /// Opens the log at `path`; `Ok(None)` if there is none.
+    fn open(path: &Path) -> io::Result<Option<LogReader>> {
+        let mut words = match fs::File::open(path) {
+            Ok(f) => io::BufReader::new(f),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        let mut header = [0u8; LOG_HEADER_BYTES as usize];
+        words
+            .read_exact(&mut header)
+            .map_err(|e| bad(format!("trace log header: {e}")))?;
+        let mut r = ByteReader::new(&header);
+        read_magic(&mut r, "trace log", LOG_MAGIC, LOG_VERSION)?;
+        let (base, base_epochs) = (r.u64("log base")?, r.u64("log base epochs")?);
+        Ok(Some(LogReader {
+            words,
+            base,
+            base_epochs,
+        }))
+    }
+
+    /// The next whole word; `Ok(None)` at a clean end **or** a torn
+    /// trailing word (a crash mid-append truncates to whole words).
+    fn next_word(&mut self) -> io::Result<Option<u64>> {
+        let mut word = [0u8; 8];
+        match self.words.read_exact(&mut word) {
+            Ok(()) => Ok(Some(u64::from_le_bytes(word))),
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+}
+
+/// Replays the trace log at `path` past `system`'s restored position
+/// through the system drain; returns the records replayed (0 if there is
+/// no log). The log may start before the image (the rename-then-reset
+/// window of [`TraceLog::reset`]): that overlap is skipped in stream
+/// order and must hold exactly `accesses − base` records and, without an
+/// epoch clock, `epochs − base_epochs` cut markers, or the replay fails
+/// with [`io::ErrorKind::InvalidData`]. A clocked system refuses every
+/// marker.
+fn replay_tail(system: &mut MemorySystem, path: &Path) -> io::Result<u64> {
+    let Some(mut log) = LogReader::open(path)? else {
+        return Ok(0);
     };
-    let mut r = io::BufReader::new(file);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)
-        .map_err(|e| bad(format!("trace log header: {e}")))?;
-    if magic != LOG_MAGIC {
-        return Err(bad(format!("bad trace log magic {magic:02x?}")));
-    }
-    let mut v = [0u8; 2];
-    r.read_exact(&mut v)
-        .map_err(|e| bad(format!("trace log header: {e}")))?;
-    let version = u16::from_le_bytes(v);
-    if version != LOG_VERSION {
+    let (accesses, epochs) = (system.accesses(), system.epochs());
+    if log.base > accesses || log.base_epochs > epochs {
         return Err(bad(format!(
-            "trace log version {version}, this build reads {LOG_VERSION}"
+            "trace log starts at access {} epoch {}, after the checkpoint at {accesses} \
+             epoch {epochs}",
+            log.base, log.base_epochs
         )));
     }
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)
-        .map_err(|e| bad(format!("trace log header: {e}")))?;
-    let base = u64::from_le_bytes(b);
-    r.read_exact(&mut b)
-        .map_err(|e| bad(format!("trace log header: {e}")))?;
-    let base_epochs = u64::from_le_bytes(b);
-    if base > system.accesses() {
-        return Err(bad(format!(
-            "trace log starts at access {base}, after the checkpoint position {}",
-            system.accesses()
-        )));
-    }
-    if base_epochs > system.epochs() {
-        return Err(bad(format!(
-            "trace log starts at epoch {base_epochs}, after the checkpoint epoch {}",
-            system.epochs()
-        )));
-    }
-    // Records (and cut markers) below the checkpoint position are already
-    // inside the image (the log is appended before processing and rotated
-    // after the image rename, so an overlap — never a gap — is the crash
-    // window).
-    let mut skip = system.accesses() - base;
-    let mut skip_cuts = system.epochs() - base_epochs;
+    let mut skip = accesses - log.base;
+    let owed = epochs - log.base_epochs;
+    let mut skip_cuts = system.epoch_length().is_none().then_some(owed);
     let owned = *system.slice();
-    let rows = system.geometry().rows_per_bank;
-    let mut chunk: Vec<(u32, u32)> = Vec::with_capacity(REPLAY_CHUNK);
-    let mut replayed = 0u64;
-    let mut rec = [0u8; 8];
-    while let Some(packed) = read_log_record(&mut r, &mut rec)? {
-        if packed == CUT_MARKER {
-            if skip_cuts > 0 {
-                skip_cuts -= 1;
-                continue;
+    // One event per word past the overlap: a record or a cut.
+    let next = |out: &mut Vec<(u32, u32)>| {
+        while let Some(word) = log.next_word()? {
+            if word == CUT_MARKER {
+                match skip_cuts.as_mut() {
+                    None => return Err(bad("cut marker in the trace log of a clocked system")),
+                    Some(cuts @ 1..) => *cuts -= 1,
+                    Some(_) if skip > 0 => {
+                        return Err(bad("trace log overlap holds more cut markers than epochs"));
+                    }
+                    Some(_) => return Ok(Some(IngestEvent::EpochCut)),
+                }
+            } else if skip > 0 {
+                skip -= 1;
+            } else if skip_cuts > Some(0) {
+                return Err(bad("trace log overlap holds fewer cut markers than epochs"));
+            } else {
+                check_records(&[word], &owned).map_err(|e| bad(format!("trace log {e}")))?;
+                out.push(unpack_record(word));
+                return Ok(Some(IngestEvent::Records(1)));
             }
-            if system.epoch_length().is_some() {
-                return Err(bad(
-                    "cut marker in the trace log of a system with its own epoch clock",
-                ));
-            }
-            if !chunk.is_empty() {
-                system.process(&chunk);
-                chunk.clear();
-            }
-            system.end_epoch();
-            continue;
         }
-        if skip > 0 {
-            skip -= 1;
-            continue;
-        }
-        let (bank, row) = unpack_record(packed);
-        if !owned.contains(bank) || row >= rows {
+        if skip > 0 || skip_cuts > Some(0) {
             return Err(bad(format!(
-                "trace log record (bank {bank}, row {row}) out of range for a \
-                 system owning {owned} with {rows}-row banks"
+                "trace log ends {skip} records and {} cut markers before the checkpoint position",
+                skip_cuts.unwrap_or(0)
             )));
         }
-        chunk.push((bank, row));
-        replayed += 1;
-        if chunk.len() == REPLAY_CHUNK {
-            system.process(&chunk);
-            chunk.clear();
-        }
-    }
-    if skip > 0 {
-        return Err(bad(format!(
-            "trace log ends {skip} records before the checkpoint position"
-        )));
-    }
-    if !chunk.is_empty() {
-        system.process(&chunk);
-    }
-    Ok(replayed)
+        Ok(None)
+    };
+    Ok(system.drain(next, None)?.accesses)
 }
 
 /// Recovers a `catd` session from a checkpoint directory: restores the
@@ -1043,7 +1004,7 @@ pub fn resume_from_dir(system: &mut MemorySystem, dir: &Path) -> io::Result<Reco
         Err(e) if e.kind() == io::ErrorKind::NotFound => {}
         Err(e) => return Err(e),
     }
-    let replayed = replay_log(system, &dir.join(TRACE_LOG_FILE))?;
+    let replayed = replay_tail(system, &dir.join(TRACE_LOG_FILE))?;
     Ok(RecoveredState {
         accesses: system.accesses(),
         epochs: system.epochs(),
@@ -1052,119 +1013,65 @@ pub fn resume_from_dir(system: &mut MemorySystem, dir: &Path) -> io::Result<Reco
     })
 }
 
-/// The checkpointing drain loop behind [`crate::ingest::serve`]: every
-/// merged batch is logged (and synced) before it is processed, batches
-/// are split at epoch cuts, stream-delivered cuts (a router's epoch
-/// clock driving a clockless backend) are persisted as log markers and
-/// applied, and at each cut a checkpoint is published when one is due
-/// ([`CheckpointConfig::every_epochs`]) or a client requested one over
-/// the wire (`requested`, consumed only at a cut so the image is always
-/// cut-consistent). If the stream ends on a cut a final checkpoint is
-/// taken; otherwise the log tail carries the remainder for
-/// [`resume_from_dir`].
-pub(crate) fn drain_with_checkpoints(
-    system: &mut MemorySystem,
-    consumer: &mut IngestConsumer,
-    cfg: &CheckpointConfig,
-    requested: &AtomicBool,
-) -> io::Result<BatchOutcome> {
-    if cfg.every_epochs == 0 {
-        return Err(bad("checkpoint interval of zero epochs"));
-    }
-    fs::create_dir_all(&cfg.dir)?;
-    let mut log = TraceLog::open_for_append(&cfg.dir, system.accesses(), system.epochs())?;
-    let owned = *system.slice();
-    let mut out = BatchOutcome::default();
-    let mut batch: Vec<(u32, u32)> = Vec::new();
-    let mut last_checkpoint: Option<(u64, u64)> = None;
-    loop {
-        batch.clear();
-        match consumer.next_event_into(&mut batch) {
-            None => break,
-            Some(IngestEvent::EpochCut) => {
-                if system.epoch_length().is_some() {
-                    return Err(bad(
-                        "stream epoch cut for a system with its own epoch clock",
-                    ));
-                }
-                log.append_cut()?;
-                system.end_epoch();
-                out.epochs += 1;
-                let asked = requested.swap(false, Ordering::SeqCst);
-                let due = system.epochs().is_multiple_of(cfg.every_epochs);
-                let position = (system.accesses(), system.epochs());
-                if (asked || due) && last_checkpoint != Some(position) {
-                    publish_checkpoint(system, cfg, &mut log)?;
-                    last_checkpoint = Some(position);
-                }
-            }
-            Some(IngestEvent::Records(_)) => {
-                if let Some(&(bank, _)) = batch.iter().find(|&&(bank, _)| !owned.contains(bank)) {
-                    return Err(bad(format!(
-                        "global bank {bank} out of range for a system owning {owned}"
-                    )));
-                }
-                log.append(&batch)?;
-                let mut start = 0usize;
-                while start < batch.len() {
-                    let stop = match system.epoch_length() {
-                        None => batch.len(),
-                        Some(n) => {
-                            let to_cut = n - (system.accesses() % n);
-                            start + to_cut.min((batch.len() - start) as u64) as usize
-                        }
-                    };
-                    out.merge(&system.process(&batch[start..stop]));
-                    start = stop;
-                    let at_cut = match system.epoch_length() {
-                        None => start == batch.len(),
-                        Some(n) => system.accesses().is_multiple_of(n),
-                    };
-                    if !at_cut {
-                        continue;
-                    }
-                    let asked = requested.swap(false, Ordering::SeqCst);
-                    let due = system.epoch_length().is_some()
-                        && system.epochs() > 0
-                        && system.epochs().is_multiple_of(cfg.every_epochs);
-                    let position = (system.accesses(), system.epochs());
-                    if (asked || due) && last_checkpoint != Some(position) {
-                        publish_checkpoint(system, cfg, &mut log)?;
-                        // The rotation truncated the log at the cut, which
-                        // also dropped this batch's still-unprocessed tail —
-                        // re-append it so the write-ahead invariant (the log
-                        // covers every record past the image) holds before
-                        // processing resumes. A crash inside this small
-                        // window recovers consistently at the cut; the
-                        // in-flight tail is lost with the process, like any
-                        // record still in a socket buffer at kill time.
-                        if start < batch.len() {
-                            log.append(&batch[start..])?;
-                        }
-                        last_checkpoint = Some(position);
-                    }
-                }
-            }
-        }
-    }
-    if aligned(system.accesses(), system.epoch_length())
-        && last_checkpoint != Some((system.accesses(), system.epochs()))
-    {
-        publish_checkpoint(system, cfg, &mut log)?;
-    }
-    Ok(out)
+/// The write-ahead log of a checkpointing drain (`DESIGN.md §11`): the
+/// [`TraceLog`] the drain appends every merged batch and stream cut to
+/// before applying it, where and how often images publish, and the flag
+/// a client's [`crate::wire::Frame::Checkpoint`] raises.
+pub(crate) struct Wal<'a> {
+    pub(crate) log: TraceLog,
+    cfg: &'a CheckpointConfig,
+    requested: &'a AtomicBool,
+    /// Position of the last published image: one image per position.
+    published: Option<(u64, u64)>,
 }
 
-/// Publishes one checkpoint: image → tmp file → sync → rename, then log
-/// rotation. Order matters — see [`TraceLog::reset`].
-fn publish_checkpoint(
-    system: &MemorySystem,
-    cfg: &CheckpointConfig,
-    log: &mut TraceLog,
-) -> io::Result<()> {
-    let image = system.checkpoint()?;
-    write_checkpoint_file(&cfg.dir, &image)?;
-    log.reset(system.accesses(), system.epochs())
+impl<'a> Wal<'a> {
+    /// Opens (or creates) `cfg.dir`'s trace log at `system`'s position.
+    pub(crate) fn open(
+        system: &MemorySystem,
+        cfg: &'a CheckpointConfig,
+        requested: &'a AtomicBool,
+    ) -> io::Result<Wal<'a>> {
+        if cfg.every_epochs == 0 {
+            return Err(bad("checkpoint interval of zero epochs"));
+        }
+        fs::create_dir_all(&cfg.dir)?;
+        Ok(Wal {
+            log: TraceLog::open_for_append(&cfg.dir, system.accesses(), system.epochs())?,
+            cfg,
+            requested,
+            published: None,
+        })
+    }
+
+    /// The drain stands at a cut with its stage empty: consume a client
+    /// request, and publish if one was pending or the cut is an epoch
+    /// `boundary` (a clockless batch end is a cut but not a boundary) at
+    /// a multiple of [`CheckpointConfig::every_epochs`]. Returns whether
+    /// an image was published, which rotated the log.
+    pub(crate) fn at_cut(&mut self, system: &MemorySystem, boundary: bool) -> io::Result<bool> {
+        let asked = self.requested.swap(false, Ordering::SeqCst);
+        let due = boundary && system.epochs().is_multiple_of(self.cfg.every_epochs);
+        if !asked && !due {
+            return Ok(false);
+        }
+        self.publish(system)
+    }
+
+    /// Publishes an image at `system`'s position unless it already has
+    /// one or sits off an epoch cut (a stream ending mid-epoch leaves its
+    /// rest in the log): image → tmp file → sync → rename, then log
+    /// rotation. Order matters — see [`TraceLog::reset`].
+    pub(crate) fn publish(&mut self, system: &MemorySystem) -> io::Result<bool> {
+        let position = (system.accesses(), system.epochs());
+        if self.published == Some(position) || !aligned(position.0, system.epoch_length()) {
+            return Ok(false);
+        }
+        write_checkpoint_file(&self.cfg.dir, &system.checkpoint()?)?;
+        self.log.reset(position.0, position.1)?;
+        self.published = Some(position);
+        Ok(true)
+    }
 }
 
 #[cfg(test)]
@@ -1568,7 +1475,7 @@ mod tests {
         reference.process(&trace[..2999]); // torn tail dropped the 3000th
         let mut resumed = fresh();
         resumed.process(&trace[..1000]);
-        let replayed = replay_log(&mut resumed, &path).unwrap();
+        let replayed = replay_tail(&mut resumed, &path).unwrap();
         assert_eq!(replayed, 1999);
         assert_eq!(resumed.accesses(), 2999);
         assert_eq!(resumed.stats(), reference.stats());
@@ -1618,5 +1525,189 @@ mod tests {
         );
         fs::remove_dir_all(&dir).unwrap();
         fs::remove_dir_all(&empty).unwrap();
+    }
+
+    /// One word of a hand-written trace log: the records `trace[a..b]`,
+    /// or a cut marker.
+    enum Word {
+        Records(usize, usize),
+        Cut,
+    }
+
+    #[test]
+    fn forged_log_overlaps_are_refused() {
+        // A clockless stream [0, 2000) cut [2000, 3000) cut [3000, 3500)
+        // cut [3500, 4000) with the image at access 3000, epoch 2. Every log below starts
+        // at access 1000, so records 1000..3000 and the cuts its header
+        // puts ahead of the image are the overlap replay must skip — no
+        // more and no fewer markers than that, in stream order.
+        use Word::{Cut, Records as R};
+        let dir = temp_dir("forged-overlap");
+        let trace = trace(4000);
+        let clockless = || MemorySystem::new(geometry(), spec());
+        let mut reference = clockless();
+        reference.process(&trace[..2000]);
+        reference.end_epoch();
+        reference.process(&trace[2000..3000]);
+        reference.end_epoch();
+        write_checkpoint_file(&dir, &reference.checkpoint().unwrap()).unwrap();
+        reference.process(&trace[3000..3500]);
+        reference.end_epoch();
+        reference.process(&trace[3500..]);
+        let write_log = |base_epochs: u64, words: &[Word]| {
+            let _ = fs::remove_file(dir.join(TRACE_LOG_FILE));
+            let mut log = TraceLog::open_for_append(&dir, 1000, base_epochs).unwrap();
+            for word in words {
+                match *word {
+                    R(a, b) => log.append(&trace[a..b]).unwrap(),
+                    Cut => log.append_cut().unwrap(),
+                }
+            }
+        };
+
+        // The honest log skips both overlap cuts and replays the tail's.
+        write_log(
+            0,
+            &[
+                R(1000, 2000),
+                Cut,
+                R(2000, 3000),
+                Cut,
+                R(3000, 3500),
+                Cut,
+                R(3500, 4000),
+            ],
+        );
+        let mut resumed = clockless();
+        let state = resume_from_dir(&mut resumed, &dir).unwrap();
+        assert_eq!(
+            (state.accesses, state.epochs, state.replayed),
+            (4000, 3, 1000)
+        );
+        assert_eq!(resumed.per_bank_stats(), reference.per_bank_stats());
+
+        let cases = [
+            // Header says two overlap cuts, the log holds one: the spare
+            // budget must not swallow the tail's cut.
+            (
+                "too few markers",
+                0,
+                vec![R(1000, 3000), Cut, R(3000, 3500), Cut, R(3500, 4000)],
+                "fewer",
+            ),
+            // Header says one overlap cut, the log holds two: the second
+            // must not fire an epoch inside the overlap.
+            (
+                "too many markers",
+                1,
+                vec![R(1000, 1500), Cut, R(1500, 2000), Cut, R(2000, 4000)],
+                "more",
+            ),
+            (
+                "a marker past the budget",
+                2,
+                vec![R(1000, 2000), Cut, R(2000, 4000)],
+                "more",
+            ),
+            (
+                "a log ending in the overlap",
+                0,
+                vec![R(1000, 2000), Cut],
+                "ends",
+            ),
+        ];
+        for (what, base_epochs, words, needle) in cases {
+            write_log(base_epochs, &words);
+            let err = resume_from_dir(&mut clockless(), &dir).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+            assert!(err.to_string().contains(needle), "{what}: {err}");
+        }
+
+        // A system with its own epoch clock refuses any marker.
+        let mut clocked = fresh();
+        clocked.process(&trace[..3000]);
+        write_checkpoint_file(&dir, &clocked.checkpoint().unwrap()).unwrap();
+        write_log(1, &[R(1000, 2000), Cut, R(2000, 4000)]);
+        let err = resume_from_dir(&mut fresh(), &dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("clocked"), "{err}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn cut_markers_replay_bit_identically_across_the_rename_then_reset_window() {
+        // A clockless backend whose epochs arrive as stream cuts, logging
+        // through the drain's write-ahead log and publishing every third
+        // epoch: A cut B cut C cut(publish) D cut E, then a record outside
+        // the system kills the drain before it is logged. The log then
+        // holds D, a cut marker, and E past the image.
+        let dir = temp_dir("cut-replay");
+        let trace = trace(3500);
+        let stream: [&[(u32, u32)]; 5] = [
+            &trace[..1000],
+            &trace[1000..2000],
+            &trace[2000..2600],
+            &trace[2600..3100],
+            &trace[3100..],
+        ];
+        let clockless = || MemorySystem::new(geometry(), spec());
+        let cfg = CheckpointConfig {
+            dir: dir.clone(),
+            every_epochs: 3,
+        };
+        let requested = AtomicBool::new(false);
+        let (mut producers, mut consumer) = crate::ingest::IngestQueue::bounded(1, 1 << 12);
+        let mut producer = producers.pop().unwrap();
+        for (k, part) in stream.iter().enumerate() {
+            producer.send(part).unwrap();
+            if k < 4 {
+                producer.send_cut().unwrap();
+            }
+        }
+        producer.send(&[(99, 0)]).unwrap();
+        drop(producer);
+        let mut session = clockless();
+        let mut wal = Wal::open(&session, &cfg, &requested).unwrap();
+        let err = session
+            .drain(|out| Ok(consumer.next_event_into(out)), Some(&mut wal))
+            .unwrap_err();
+        assert!(err.to_string().contains("global bank 99"), "{err}");
+        drop(session);
+
+        // The uninterrupted run, and the images a publish at D's end (a
+        // clockless batch end) or at the cut after it would have renamed
+        // into place just before a crash skipped the log rotation.
+        let mut reference = clockless();
+        let mut images = Vec::new();
+        for (k, part) in stream.iter().enumerate() {
+            reference.process(part);
+            if k == 3 {
+                images.push(reference.checkpoint().unwrap());
+            }
+            if k < 4 {
+                reference.end_epoch();
+            }
+            if k == 3 {
+                images.push(reference.checkpoint().unwrap());
+            }
+        }
+        let own = fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
+        for (image, at, replayed) in [(own, (2600, 3), 900), (images[0].clone(), (3100, 3), 400)]
+            .into_iter()
+            .chain([(images[1].clone(), (3100, 4), 400)])
+        {
+            let mut probe = clockless();
+            probe.restore(&image).unwrap();
+            assert_eq!((probe.accesses(), probe.epochs()), at);
+            write_checkpoint_file(&dir, &image).unwrap();
+            let mut resumed = clockless();
+            let state = resume_from_dir(&mut resumed, &dir).unwrap();
+            assert_eq!(state.replayed, replayed, "image at {at:?}");
+            assert_eq!(resumed.accesses(), reference.accesses(), "image at {at:?}");
+            assert_eq!(resumed.epochs(), reference.epochs(), "image at {at:?}");
+            assert_eq!(resumed.stats(), reference.stats(), "image at {at:?}");
+            assert_eq!(resumed.per_bank_stats(), reference.per_bank_stats());
+        }
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,6 +1,10 @@
 //! The multi-producer ingestion front-end: per-producer lock-free SPSC
 //! lanes with a deterministic merge, and the TCP server loop (`catd`)
-//! that feeds them from [`wire`]-framed socket connections.
+//! that feeds them from [`wire`]-framed socket connections. [`serve`]
+//! and the fleet router's [`crate::router::serve`] run one session
+//! skeleton (accept and handshake, one reader thread per connection,
+//! drain, join, stats reply); `serve` drains into the system through
+//! the same loop as [`MemorySystem::ingest`].
 //!
 //! This is the layer that turns `cat-engine` from a library you call into
 //! a service you stream at — the memory-controller deployment model the
@@ -64,8 +68,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{JoinHandle, Thread};
 
-use crate::checkpoint::{drain_with_checkpoints, CheckpointConfig};
-use crate::wire::{self, Frame, FrameHeader, ServerHello, StatsSnapshot};
+use crate::checkpoint::{CheckpointConfig, Wal};
+use crate::wire::{self, bad, Frame, FrameHeader, ServerHello, StatsSnapshot};
 use crate::{BatchOutcome, GeometrySlice, MemorySystem};
 
 /// Batch-descriptor flag bit marking an epoch-cut event instead of a
@@ -150,92 +154,57 @@ struct Lane {
     batch_head: AtomicU64,
     /// The producer handle is gone; no further descriptors or records.
     finished: AtomicBool,
-    /// The producer is parked (or committed to parking) on a full ring.
-    producer_parked: AtomicBool,
-    /// The parked producer's thread handle. Off the fast path: touched
-    /// only around an actual park/unpark, never per record.
-    parked_producer: Mutex<Option<Thread>>, // lock-order: parked_producer
-}
-
-impl Lane {
-    /// Parks the producer until woken, with the lost-wakeup guard: the
-    /// parked flag is raised first, `ready` is re-checked after, and only
-    /// then does the thread park. `SeqCst` totally orders the flag raise
-    /// against the waker's publication, so either the re-check sees the
-    /// publication or the waker sees the flag (and the unpark permit
-    /// covers the remaining park-vs-unpark race). Spurious returns are
-    /// fine — every caller re-checks in a loop.
-    fn park_producer(&self, ready: impl Fn() -> bool) {
-        // Registry locks tolerate poison throughout: they hold no invariant
-        // beyond their `Option`, and the `Drop` impls must be able to wake
-        // waiters even while another thread unwinds.
-        *self
-            .parked_producer
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(std::thread::current());
-        self.producer_parked.store(true, Ordering::SeqCst);
-        if ready() {
-            self.producer_parked.store(false, Ordering::SeqCst);
-            return;
-        }
-        std::thread::park();
-        self.producer_parked.store(false, Ordering::SeqCst);
-    }
-
-    /// Unparks the lane's producer if it is parked (or committing to
-    /// park). Callers publish with a `SeqCst` store first; the cheap
-    /// flag load keeps the un-contended fast path mutex-free.
-    fn wake_producer(&self) {
-        if self.producer_parked.load(Ordering::SeqCst)
-            && self.producer_parked.swap(false, Ordering::SeqCst)
-        {
-            let waiter = self
-                .parked_producer
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take();
-            if let Some(thread) = waiter {
-                thread.unpark();
-            }
-        }
-    }
+    /// Where the producer parks on a full ring.
+    producer: Parker,
 }
 
 struct Shared {
     lanes: Box<[Lane]>,
     /// The consumer is gone; further sends would wait forever.
     closed: AtomicBool,
-    /// The consumer is parked (or committed to parking) on empty lanes.
-    consumer_parked: AtomicBool,
-    /// The parked consumer's thread handle (see `Lane::parked_producer`).
-    parked_consumer: Mutex<Option<Thread>>, // lock-order: parked_consumer
+    /// Where the consumer parks on empty lanes.
+    consumer: Parker,
 }
 
-impl Shared {
-    /// Parks the consumer until a producer publishes; the mirror image of
-    /// [`Lane::park_producer`], with the same lost-wakeup guard.
-    fn park_consumer(&self, ready: impl Fn() -> bool) {
-        *self
-            .parked_consumer
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(std::thread::current());
-        self.consumer_parked.store(true, Ordering::SeqCst);
+/// One side's parking spot: a parked flag plus the parked thread's handle.
+/// The handle's mutex is off the fast path: touched only around an actual
+/// park/unpark, never per record.
+#[derive(Default)]
+struct Parker {
+    /// The thread is parked (or committed to parking).
+    parked: AtomicBool,
+    thread: Mutex<Option<Thread>>, // lock-order: parked_thread
+}
+
+impl Parker {
+    /// Parks the calling thread until woken, with the lost-wakeup guard:
+    /// the parked flag is raised first, `ready` is re-checked after, and
+    /// only then does the thread park. `SeqCst` totally orders the flag
+    /// raise against the waker's publication, so either the re-check sees
+    /// the publication or the waker sees the flag (and the unpark permit
+    /// covers the remaining park-vs-unpark race). Spurious returns are
+    /// fine — every caller re-checks in a loop.
+    fn park(&self, ready: impl Fn() -> bool) {
+        // Registry locks tolerate poison throughout: they hold no invariant
+        // beyond their `Option`, and the `Drop` impls must be able to wake
+        // waiters even while another thread unwinds.
+        *self.thread.lock().unwrap_or_else(PoisonError::into_inner) = Some(std::thread::current());
+        self.parked.store(true, Ordering::SeqCst);
         if ready() {
-            self.consumer_parked.store(false, Ordering::SeqCst);
+            self.parked.store(false, Ordering::SeqCst);
             return;
         }
         std::thread::park();
-        self.consumer_parked.store(false, Ordering::SeqCst);
+        self.parked.store(false, Ordering::SeqCst);
     }
 
-    /// Unparks the consumer if it is parked (or committing to park); the
-    /// mirror image of [`Lane::wake_producer`].
-    fn wake_consumer(&self) {
-        if self.consumer_parked.load(Ordering::SeqCst)
-            && self.consumer_parked.swap(false, Ordering::SeqCst)
-        {
+    /// Unparks the thread if it is parked (or committing to park). Callers
+    /// publish with a `SeqCst` store first; the cheap flag load keeps the
+    /// un-contended fast path mutex-free.
+    fn wake(&self) {
+        if self.parked.load(Ordering::SeqCst) && self.parked.swap(false, Ordering::SeqCst) {
             let waiter = self
-                .parked_consumer
+                .thread
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .take();
@@ -315,15 +284,13 @@ impl IngestQueue {
                 batch_tail: AtomicU64::new(0),
                 batch_head: AtomicU64::new(0),
                 finished: AtomicBool::new(false),
-                producer_parked: AtomicBool::new(false),
-                parked_producer: Mutex::new(None),
+                producer: Parker::default(),
             })
             .collect();
         let shared = Arc::new(Shared {
             lanes,
             closed: AtomicBool::new(false),
-            consumer_parked: AtomicBool::new(false),
-            parked_consumer: Mutex::new(None),
+            consumer: Parker::default(),
         });
         let handles = (0..producers)
             .map(|id| IngestProducer {
@@ -411,12 +378,12 @@ impl IngestProducer {
             if tail - head < lane.batches.len() as u64 {
                 ring_store(&lane.batches, lane.batch_mask, tail, desc);
                 lane.batch_tail.store(tail + 1, Ordering::SeqCst);
-                self.shared.wake_consumer();
+                self.shared.consumer.wake();
                 let seq = self.sent;
                 self.sent += 1;
                 return Ok(seq);
             }
-            lane.park_producer(|| {
+            lane.producer.park(|| {
                 self.shared.closed.load(Ordering::SeqCst)
                     || lane.batch_head.load(Ordering::SeqCst) != head
             });
@@ -473,7 +440,7 @@ impl IngestProducer {
             let head = lane.head.load(Ordering::SeqCst);
             let free = lane.capacity - (tail - head);
             if free == 0 {
-                lane.park_producer(|| {
+                lane.producer.park(|| {
                     self.shared.closed.load(Ordering::SeqCst)
                         || lane.head.load(Ordering::SeqCst) != head
                 });
@@ -485,7 +452,7 @@ impl IngestProducer {
                 .min(lane.slots.len() - start);
             store(&lane.slots[start..start + take], written, take);
             lane.tail.store(tail + take as u64, Ordering::SeqCst);
-            self.shared.wake_consumer();
+            self.shared.consumer.wake();
             written += take;
         }
         Ok(())
@@ -500,7 +467,7 @@ impl Drop for IngestProducer {
     fn drop(&mut self) {
         let lane = &self.shared.lanes[self.id];
         lane.finished.store(true, Ordering::SeqCst);
-        self.shared.wake_consumer();
+        self.shared.consumer.wake();
     }
 }
 
@@ -515,8 +482,8 @@ impl IngestConsumer {
     /// Appends the next *record batch* in `(sequence, producer)` order to
     /// `out`, blocking until it is available; returns `false` once every
     /// producer has finished and drained. This is the record-only view of
-    /// the stream: epoch-cut events are skipped. Event-aware drains
-    /// (`MemorySystem::ingest`, the checkpointing loop) use
+    /// the stream: epoch-cut events are skipped. The event-aware system
+    /// drain behind [`MemorySystem::ingest`] uses
     /// [`next_event_into`](Self::next_event_into) instead.
     pub fn next_batch_into(&mut self, out: &mut Vec<(u32, u32)>) -> bool {
         loop {
@@ -553,7 +520,7 @@ impl IngestConsumer {
                     IngestEvent::Records(out.len() - before)
                 };
                 lane.batch_head.store(head + 1, Ordering::SeqCst);
-                lane.wake_producer();
+                lane.producer.wake();
                 self.turn = (self.turn + 1) % lanes;
                 return Some(event);
             }
@@ -569,7 +536,7 @@ impl IngestConsumer {
             }
             // The lane is empty but live: wait for it — no reordering
             // around a lagging producer.
-            self.shared.park_consumer(|| {
+            self.shared.consumer.park(|| {
                 lane.batch_tail.load(Ordering::SeqCst) != head
                     || lane.finished.load(Ordering::SeqCst)
             });
@@ -603,7 +570,7 @@ impl IngestConsumer {
                 {
                     return; // truncated batch: deliver the prefix
                 }
-                self.shared.park_consumer(|| {
+                self.shared.consumer.park(|| {
                     lane.tail.load(Ordering::SeqCst) != head || lane.finished.load(Ordering::SeqCst)
                 });
                 continue;
@@ -619,7 +586,7 @@ impl IngestConsumer {
             }
             head += avail;
             lane.head.store(head, Ordering::SeqCst);
-            lane.wake_producer();
+            lane.producer.wake();
             remaining -= avail;
         }
     }
@@ -629,7 +596,7 @@ impl Drop for IngestConsumer {
     fn drop(&mut self) {
         self.shared.closed.store(true, Ordering::SeqCst);
         for lane in self.shared.lanes.iter() {
-            lane.wake_producer();
+            lane.producer.wake();
         }
     }
 }
@@ -759,49 +726,101 @@ const READ_CHUNK_RECORDS: usize = 4096;
 ///
 /// [`io::ErrorKind::InvalidInput`] before anything is accepted if
 /// `producers` or `queue_capacity` is zero. Otherwise returns the first
-/// accept/handshake error, or the first connection's protocol error
-/// (out-of-order sequence number, out-of-range bank or row, malformed
-/// frame) after the drain completes. Ingested records are already
-/// reflected in `system` either way.
+/// accept/handshake error, the drain's error (a checkpoint I/O failure,
+/// or an event the system refuses — see [`MemorySystem::ingest`]), or
+/// the first connection's protocol error (out-of-order sequence number,
+/// out-of-range bank or row, malformed frame) after the drain completes.
+/// Ingested records are already reflected in `system` either way.
 pub fn serve(
     listener: &TcpListener,
     system: &mut MemorySystem,
     options: &ServeOptions,
 ) -> io::Result<ServeReport> {
-    check_session_shape(options.producers, options.queue_capacity)?;
-    let hello = ServerHello {
-        geometry: *system.geometry(),
-        slice_start: system.slice().start_bank(),
-        slice_banks: system.slice().banks(),
-        spec: system.spec().to_string(),
-        epoch_len: system.epoch_length(),
-        accesses: system.accesses(),
-        epochs: system.epochs(),
-    };
-    // Phase 1: accept and handshake every connection before spawning any
-    // reader, so a failed handshake aborts cleanly with no thread blocked
-    // on a queue nobody will drain.
-    let connections = accept_producers(listener, options.producers, &hello)?;
-
-    // Phase 2: one reader thread per connection, feeding its ring lane.
-    let (producers, mut consumer) = IngestQueue::bounded(options.producers, options.queue_capacity);
-    let owned = *system.slice();
-    let cuts_allowed = system.epoch_length().is_none();
     // Set by any connection's Checkpoint frame, consumed by the drain at
     // the next epoch cut (so a client-requested image is still
     // cut-consistent). Handed to readers only when checkpointing is on —
     // a None makes the frame a typed refusal instead of a silent no-op.
-    let checkpoint_requested = Arc::new(AtomicBool::new(false));
-    let mut readers: Vec<JoinHandle<io::Result<(TcpStream, bool)>>> =
-        Vec::with_capacity(options.producers);
-    for (stream, producer) in connections.into_iter().zip(producers) {
-        let requested = options
-            .checkpoint
-            .as_ref()
-            .map(|_| Arc::clone(&checkpoint_requested));
+    let requested = Arc::new(AtomicBool::new(false));
+    let ((outcome, snapshot), stats_served) = run_session(
+        listener,
+        (options.producers, options.queue_capacity),
+        options.checkpoint.as_ref().map(|_| &requested),
+        || {
+            let hello = ServerHello {
+                geometry: *system.geometry(),
+                slice_start: system.slice().start_bank(),
+                slice_banks: system.slice().banks(),
+                spec: system.spec().to_string(),
+                epoch_len: system.epoch_length(),
+                accesses: system.accesses(),
+                epochs: system.epochs(),
+            };
+            Ok((hello, system))
+        },
+        |system, consumer| {
+            let mut wal = match &options.checkpoint {
+                Some(cfg) => Some(Wal::open(system, cfg, &requested)?),
+                None => None,
+            };
+            system.drain(|out| Ok(consumer.next_event_into(out)), wal.as_mut())
+        },
+        |system, outcome| {
+            let footprint = system.footprint();
+            let snapshot = StatsSnapshot {
+                accesses: system.accesses(),
+                epochs: system.epochs(),
+                stats: system.stats(),
+                banks: footprint.banks as u64,
+                materialized_banks: footprint.materialized_banks as u64,
+                scheme_bytes: footprint.scheme_bytes as u64,
+            };
+            Ok(((outcome, snapshot), snapshot))
+        },
+    )?;
+    Ok(ServeReport {
+        outcome,
+        snapshot,
+        stats_served,
+    })
+}
+
+/// The session skeleton of both TCP front-ends ([`serve`] and
+/// [`crate::router::serve`]): refuse an impossible shape before anything
+/// opens; `open` the server state and its hello; accept and handshake
+/// every producer before any reader spawns; spawn one reader per
+/// connection, validating against the hello's slice and epoch clock;
+/// `drain` the merge; join the readers; `finish` into the report and the
+/// snapshot every stats requester is sent. A failed drain closes the
+/// queue and joins the readers (which error out of their sockets) before
+/// its error returns; a reader's error outranks a failed `finish`.
+/// Returns the report and the number of snapshots sent.
+pub(crate) fn run_session<S, T, R>(
+    listener: &TcpListener,
+    (producers, queue_capacity): (usize, usize),
+    checkpoint_requested: Option<&Arc<AtomicBool>>,
+    open: impl FnOnce() -> io::Result<(ServerHello, S)>,
+    drain: impl FnOnce(&mut S, &mut IngestConsumer) -> io::Result<T>,
+    finish: impl FnOnce(S, T) -> io::Result<(R, StatsSnapshot)>,
+) -> io::Result<(R, usize)> {
+    let shape = match (producers, queue_capacity) {
+        (0, _) => Err("a session needs at least one producer"),
+        (_, 0) => Err("a session needs a queue capacity of at least one record"),
+        _ => Ok(()),
+    };
+    shape.map_err(|problem| io::Error::new(io::ErrorKind::InvalidInput, problem))?;
+    let (hello, mut state) = open()?;
+    let owned = GeometrySlice::new(hello.geometry, hello.slice_start, hello.slice_banks)
+        .map_err(|e| bad(e.to_string()))?;
+    let cuts_allowed = hello.epoch_len.is_none();
+    let connections = accept_producers(listener, producers, &hello)?;
+
+    let (lanes, mut consumer) = IngestQueue::bounded(producers, queue_capacity);
+    let mut readers: Vec<JoinHandle<io::Result<(TcpStream, bool)>>> = Vec::with_capacity(producers);
+    for (stream, producer) in connections.into_iter().zip(lanes) {
+        let requested = checkpoint_requested.cloned();
         // A failed spawn (resource exhaustion) aborts the session as an
-        // error; already-spawned readers see the queue close when `consumer`
-        // drops below and error out of their sockets.
+        // error; already-spawned readers see the queue close when
+        // `consumer` drops and error out of their sockets.
         readers.push(
             std::thread::Builder::new()
                 .name(format!("catd-reader-{}", producer.id()))
@@ -809,52 +828,22 @@ pub fn serve(
         );
     }
 
-    // Phase 3: drain the deterministic merge into the system — through
-    // the logging/checkpointing loop when durability is configured.
-    let outcome = match &options.checkpoint {
-        None => system.ingest(&mut consumer),
-        Some(cfg) => {
-            match drain_with_checkpoints(system, &mut consumer, cfg, &checkpoint_requested) {
-                Ok(outcome) => outcome,
-                Err(e) => {
-                    // A dead drain (disk full, corrupt log) must not leave
-                    // readers parked on full lanes: close the queue, let
-                    // them error out of their sockets, and report the
-                    // drain's error — the session is already failing.
-                    drop(consumer);
-                    for reader in readers {
-                        let _ = reader.join();
-                    }
-                    return Err(e);
-                }
+    let drained = match drain(&mut state, &mut consumer) {
+        Ok(drained) => drained,
+        Err(e) => {
+            drop(consumer);
+            for reader in readers {
+                let _ = reader.join();
             }
+            return Err(e);
         }
     };
 
-    // Phase 4: join the readers and answer the stats requesters.
-    let footprint = system.footprint();
-    let snapshot = StatsSnapshot {
-        accesses: system.accesses(),
-        epochs: system.epochs(),
-        stats: system.stats(),
-        banks: footprint.banks as u64,
-        materialized_banks: footprint.materialized_banks as u64,
-        scheme_bytes: footprint.scheme_bytes as u64,
-    };
-    let mut stats_served = 0;
+    let mut streams = Vec::with_capacity(producers);
     let mut first_error = None;
     for reader in readers {
         match reader.join() {
-            Ok(Ok((mut stream, wants_stats))) => {
-                if wants_stats {
-                    let sent =
-                        wire::write_stats(&mut stream, &snapshot).and_then(|()| stream.flush());
-                    match sent {
-                        Ok(()) => stats_served += 1,
-                        Err(e) => first_error = first_error.or(Some(e)),
-                    }
-                }
-            }
+            Ok(Ok(done)) => streams.push(done),
             Ok(Err(e)) => first_error = first_error.or(Some(e)),
             // A panicking reader is a bug, but it must not take the serve
             // loop (and every other connection's stats reply) down with it.
@@ -863,38 +852,31 @@ pub fn serve(
             }
         }
     }
+    let (report, snapshot) = match finish(state, drained) {
+        Ok(finished) => finished,
+        Err(e) => return Err(first_error.unwrap_or(e)),
+    };
+    let mut stats_served = 0;
+    for (mut stream, wants_stats) in streams {
+        if wants_stats {
+            match wire::write_stats(&mut stream, &snapshot).and_then(|()| stream.flush()) {
+                Ok(()) => stats_served += 1,
+                Err(e) => first_error = first_error.or(Some(e)),
+            }
+        }
+    }
     match first_error {
         Some(e) => Err(e),
-        None => Ok(ServeReport {
-            outcome,
-            snapshot,
-            stats_served,
-        }),
+        None => Ok((report, stats_served)),
     }
-}
-
-/// Refuses a session that could never run — no producer connection, or
-/// lanes that buffer no record — with [`io::ErrorKind::InvalidInput`].
-/// Shared by [`serve`] and [`crate::router::serve`], which call it before
-/// they accept or connect anything.
-pub(crate) fn check_session_shape(producers: usize, queue_capacity: usize) -> io::Result<()> {
-    let problem = if producers == 0 {
-        "a session needs at least one producer"
-    } else if queue_capacity == 0 {
-        "a session needs a queue capacity of at least one record"
-    } else {
-        return Ok(());
-    };
-    Err(io::Error::new(io::ErrorKind::InvalidInput, problem))
 }
 
 /// Accepts and handshakes exactly `producers` connections, returning the
 /// streams in producer-id order. Each client *claims* its producer id
 /// (merge tie-break rank) in its hello — lane assignment must follow the
 /// client-side deal, not the racy TCP accept order — and a session's ids
-/// must form a permutation of `0..producers`. Shared by [`serve`] and the
-/// router tier ([`crate::router::serve`]).
-pub(crate) fn accept_producers(
+/// must form a permutation of `0..producers`.
+fn accept_producers(
     listener: &TcpListener,
     producers: usize,
     hello: &ServerHello,
@@ -904,16 +886,12 @@ pub(crate) fn accept_producers(
         let (mut stream, peer) = listener.accept()?;
         let id = wire::read_client_hello(&mut stream)? as usize;
         let slot = connections.get_mut(id).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{peer} claimed producer id {id}, session has {producers} producers"),
-            )
+            bad(format!(
+                "{peer} claimed producer id {id}, session has {producers} producers"
+            ))
         })?;
         if slot.is_some() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{peer} claimed producer id {id} twice"),
-            ));
+            return Err(bad(format!("{peer} claimed producer id {id} twice")));
         }
         wire::write_server_hello(&mut stream, hello)?;
         *slot = Some(stream);
@@ -933,7 +911,7 @@ pub(crate) fn accept_producers(
 /// own epoch boundaries) stream epoch cuts are refused **here, at the
 /// connection**: a misrouted client errors its own socket instead of
 /// corrupting the shared drain.
-pub(crate) fn read_connection(
+fn read_connection(
     stream: TcpStream,
     mut producer: IngestProducer,
     owned: GeometrySlice,
@@ -941,7 +919,7 @@ pub(crate) fn read_connection(
     checkpoint_requested: Option<Arc<AtomicBool>>,
 ) -> io::Result<(TcpStream, bool)> {
     let peer = producer.id();
-    let rows = owned.geometry().rows_per_bank;
+    let closed = |e: QueueClosed| io::Error::new(io::ErrorKind::BrokenPipe, e);
     let mut reader = BufReader::new(stream);
     let mut expected_seq = 0u64;
     let mut wants_stats = false;
@@ -951,43 +929,28 @@ pub(crate) fn read_connection(
     let mut payload = Vec::new();
     let mut packed = Vec::new();
     loop {
-        match wire::read_frame_header(&mut reader)? {
-            FrameHeader::Records { seq, count } => {
-                if seq != expected_seq {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("producer {peer}: sequence {seq}, expected {expected_seq}"),
-                    ));
-                }
-                expected_seq += 1;
-                producer
-                    .begin_batch(count as usize)
-                    .map_err(|e| io::Error::new(io::ErrorKind::BrokenPipe, e))?;
+        let header = wire::read_frame_header(&mut reader)?;
+        // Record batches and cuts share one gapless sequence space.
+        if let FrameHeader::Records { seq, .. } | FrameHeader::EpochCut { seq } = header {
+            if seq != expected_seq {
+                return Err(bad(format!(
+                    "producer {peer}: sequence {seq}, expected {expected_seq}"
+                )));
+            }
+            expected_seq += 1;
+        }
+        match header {
+            FrameHeader::Records { count, .. } => {
+                producer.begin_batch(count as usize).map_err(closed)?;
                 let mut remaining = count as usize;
                 while remaining > 0 {
                     let take = remaining.min(READ_CHUNK_RECORDS);
                     wire::read_packed_records(&mut reader, &mut payload, &mut packed, take)?;
-                    // Both coordinates are checked here, at the connection:
-                    // the schemes downstream assert on out-of-range rows
-                    // (e.g. the counter-cache bounds check), and a panic on
-                    // the shared drain thread would take the whole session
-                    // down instead of just this socket.
-                    if let Some(&offending) = packed.iter().find(|&&p| {
-                        let (bank, row) = wire::unpack_record(p);
-                        !owned.contains(bank) || row >= rows
-                    }) {
-                        let (bank, row) = wire::unpack_record(offending);
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!(
-                                "producer {peer}: record (bank {bank}, row {row}) out of range \
-                                 for a backend owning {owned} with {rows}-row banks"
-                            ),
-                        ));
-                    }
-                    producer
-                        .write_packed(&packed)
-                        .map_err(|e| io::Error::new(io::ErrorKind::BrokenPipe, e))?;
+                    // Both coordinates are checked here, at the connection,
+                    // so a bad record errors this socket, not the drain.
+                    wire::check_records(&packed, &owned)
+                        .map_err(|e| bad(format!("producer {peer}: {e}")))?;
+                    producer.write_packed(&packed).map_err(closed)?;
                     remaining -= take;
                 }
             }
@@ -1005,26 +968,14 @@ pub(crate) fn read_connection(
                     ));
                 }
             },
-            FrameHeader::EpochCut { seq } => {
-                if seq != expected_seq {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("producer {peer}: sequence {seq}, expected {expected_seq}"),
-                    ));
-                }
-                expected_seq += 1;
+            FrameHeader::EpochCut { .. } => {
                 if !cuts_allowed {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "producer {peer}: stream epoch cut, but the server fires its \
-                             own epoch boundaries"
-                        ),
-                    ));
+                    return Err(bad(format!(
+                        "producer {peer}: stream epoch cut, but the server fires its \
+                         own epoch boundaries"
+                    )));
                 }
-                producer
-                    .send_cut()
-                    .map_err(|e| io::Error::new(io::ErrorKind::BrokenPipe, e))?;
+                producer.send_cut().map_err(closed)?;
             }
         }
     }

@@ -14,7 +14,7 @@
 //!
 //! The router owns the **epoch clock**. Backends run clockless (their
 //! handshake must advertise no epoch length) and receive
-//! [`wire::Frame::EpochCut`] at every global epoch boundary — either
+//! [`crate::wire::Frame::EpochCut`] at every global epoch boundary — either
 //! counted off by the router's own `epoch_len` or forwarded from the
 //! client stream. Every backend gets every cut, at the exact record
 //! position the single-host system would have cut, so per-backend epoch
@@ -35,13 +35,10 @@
 
 use std::io;
 use std::net::{TcpListener, ToSocketAddrs};
-use std::thread::JoinHandle;
 
-use crate::ingest::{
-    accept_producers, check_session_shape, read_connection, IngestClient, IngestEvent, IngestQueue,
-};
-use crate::wire::{self, ServerHello, StatsSnapshot};
-use crate::{GeometrySlice, Partition};
+use crate::ingest::{run_session, IngestClient, IngestEvent};
+use crate::wire::{bad, ServerHello, StatsSnapshot};
+use crate::{epoch_cuts, MemorySystem, Partition};
 
 use cat_core::SchemeStats;
 
@@ -56,15 +53,17 @@ pub struct RouterOptions {
     pub queue_capacity: usize,
     /// The router's epoch clock: `Some(n)` cuts every backend after every
     /// `n` records of the merged stream (and refuses client cuts); `None`
-    /// runs clockless and forwards client [`wire::Frame::EpochCut`]s.
+    /// runs clockless and forwards client [`crate::wire::Frame::EpochCut`]s.
     pub epoch_len: Option<u64>,
     /// Connection attempts per backend ([`IngestClient::connect_with_retry`]):
     /// a fleet usually starts all at once, so the router must tolerate
     /// backends that have not bound their listeners yet.
     pub connect_attempts: u32,
-    /// Records buffered per backend before a flush becomes a wire frame.
-    pub flush_records: usize,
 }
+
+/// Records buffered per backend before a flush becomes a wire frame: a
+/// backend's staging capacity, so one frame fills one staging flush.
+const FLUSH_RECORDS: usize = MemorySystem::DEFAULT_STREAM_CAPACITY;
 
 impl Default for RouterOptions {
     fn default() -> Self {
@@ -73,7 +72,6 @@ impl Default for RouterOptions {
             queue_capacity: 1 << 16,
             epoch_len: None,
             connect_attempts: 30,
-            flush_records: 8192,
         }
     }
 }
@@ -91,10 +89,6 @@ pub struct RouterReport {
     pub stats_served: usize,
 }
 
-fn bad(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
 /// Splits a record stream across the backends of a [`Partition`] — the
 /// fleet scatter stage described in the [module docs](self). Drive it
 /// with [`scatter`](Self::scatter) (+ [`cut`](Self::cut) when clockless),
@@ -103,14 +97,10 @@ fn bad(msg: String) -> io::Error {
 pub struct IngestRouter {
     partition: Partition,
     backends: Vec<IngestClient>,
-    /// Per-backend scatter buffers, flushed at `flush_records`, epoch
+    /// Per-backend scatter buffers, flushed at [`FLUSH_RECORDS`], epoch
     /// cuts, and session end.
     pending: Vec<Vec<(u32, u32)>>,
-    flush_records: usize,
     epoch_len: Option<u64>,
-    /// Records until the next clock-driven cut (meaningful only with
-    /// `epoch_len: Some`; kept ≥ 1 between calls).
-    until_cut: u64,
     accesses: u64,
     epochs: u64,
     /// Fleet position when the session opened (summed/agreed from the
@@ -160,7 +150,7 @@ impl IngestRouter {
             )));
         }
         if options.epoch_len == Some(0) {
-            return Err(bad("epoch length 0: use None to run clockless".into()));
+            return Err(bad("epoch length 0: use None to run clockless"));
         }
         let mut clients = Vec::with_capacity(backends.len());
         let mut spec: Option<String> = None;
@@ -220,21 +210,13 @@ impl IngestRouter {
             start_accesses += hello.accesses;
             clients.push(client);
         }
-        let spec = spec.ok_or_else(|| bad("a partition has at least one slice".into()))?;
+        let spec = spec.ok_or_else(|| bad("a partition has at least one slice"))?;
         let start_epochs = start_epochs.unwrap_or(0);
         Ok(IngestRouter {
             pending: (0..partition.len()).map(|_| Vec::new()).collect(),
             partition: partition.clone(),
             backends: clients,
-            flush_records: options.flush_records.max(1),
             epoch_len: options.epoch_len,
-            // A resumed fleet may sit mid-epoch (a replayed trace-log
-            // tail): the first clock-driven cut completes the epoch in
-            // progress, exactly where the single host would have cut.
-            until_cut: match options.epoch_len {
-                Some(len) => len - (start_accesses % len),
-                None => u64::MAX,
-            },
             accesses: 0,
             epochs: 0,
             start_accesses,
@@ -290,11 +272,19 @@ impl IngestRouter {
     /// any backend socket error.
     pub fn scatter(&mut self, records: &[(u32, u32)]) -> io::Result<()> {
         let total_banks = self.partition.geometry().total_banks();
-        let mut rest = records;
-        while !rest.is_empty() {
-            let take = (self.until_cut.min(rest.len() as u64)) as usize;
-            let (part, tail) = rest.split_at(take);
-            for &(bank, row) in part {
+        // The clock runs on the fleet position, so a resumed fleet sitting
+        // mid-epoch (a replayed trace-log tail) first completes the epoch
+        // in progress, exactly where the single host would have cut.
+        let mut cuts = Vec::new();
+        epoch_cuts(
+            records.len(),
+            self.fleet_accesses(),
+            self.epoch_len,
+            &mut cuts,
+        );
+        let mut done = 0;
+        for (i, end) in cuts.iter().copied().chain([records.len()]).enumerate() {
+            for &(bank, row) in &records[done..end] {
                 if bank >= total_banks {
                     return Err(bad(format!(
                         "record (bank {bank}, row {row}) outside the {total_banks}-bank \
@@ -303,20 +293,16 @@ impl IngestRouter {
                 }
                 let id = self.partition.route(bank);
                 self.pending[id].push((bank, row));
-                if self.pending[id].len() >= self.flush_records {
+                if self.pending[id].len() >= FLUSH_RECORDS {
                     self.backends[id].send(&self.pending[id])?;
                     self.pending[id].clear();
                 }
             }
-            self.accesses += take as u64;
-            if self.epoch_len.is_some() {
-                self.until_cut -= take as u64;
-                if self.until_cut == 0 {
-                    self.cut_fleet()?;
-                    self.until_cut = self.epoch_len.unwrap_or(u64::MAX);
-                }
+            self.accesses += (end - done) as u64;
+            done = end;
+            if i < cuts.len() {
+                self.cut_fleet()?;
             }
-            rest = tail;
         }
         Ok(())
     }
@@ -333,13 +319,13 @@ impl IngestRouter {
     pub fn cut(&mut self) -> io::Result<()> {
         if self.epoch_len.is_some() {
             return Err(bad(
-                "stream epoch cut, but the router fires its own epoch boundaries".into(),
+                "stream epoch cut, but the router fires its own epoch boundaries",
             ));
         }
         self.cut_fleet()
     }
 
-    /// Flushes every scatter buffer, then sends [`wire::Frame::EpochCut`]
+    /// Flushes every scatter buffer, then sends [`crate::wire::Frame::EpochCut`]
     /// to **every** backend: each slice cuts at the same global stream
     /// position, keeping per-epoch accounting aligned across the fleet.
     fn cut_fleet(&mut self) -> io::Result<()> {
@@ -440,92 +426,52 @@ pub fn serve<A: ToSocketAddrs>(
     backends: &[A],
     options: &RouterOptions,
 ) -> io::Result<RouterReport> {
-    check_session_shape(options.producers, options.queue_capacity)?;
-    // Backends first: a misconfigured fleet must fail before any client
-    // is accepted (and a slow-starting backend is awaited here, not
-    // mid-stream).
-    let mut router = IngestRouter::connect(partition, backends, options)?;
-    let geometry = *partition.geometry();
-    let owned = GeometrySlice::full(geometry).map_err(|e| bad(e.to_string()))?;
-    let hello = ServerHello {
-        geometry,
-        slice_start: 0,
-        slice_banks: geometry.total_banks(),
-        spec: router.spec().to_string(),
-        epoch_len: options.epoch_len,
-        accesses: router.fleet_accesses(),
-        epochs: router.fleet_epochs(),
-    };
-    let connections = accept_producers(listener, options.producers, &hello)?;
-
-    // One reader per client, exactly as in `ingest::serve`: the same
-    // validation at the connection, the same deterministic merge. Client
-    // cuts are admitted only when the router runs clockless; the router
-    // never checkpoints itself (backends do), so `Checkpoint` frames are
-    // refused with a typed error.
-    let (producers, mut consumer) = IngestQueue::bounded(options.producers, options.queue_capacity);
-    let cuts_allowed = options.epoch_len.is_none();
-    let mut readers: Vec<JoinHandle<io::Result<(std::net::TcpStream, bool)>>> =
-        Vec::with_capacity(options.producers);
-    for (stream, producer) in connections.into_iter().zip(producers) {
-        readers.push(
-            std::thread::Builder::new()
-                .name(format!("catd-router-reader-{}", producer.id()))
-                .spawn(move || read_connection(stream, producer, owned, cuts_allowed, None))?,
-        );
-    }
-
-    // Drain the merge through the scatter stage. A dead backend must not
-    // leave readers parked on full lanes: close the queue, join, report.
-    let mut staged = Vec::new();
-    loop {
-        let step = match consumer.next_event_into(&mut staged) {
-            None => break,
-            Some(IngestEvent::Records(_)) => {
-                let routed = router.scatter(&staged);
-                staged.clear();
-                routed
+    let (mut report, stats_served) = run_session(
+        listener,
+        (options.producers, options.queue_capacity),
+        // The router never checkpoints itself (backends do), so client
+        // `Checkpoint` frames are refused with a typed error.
+        None,
+        || {
+            // Backends first: a misconfigured fleet must fail before any
+            // client is accepted (and a slow-starting backend is awaited
+            // here, not mid-stream).
+            let router = IngestRouter::connect(partition, backends, options)?;
+            let geometry = *partition.geometry();
+            let hello = ServerHello {
+                geometry,
+                slice_start: 0,
+                slice_banks: geometry.total_banks(),
+                spec: router.spec().to_string(),
+                epoch_len: options.epoch_len,
+                accesses: router.fleet_accesses(),
+                epochs: router.fleet_epochs(),
+            };
+            Ok((hello, router))
+        },
+        |router, consumer| {
+            // Drain the merge through the scatter stage; client cuts
+            // reach here only when the router runs clockless.
+            let mut staged = Vec::new();
+            while let Some(event) = consumer.next_event_into(&mut staged) {
+                match event {
+                    IngestEvent::Records(_) => {
+                        router.scatter(&staged)?;
+                        staged.clear();
+                    }
+                    IngestEvent::EpochCut => router.cut()?,
+                }
             }
-            Some(IngestEvent::EpochCut) => router.cut(),
-        };
-        if let Err(e) = step {
-            drop(consumer);
-            for reader in readers {
-                let _ = reader.join();
-            }
-            return Err(e);
-        }
-    }
-
-    // The merge drained: every reader has returned. Join them, gather the
-    // fleet, and answer the stats requesters with the *merged* snapshot.
-    let mut streams = Vec::new();
-    let mut first_error = None;
-    for reader in readers {
-        match reader.join() {
-            Ok(Ok(done)) => streams.push(done),
-            Ok(Err(e)) => first_error = first_error.or(Some(e)),
-            Err(_panic) => {
-                first_error = first_error.or(Some(io::Error::other("ingest reader panicked")));
-            }
-        }
-    }
-    let mut report = match router.finish_with_stats() {
-        Ok(report) => report,
-        Err(e) => return Err(first_error.unwrap_or(e)),
-    };
-    for (mut stream, wants_stats) in streams {
-        if wants_stats {
-            let sent = wire::write_stats(&mut stream, &report.snapshot)
-                .and_then(|()| io::Write::flush(&mut stream));
-            match sent {
-                Ok(()) => report.stats_served += 1,
-                Err(e) => first_error = first_error.or(Some(e)),
-            }
-        }
-    }
-    match first_error {
-        Some(e) => Err(e),
-        None => Ok(report),
-    }
+            Ok(())
+        },
+        |router, ()| {
+            // Gather the fleet and answer the stats requesters with the
+            // *merged* snapshot.
+            let report = router.finish_with_stats()?;
+            let snapshot = report.snapshot;
+            Ok((report, snapshot))
+        },
+    )?;
+    report.stats_served = stats_served;
+    Ok(report)
 }

@@ -23,6 +23,12 @@
 //! [`SchemeInstance::run`] per bank per segment, with no copy or sort of
 //! its own.
 //!
+//! Event streams — the live ingestion merge ([`MemorySystem::ingest`],
+//! `catd`) and a trace log's tail on recovery — reach the batch path
+//! through one drain: records merge into the staging buffer, stream epoch
+//! cuts fire `end_epoch` in place, and a checkpointing drain logs both
+//! ahead of processing and publishes images at cuts (`DESIGN.md §11`).
+//!
 //! [`with_shards`](MemorySystem::with_shards) decides only where the
 //! replay runs. A shard is an engine slice: one shard replays every engine
 //! on the calling thread; `n` shards refine the engine split to at least
@@ -47,10 +53,14 @@
 //!   `on_epoch_end` at the same point of its own subsequence, whichever
 //!   engine replays it.
 
+use std::io;
+
 use cat_core::{Refreshes, SchemeInstance, SchemeSpec, SchemeStats};
 
+use crate::checkpoint::Wal;
 use crate::ingest::{IngestConsumer, IngestEvent};
 use crate::shard::{self, Bucketer, ShardWorkers};
+use crate::wire::bad;
 use crate::{
     epoch_cuts, AddressMapping, BankEngine, BatchOutcome, EngineFootprint, EngineReport,
     GeometrySlice, MemGeometry, Partition,
@@ -473,62 +483,130 @@ impl MemorySystem {
 
     /// Drains a multi-producer ingestion merge to completion: every batch
     /// the consumer emits is appended straight to the staging buffer in
-    /// merge order ([`IngestConsumer::next_batch_into`] — no intermediate
+    /// merge order ([`IngestConsumer::next_event_into`] — no intermediate
     /// `Vec` per batch), flushing through the cut-aware batch path once
     /// the stage reaches the [stream
-    /// capacity](Self::with_stream_capacity). The flush boundary is
-    /// batch-granular, which the §7 contract makes unobservable. Returns
-    /// the aggregate outcome of everything pushed since the last explicit
-    /// [`flush`](Self::flush), exactly like `flush` itself.
+    /// capacity](Self::with_stream_capacity); an epoch-cut event fires
+    /// [`end_epoch`](Self::end_epoch) at its stream position. The flush
+    /// boundary is batch-granular, which the §7 contract makes
+    /// unobservable. Returns the aggregate outcome of everything pushed
+    /// since the last explicit [`flush`](Self::flush), exactly like
+    /// `flush` itself.
     ///
     /// Blocks until every producer has finished — the deterministic merge
     /// waits for lagging producers rather than reordering around them
-    /// (`DESIGN.md §8`). The TCP front-end ([`crate::ingest::serve`])
-    /// drives this from its accept loop.
+    /// (`DESIGN.md §8`). The TCP front-end ([`crate::ingest::serve`]) and
+    /// crash recovery ([`crate::checkpoint::resume_from_dir`]) run this
+    /// same drain.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a batch contains an out-of-range bank, like
-    /// [`push_decoded`](Self::push_decoded) (the TCP server validates
-    /// records at the connection, before they reach the queue), or if an
-    /// epoch-cut event arrives while the system runs its own access-count
-    /// epoch clock (the wire handshake refuses that mix up front).
-    pub fn ingest(&mut self, consumer: &mut IngestConsumer) -> BatchOutcome {
+    /// [`io::ErrorKind::InvalidData`] if a batch contains a bank outside
+    /// the [owned slice](Self::slice) (the batch is dropped; the TCP
+    /// server refuses such records at the connection), or if an epoch-cut
+    /// event arrives while the system runs its own access-count epoch
+    /// clock (the wire handshake refuses that mix up front).
+    pub fn ingest(&mut self, consumer: &mut IngestConsumer) -> io::Result<BatchOutcome> {
+        self.drain(|out| Ok(consumer.next_event_into(out)), None)
+    }
+
+    /// The one loop that applies an event stream — the live merge or a
+    /// trace-log tail — to the system. With a write-ahead log
+    /// (`DESIGN.md §11`) every batch and stream cut is logged before it
+    /// is applied and images publish at cuts; without one, the stage
+    /// flushes at stream capacity.
+    pub(crate) fn drain(
+        &mut self,
+        mut next: impl FnMut(&mut Vec<(u32, u32)>) -> io::Result<Option<IngestEvent>>,
+        mut wal: Option<&mut Wal<'_>>,
+    ) -> io::Result<BatchOutcome> {
         let owned = self.owned;
         loop {
             let before = self.staged.len();
-            match consumer.next_event_into(&mut self.staged) {
+            match next(&mut self.staged)? {
                 None => break,
                 Some(IngestEvent::EpochCut) => {
+                    if self.epoch_len.is_some() {
+                        return Err(bad(
+                            "stream epoch cut for a system with its own epoch clock",
+                        ));
+                    }
+                    if let Some(wal) = wal.as_deref_mut() {
+                        wal.log.append_cut()?;
+                    }
                     // A router-driven system-wide boundary: everything
                     // staged ahead of it flushes first (end_epoch does
                     // that), then every bank sees on_epoch_end — exactly
                     // where the single-host epoch clock would fire it.
                     self.end_epoch();
                     self.staged_outcome.epochs += 1;
+                    if let Some(wal) = wal.as_deref_mut() {
+                        wal.at_cut(self, true)?;
+                    }
                 }
                 Some(IngestEvent::Records(_)) => {
                     // The push_decoded bank check, hoisted out of the hot
                     // loop (an `all` scan vectorizes; the offending bank
                     // is only located on the failure arm): fail at the
-                    // ingest, not deep inside a later bucketing pass.
+                    // drain, not deep inside a later bucketing pass.
                     let fresh = &self.staged[before..];
-                    assert!(
-                        fresh.iter().all(|&(bank, _)| owned.contains(bank)),
-                        "global bank {} out of range for a system owning {owned}",
-                        fresh
+                    if !fresh.iter().all(|&(bank, _)| owned.contains(bank)) {
+                        let bank = fresh
                             .iter()
                             .map(|&(bank, _)| bank)
                             .find(|&bank| !owned.contains(bank))
-                            .unwrap_or(u32::MAX)
-                    );
-                    if self.staged.len() >= self.stream_capacity {
-                        self.flush_staged();
+                            .unwrap_or(u32::MAX);
+                        self.staged.truncate(before);
+                        return Err(bad(format!(
+                            "global bank {bank} out of range for a system owning {owned}"
+                        )));
+                    }
+                    match wal.as_deref_mut() {
+                        Some(wal) => self.drain_logged(wal, before)?,
+                        None if self.staged.len() >= self.stream_capacity => self.flush_staged(),
+                        None => {}
                     }
                 }
             }
         }
-        self.flush()
+        let out = self.flush();
+        if let Some(wal) = wal {
+            wal.publish(self)?;
+        }
+        Ok(out)
+    }
+
+    /// The logged step of [`drain`](Self::drain) for the batch merged into
+    /// `staged[from..]`: log it, then process the stage cut by cut
+    /// (`crate::epoch_cuts`; without an epoch clock the batch end is the
+    /// cut) and offer each cut to the log. A publish rotates the log past
+    /// the stage's unprocessed rest, so the rest is logged again.
+    fn drain_logged(&mut self, wal: &mut Wal<'_>, from: usize) -> io::Result<()> {
+        wal.log.append(&self.staged[from..])?;
+        if self.staged.len() == from {
+            return Ok(());
+        }
+        let staged = std::mem::take(&mut self.staged);
+        let mut cuts = Vec::new();
+        epoch_cuts(staged.len(), self.accesses, self.epoch_len, &mut cuts);
+        let boundaries = cuts.len();
+        if cuts.last() != Some(&staged.len()) {
+            cuts.push(staged.len());
+        }
+        let mut done = 0;
+        for (i, cut) in cuts.into_iter().enumerate() {
+            let out = self.process_batch(&staged[done..cut]);
+            self.staged_outcome.merge(&out);
+            done = cut;
+            // Without an epoch clock the batch end is the one cut.
+            let is_cut = i < boundaries || self.epoch_len.is_none();
+            if is_cut && wal.at_cut(self, i < boundaries)? && cut < staged.len() {
+                wal.log.append(&staged[cut..])?;
+            }
+        }
+        self.staged = staged;
+        self.staged.clear();
+        Ok(())
     }
 
     /// Flushes the staging buffer and returns the aggregate

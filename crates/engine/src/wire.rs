@@ -60,7 +60,7 @@ use std::io::{self, Read, Write};
 
 use cat_core::SchemeStats;
 
-use crate::MemGeometry;
+use crate::{GeometrySlice, MemGeometry};
 
 /// Protocol magic, first bytes of both hello messages ("CAT wire").
 pub const MAGIC: [u8; 4] = *b"CATW";
@@ -104,7 +104,25 @@ pub fn unpack_record(packed: u64) -> (u32, u32) {
     (packed as u32, (packed >> 32) as u32)
 }
 
-fn bad(message: impl Into<String>) -> io::Error {
+/// Checks packed records against the slice a server owns: every bank
+/// inside `owned`, every row below its banks' row count. The one range
+/// check for records from a peer connection or a trace log: the schemes
+/// downstream assert on out-of-range rows, and a panic on the shared
+/// drain thread would take the whole session down.
+pub(crate) fn check_records(packed: &[u64], owned: &GeometrySlice) -> io::Result<()> {
+    let rows = owned.geometry().rows_per_bank;
+    for (bank, row) in packed.iter().map(|&p| unpack_record(p)) {
+        if !owned.contains(bank) || row >= rows {
+            return Err(bad(format!(
+                "record (bank {bank}, row {row}) out of range for {owned} with {rows}-row banks"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// The crate's typed refusal: an [`io::ErrorKind::InvalidData`] error.
+pub(crate) fn bad(message: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message.into())
 }
 

@@ -200,7 +200,9 @@ fn in_process_queue_matches_flat_engine_across_seeds() {
                             }
                         });
                     }
-                    system.ingest(&mut consumer)
+                    system
+                        .ingest(&mut consumer)
+                        .expect("in-slice records, no cuts")
                 });
                 let label = format!("seed {seed:#x}: {producers} producers × {shards} shards");
                 assert_eq!(outcome.accesses, trace.len() as u64, "{label}");
@@ -391,4 +393,56 @@ fn serve_refuses_zero_queue_capacity_before_accepting() {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
         assert!(err.to_string().contains("queue capacity"), "{err}");
     }
+}
+
+/// `MemorySystem::ingest` over a raw queue refuses what the handshake and
+/// the connection refuse on the served path — a stream cut into a system
+/// running its own epoch clock, a bank outside a fleet backend's slice —
+/// with a typed error, not a panic on the drain thread. The offending
+/// batch is dropped from the stage; everything ahead of it stays applied.
+#[test]
+fn ingest_refuses_foreign_events_with_typed_errors() {
+    let spec = SchemeSpec::Sca {
+        counters: 64,
+        threshold: 512,
+    };
+    let feed = |events: &[Option<&[(u32, u32)]>]| {
+        let (mut handles, consumer) = IngestQueue::bounded(1, 1 << 10);
+        let mut producer = handles.pop().expect("one producer");
+        for event in events {
+            match event {
+                Some(records) => producer.send(records).expect("consumer alive"),
+                None => producer.send_cut().expect("consumer alive"),
+            };
+        }
+        consumer
+    };
+
+    let mut clocked = MemorySystem::new(geometry(), spec).with_epoch_length(EPOCH);
+    let err = clocked
+        .ingest(&mut feed(&[Some(&[(0, 1), (9, 2)]), None]))
+        .unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("own epoch clock"), "{err}");
+    assert_eq!(clocked.accesses() + clocked.pending() as u64, 2);
+    assert_eq!(clocked.epochs(), 0);
+
+    let slice = Partition::uniform(geometry(), 2)
+        .expect("two slices")
+        .slices()[1];
+    let mut backend = MemorySystem::for_slice(&slice, spec);
+    let err = backend
+        .ingest(&mut feed(&[
+            Some(&[(8, 1)]),
+            None,
+            Some(&[(15, 2), (3, 4)]),
+        ]))
+        .unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(
+        err.to_string().contains("global bank 3 out of range"),
+        "{err}"
+    );
+    assert_eq!((backend.accesses(), backend.epochs()), (1, 1));
+    assert_eq!(backend.pending(), 0, "the offending batch left the stage");
 }

@@ -305,9 +305,11 @@ fn killed_backend_resumes_from_its_checkpoint_dir_and_the_differential_holds() {
             "{label}: recovery missed the killed backend's position"
         );
         // A *clean* session end publishes a final image even mid-epoch,
-        // so nothing needs replaying here; the hard-kill path (image +
-        // trace-log tail replay) is exercised by the checkpoint suite
-        // and the tier-1 fleet smoke, which kills a live process.
+        // so nothing needs replaying here. The tier-1 fleet smoke also
+        // ends its first session cleanly, so it replays nothing either;
+        // the hard-kill path (image + a trace-log tail holding stream
+        // cut markers, across the rename-then-reset window) is covered
+        // by the `checkpoint.rs` unit tests in the engine crate.
         assert_eq!(state.replayed, 0, "{label}: unexpected log tail");
         systems.push(recovered);
 
