@@ -17,7 +17,7 @@
 //!   contract);
 //! * `queue-N`      — the socket/queue ingestion front-end minus the
 //!   socket: N producer threads deal the trace round-robin into the
-//!   lock-free per-producer SPSC rings of `IngestQueue`, and
+//!   per-producer bounded lanes of `IngestQueue`, and
 //!   `MemorySystem::ingest` drains the deterministic `(seq, producer)`
 //!   merge chunk-at-a-time through the streaming path. Measures the
 //!   merge + handoff overhead on top of `stream` (the `catd` TCP server
@@ -280,10 +280,9 @@ fn main() {
         for (path, producers) in [("queue-1", 1usize), ("queue-4", 4)] {
             let (rate, stats) = measure(accesses, || {
                 let mut system = MemorySystem::new(&cfg, spec).with_epoch_length(trace.per_epoch);
-                // Ring sized to the deal chunk: each lane is one 64 KiB
-                // slab the producer and consumer alternate over, so the
-                // handoff stays cache-resident instead of rotating
-                // through a cold ring.
+                // Lanes sized to the deal chunk: each batch moves as one
+                // 64 KiB chunk, and a producer holds at most one batch
+                // ahead of the merge, so the handoff stays cache-resident.
                 let (handles, mut consumer) = IngestQueue::bounded(producers, 1 << 13);
                 std::thread::scope(|scope| {
                     for (handle, lane) in

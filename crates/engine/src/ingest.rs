@@ -1,10 +1,10 @@
-//! The multi-producer ingestion front-end: per-producer lock-free SPSC
-//! lanes with a deterministic merge, and the TCP server loop (`catd`)
-//! that feeds them from [`wire`]-framed socket connections. [`serve`]
-//! and the fleet router's [`crate::router::serve`] run one session
-//! skeleton (accept and handshake, one reader thread per connection,
-//! drain, join, stats reply); `serve` drains into the system through
-//! the same loop as [`MemorySystem::ingest`].
+//! The multi-producer ingestion front-end: per-producer bounded lanes
+//! with a deterministic merge, and the TCP server loop (`catd`) that
+//! feeds them from [`wire`]-framed socket connections. [`serve`] and the
+//! fleet router's [`crate::router::serve`] run one session skeleton
+//! (accept and handshake, one reader thread per connection, drain, join,
+//! stats reply); `serve` drains into the system through the same loop as
+//! [`MemorySystem::ingest`].
 //!
 //! This is the layer that turns `cat-engine` from a library you call into
 //! a service you stream at — the memory-controller deployment model the
@@ -14,21 +14,22 @@
 //! staging-flush boundary. How the merge guarantees that is `DESIGN.md
 //! §8`.
 //!
-//! ## The SPSC lanes
+//! ## The lanes
 //!
-//! Each producer owns a **single-producer/single-consumer ring**: a
-//! fixed-capacity slot array of packed records ([`wire::pack_record`] —
-//! the same 8-byte layout the wire carries, so the server's decode is a
-//! store, not a re-encode) plus a small ring of **batch descriptors**
-//! (record counts). Producer and consumer each advance a monotonic
-//! cursor with `SeqCst` atomics; no lock is ever taken on the record
-//! path. The only mutexes in the module guard parked `Thread` handles,
-//! and they are touched exclusively around an actual park/unpark on an
-//! empty-to-nonempty or full-to-nonfull transition.
+//! Each producer owns a **lane**: one `Mutex`-guarded FIFO holding its
+//! begun batches (record counts) and epoch cuts, in sequence order, and
+//! the packed records ([`wire::pack_record`] — the same 8-byte layout the
+//! wire carries, so the server's decode is a store, not a re-encode) as
+//! owned chunks. Every lane operation moves a whole chunk: a producer
+//! takes the lock once to append one, the consumer once to pop one, and
+//! the consumer unpacks outside the lock. Two `Condvar`s per lane carry
+//! the waits: the consumer's for an event or records, the producer's for
+//! room. Each side signals the other only while a flag in the FIFO says
+//! it waits, so a lane in steady state makes no futex wake.
 //!
 //! A batch's descriptor is published **before** its records, and the
-//! records then stream through the ring in free-space-sized chunks — so
-//! a batch larger than the whole ring flows through it instead of
+//! records then stream through the lane in chunks of at most its capacity
+//! — so a batch larger than the whole lane flows through it instead of
 //! deadlocking, and the consumer can start merging a batch while its
 //! producer is still writing it.
 //!
@@ -41,7 +42,7 @@
 //! lagging producer rather than reordering around it, and permanently
 //! skipping producers that have finished. The merged stream is therefore a
 //! pure function of *what each producer sent* — thread scheduling, arrival
-//! interleaving, and ring capacity are all unobservable.
+//! interleaving, and lane capacity are all unobservable.
 //!
 //! A client that wants the merged stream to equal an original trace deals
 //! it round-robin by contiguous chunk ([`deal`]): chunk `k` goes to
@@ -51,10 +52,12 @@
 //!
 //! ## Backpressure
 //!
-//! **Ring-full blocks the producer, never the merge.** A producer whose
-//! ring has no free slot parks in [`IngestProducer::send`] until the
-//! consumer frees space; the consumer never skips or reorders to make
-//! room. In [`serve`] the parked sender is that connection's reader
+//! **Lane-full blocks the producer, never the merge.** A lane buffers at
+//! most `capacity` records and `LANE_EVENTS` descriptors and cuts,
+//! counted apart, so a lane full of records still takes control events. A
+//! producer whose next chunk does not fit waits in [`IngestProducer::send`]
+//! until the consumer frees room; the consumer never skips or reorders to
+//! make room. In [`serve`] the waiting sender is that connection's reader
 //! thread, so the kernel's TCP flow control pushes the stall back to the
 //! remote client — a fast producer cannot balloon the server's memory,
 //! and a slow consumer throttles every connection. The bound is per lane
@@ -62,21 +65,21 @@
 //! batch while every other lane is full: a global bound would deadlock
 //! exactly there.
 
+use std::collections::VecDeque;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::thread::{JoinHandle, Thread};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 
 use crate::checkpoint::{CheckpointConfig, Wal};
 use crate::wire::{self, bad, Frame, FrameHeader, ServerHello, StatsSnapshot};
 use crate::{BatchOutcome, GeometrySlice, MemorySystem};
 
-/// Batch-descriptor flag bit marking an epoch-cut event instead of a
-/// record batch (`DESIGN.md §12`). Record counts are bounded far below
-/// bit 63 ([`wire::MAX_RECORDS_PER_FRAME`] per frame, ring capacities in
-/// the millions), so the flag can never collide with a length.
-const CUT_FLAG: u64 = 1 << 63;
+/// Batch descriptors and epoch cuts one lane buffers before its producer
+/// waits. They are bounded apart from the records, so publishing one
+/// never waits on record room ([module docs](self), Backpressure).
+const LANE_EVENTS: usize = 1024;
 
 /// One event of the merged ingestion stream, in deterministic
 /// `(sequence, producer)` order: a record batch, or an epoch cut a
@@ -91,128 +94,69 @@ pub enum IngestEvent {
     EpochCut,
 }
 
-/// Stores a packed record into the pow2-masked ring slot at monotonic
-/// position `pos`.
-#[inline]
-fn ring_store(ring: &[AtomicU64], mask: u64, pos: u64, value: u64) {
-    // cat-lint: allow(atomic-order) -- payload slots are ordered by the SeqCst cursor publication around them (DESIGN.md §8)
-    ring[(pos & mask) as usize].store(value, Ordering::Relaxed);
+/// One producer's FIFO, guarded by [`Lane::fifo`]. No update panics
+/// midway, so a poisoned lock still guards a consistent FIFO and is taken
+/// over (`PoisonError::into_inner`): the `Drop` impls must finish or close
+/// a lane even while another thread unwinds.
+#[derive(Default)]
+struct Fifo {
+    /// Begun batches (as `Records` of the announced count) and cuts, in
+    /// sequence order.
+    events: VecDeque<IngestEvent>,
+    /// Packed records written and not yet merged, in stream order.
+    chunks: VecDeque<Vec<u64>>,
+    /// Records in `chunks`; never above the queue's capacity.
+    buffered: usize,
+    /// The producer handle is gone; no further events or records.
+    finished: bool,
+    /// The consumer is gone; sends fail instead of waiting forever.
+    closed: bool,
+    /// Per side ([`CONSUMER`], [`PRODUCER`]): that side waits on the lane.
+    waiting: [bool; 2],
 }
 
-/// Loads the packed record at monotonic position `pos`.
-#[inline]
-fn ring_load(ring: &[AtomicU64], mask: u64, pos: u64) -> u64 {
-    // cat-lint: allow(atomic-order) -- payload slots are ordered by the SeqCst cursor publication around them (DESIGN.md §8)
-    ring[(pos & mask) as usize].load(Ordering::Relaxed)
-}
+/// The consumer's index in [`Fifo::waiting`]; it waits on [`Lane::filled`].
+const CONSUMER: usize = 0;
+/// The producer's index in [`Fifo::waiting`]; it waits on [`Lane::drained`].
+const PRODUCER: usize = 1;
 
-/// Stores packed records into a *contiguous* run of ring slots — the
-/// bulk counterpart of [`ring_store`], with no per-record masking or
-/// bounds check (callers split their span at the ring's wrap point).
-#[inline]
-fn span_store(span: &[AtomicU64], values: impl Iterator<Item = u64>) {
-    for (slot, value) in span.iter().zip(values) {
-        // cat-lint: allow(atomic-order) -- payload slots are ordered by the SeqCst cursor publication around them (DESIGN.md §8)
-        slot.store(value, Ordering::Relaxed);
-    }
-}
-
-/// Unpacks a contiguous run of ring slots onto the end of `out` — a
-/// slice-iterator extend, so the `Vec` reserves once and writes straight
-/// through with no per-record masking or bounds check.
-#[inline]
-fn span_extend(span: &[AtomicU64], out: &mut Vec<(u32, u32)>) {
-    out.extend(span.iter().map(|slot| {
-        // cat-lint: allow(atomic-order) -- payload slots are ordered by the SeqCst cursor publication around them (DESIGN.md §8)
-        wire::unpack_record(slot.load(Ordering::Relaxed))
-    }));
-}
-
-/// One producer's SPSC lane. The producer thread owns `tail`/`batch_tail`
-/// (it is the only writer), the consumer owns `head`/`batch_head`; every
-/// cursor is a monotonic count, masked into its ring on access, so
-/// full/empty tests are plain subtractions with no wraparound ambiguity.
+/// One producer's lane. Every acquisition is a `.lock()` on the `fifo`
+/// field itself: the `lock-order` rule resolves receivers by field name
+/// (`DESIGN.md §9`).
+#[derive(Default)]
 struct Lane {
-    /// Packed record slots ([`wire::pack_record`] layout); pow2 length.
-    slots: Box<[AtomicU64]>,
-    /// Index mask for `slots` (`slots.len() - 1`).
-    slot_mask: u64,
-    /// Logical record bound — exactly the capacity the queue was built
-    /// with, which may be less than `slots.len()` (the pow2 rounding).
-    capacity: u64,
-    /// Records written (producer cursor).
-    tail: AtomicU64,
-    /// Records consumed (consumer cursor).
-    head: AtomicU64,
-    /// Record counts of begun batches, in sequence order; pow2 length.
-    batches: Box<[AtomicU64]>,
-    /// Index mask for `batches`.
-    batch_mask: u64,
-    /// Batches begun (producer cursor).
-    batch_tail: AtomicU64,
-    /// Batches fully merged (consumer cursor).
-    batch_head: AtomicU64,
-    /// The producer handle is gone; no further descriptors or records.
-    finished: AtomicBool,
-    /// Where the producer parks on a full ring.
-    producer: Parker,
+    fifo: Mutex<Fifo>, // lock-order: lane
+    /// Signalled when the producer adds an event or records, or finishes.
+    filled: Condvar, // lock-order: lane_filled
+    /// Signalled when the consumer frees room, or closes the queue.
+    drained: Condvar, // lock-order: lane_drained
+}
+
+impl Lane {
+    /// Locks the FIFO and, as `side`, waits until `ready` with its
+    /// [`Fifo::waiting`] flag raised. The other side signals only while
+    /// that flag is up, so a lane nobody waits on costs no futex wake per
+    /// chunk.
+    fn lock_when(&self, side: usize, ready: impl Fn(&Fifo) -> bool) -> MutexGuard<'_, Fifo> {
+        let cv = if side == PRODUCER {
+            &self.drained
+        } else {
+            &self.filled
+        };
+        let mut fifo = self.fifo.lock().unwrap_or_else(PoisonError::into_inner);
+        while !ready(&fifo) {
+            fifo.waiting[side] = true;
+            fifo = cv.wait(fifo).unwrap_or_else(PoisonError::into_inner);
+            fifo.waiting[side] = false;
+        }
+        fifo
+    }
 }
 
 struct Shared {
     lanes: Box<[Lane]>,
-    /// The consumer is gone; further sends would wait forever.
-    closed: AtomicBool,
-    /// Where the consumer parks on empty lanes.
-    consumer: Parker,
-}
-
-/// One side's parking spot: a parked flag plus the parked thread's handle.
-/// The handle's mutex is off the fast path: touched only around an actual
-/// park/unpark, never per record.
-#[derive(Default)]
-struct Parker {
-    /// The thread is parked (or committed to parking).
-    parked: AtomicBool,
-    thread: Mutex<Option<Thread>>, // lock-order: parked_thread
-}
-
-impl Parker {
-    /// Parks the calling thread until woken, with the lost-wakeup guard:
-    /// the parked flag is raised first, `ready` is re-checked after, and
-    /// only then does the thread park. `SeqCst` totally orders the flag
-    /// raise against the waker's publication, so either the re-check sees
-    /// the publication or the waker sees the flag (and the unpark permit
-    /// covers the remaining park-vs-unpark race). Spurious returns are
-    /// fine — every caller re-checks in a loop.
-    fn park(&self, ready: impl Fn() -> bool) {
-        // Registry locks tolerate poison throughout: they hold no invariant
-        // beyond their `Option`, and the `Drop` impls must be able to wake
-        // waiters even while another thread unwinds.
-        *self.thread.lock().unwrap_or_else(PoisonError::into_inner) = Some(std::thread::current());
-        self.parked.store(true, Ordering::SeqCst);
-        if ready() {
-            self.parked.store(false, Ordering::SeqCst);
-            return;
-        }
-        std::thread::park();
-        self.parked.store(false, Ordering::SeqCst);
-    }
-
-    /// Unparks the thread if it is parked (or committing to park). Callers
-    /// publish with a `SeqCst` store first; the cheap flag load keeps the
-    /// un-contended fast path mutex-free.
-    fn wake(&self) {
-        if self.parked.load(Ordering::SeqCst) && self.parked.swap(false, Ordering::SeqCst) {
-            let waiter = self
-                .thread
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take();
-            if let Some(thread) = waiter {
-                thread.unpark();
-            }
-        }
-    }
+    /// Records one lane buffers before its producer waits.
+    capacity: usize,
 }
 
 /// Error returned by [`IngestProducer::send`] once the consumer is gone:
@@ -229,7 +173,7 @@ impl std::fmt::Display for QueueClosed {
 
 impl std::error::Error for QueueClosed {}
 
-/// A bounded multi-producer ingestion queue — per-producer SPSC rings
+/// A bounded multi-producer ingestion queue — one FIFO lane per producer
 /// with the deterministic `(sequence, producer)` merge described in the
 /// [module docs](self).
 ///
@@ -253,13 +197,12 @@ impl std::error::Error for QueueClosed {}
 pub struct IngestQueue;
 
 impl IngestQueue {
-    /// Builds a queue of `producers` SPSC lanes, each bounded at
-    /// `capacity` buffered records, returning the producer handles (index
-    /// = producer id = merge tie-break order) and the single consumer.
-    ///
-    /// The slot ring is sized to the next power of two for mask indexing,
-    /// but the *logical* bound stays exactly `capacity`. Batches larger
-    /// than the capacity stream through the ring chunk by chunk.
+    /// Builds a queue of `producers` lanes, each bounded at exactly
+    /// `capacity` buffered records (plus up to 1 024 batch descriptors and
+    /// cuts, counted apart), returning the producer handles (index =
+    /// producer id = merge tie-break order) and the single consumer.
+    /// Batches larger than the capacity stream through the lane chunk by
+    /// chunk.
     ///
     /// # Panics
     ///
@@ -267,30 +210,9 @@ impl IngestQueue {
     pub fn bounded(producers: usize, capacity: usize) -> (Vec<IngestProducer>, IngestConsumer) {
         assert!(producers >= 1, "at least one producer lane");
         assert!(capacity >= 1, "lanes must buffer records");
-        let slots_len = capacity.next_power_of_two();
-        // Descriptors gate batches, slots gate records: a handful of
-        // in-flight batches per ring-full of records is plenty, and tiny
-        // test queues still get enough to not serialise on descriptors.
-        let batch_len = (slots_len / 8).clamp(8, 1024).next_power_of_two();
-        let lanes: Box<[Lane]> = (0..producers)
-            .map(|_| Lane {
-                slots: (0..slots_len).map(|_| AtomicU64::new(0)).collect(),
-                slot_mask: slots_len as u64 - 1,
-                capacity: capacity as u64,
-                tail: AtomicU64::new(0),
-                head: AtomicU64::new(0),
-                batches: (0..batch_len).map(|_| AtomicU64::new(0)).collect(),
-                batch_mask: batch_len as u64 - 1,
-                batch_tail: AtomicU64::new(0),
-                batch_head: AtomicU64::new(0),
-                finished: AtomicBool::new(false),
-                producer: Parker::default(),
-            })
-            .collect();
         let shared = Arc::new(Shared {
-            lanes,
-            closed: AtomicBool::new(false),
-            consumer: Parker::default(),
+            lanes: (0..producers).map(|_| Lane::default()).collect(),
+            capacity,
         });
         let handles = (0..producers)
             .map(|id| IngestProducer {
@@ -304,9 +226,8 @@ impl IngestQueue {
 }
 
 /// One producer's handle: tags batches with consecutive sequence numbers
-/// and parks when its ring is full. Dropping the handle finishes the
-/// lane. Methods take `&mut self` to enforce the single-producer half of
-/// the SPSC contract in the type system.
+/// and waits when its lane is full. Dropping the handle finishes the
+/// lane. Methods take `&mut self`: one handle is the lane's only writer.
 pub struct IngestProducer {
     shared: Arc<Shared>,
     id: usize,
@@ -321,9 +242,9 @@ impl IngestProducer {
     }
 
     /// Enqueues `records` as this producer's next batch and returns the
-    /// sequence number it was tagged with (0, 1, 2, …). Parks while the
-    /// ring is full; a batch larger than the whole capacity streams
-    /// through the ring chunk by chunk rather than deadlocking.
+    /// sequence number it was tagged with (0, 1, 2, …). Waits while the
+    /// lane is full; a batch larger than the whole capacity streams
+    /// through the lane chunk by chunk rather than deadlocking.
     ///
     /// # Errors
     ///
@@ -340,14 +261,14 @@ impl IngestProducer {
     /// [`write_records`](Self::write_records) /
     /// [`write_packed`](Self::write_packed) — and returns its sequence
     /// number. Descriptor-first publication is what lets a batch larger
-    /// than the ring stream through it, and lets the consumer start
+    /// than the lane stream through it, and lets the consumer start
     /// merging a batch while it is still being written.
     ///
     /// # Errors
     ///
     /// [`QueueClosed`] if the consumer has been dropped.
     pub fn begin_batch(&mut self, len: usize) -> Result<u64, QueueClosed> {
-        self.publish_descriptor(len as u64)
+        self.publish(IngestEvent::Records(len))
     }
 
     /// Publishes an epoch-cut event at this position of the producer's
@@ -359,53 +280,40 @@ impl IngestProducer {
     ///
     /// [`QueueClosed`] if the consumer has been dropped.
     pub fn send_cut(&mut self) -> Result<u64, QueueClosed> {
-        self.publish_descriptor(CUT_FLAG)
+        self.publish(IngestEvent::EpochCut)
     }
 
-    /// The descriptor-publication loop shared by [`begin_batch`]
-    /// (`desc` = record count) and [`send_cut`] (`desc` = [`CUT_FLAG`]).
-    ///
-    /// [`begin_batch`]: Self::begin_batch
-    /// [`send_cut`]: Self::send_cut
-    fn publish_descriptor(&mut self, desc: u64) -> Result<u64, QueueClosed> {
+    /// Appends `event` to the lane, waiting while it holds
+    /// [`LANE_EVENTS`] unmerged events, and assigns its sequence number.
+    fn publish(&mut self, event: IngestEvent) -> Result<u64, QueueClosed> {
         let lane = &self.shared.lanes[self.id];
-        loop {
-            if self.shared.closed.load(Ordering::SeqCst) {
-                return Err(QueueClosed);
-            }
-            let tail = lane.batch_tail.load(Ordering::SeqCst);
-            let head = lane.batch_head.load(Ordering::SeqCst);
-            if tail - head < lane.batches.len() as u64 {
-                ring_store(&lane.batches, lane.batch_mask, tail, desc);
-                lane.batch_tail.store(tail + 1, Ordering::SeqCst);
-                self.shared.consumer.wake();
-                let seq = self.sent;
-                self.sent += 1;
-                return Ok(seq);
-            }
-            lane.producer.park(|| {
-                self.shared.closed.load(Ordering::SeqCst)
-                    || lane.batch_head.load(Ordering::SeqCst) != head
-            });
+        let ready = |f: &Fifo| f.closed || f.events.len() < LANE_EVENTS;
+        let mut fifo = lane.lock_when(PRODUCER, ready);
+        if fifo.closed {
+            return Err(QueueClosed);
         }
+        fifo.events.push_back(event);
+        if fifo.waiting[CONSUMER] {
+            lane.filled.notify_one();
+        }
+        let seq = self.sent;
+        self.sent += 1;
+        Ok(seq)
     }
 
-    /// Streams `records` into the ring as (part of) the batch begun by
+    /// Streams `records` into the lane as (part of) the batch begun by
     /// the last [`begin_batch`](Self::begin_batch), packing them into the
-    /// slot layout on the way.
+    /// lane's record layout on the way.
     ///
     /// # Errors
     ///
     /// [`QueueClosed`] if the consumer has been dropped.
     pub fn write_records(&mut self, records: &[(u32, u32)]) -> Result<(), QueueClosed> {
-        self.write_slots(records.len(), |span, off, take| {
-            span_store(
-                span,
-                records[off..off + take]
-                    .iter()
-                    .map(|&(bank, row)| wire::pack_record(bank, row)),
-            );
-        })
+        for part in records.chunks(self.shared.capacity) {
+            let chunk = part.iter().map(|&(bank, row)| wire::pack_record(bank, row));
+            self.push_chunk(chunk.collect())?;
+        }
+        Ok(())
     }
 
     /// Streams already-packed records ([`wire::pack_record`] layout —
@@ -416,44 +324,26 @@ impl IngestProducer {
     ///
     /// [`QueueClosed`] if the consumer has been dropped.
     pub fn write_packed(&mut self, packed: &[u64]) -> Result<(), QueueClosed> {
-        self.write_slots(packed.len(), |span, off, take| {
-            span_store(span, packed[off..off + take].iter().copied());
-        })
+        for part in packed.chunks(self.shared.capacity) {
+            self.push_chunk(part.to_vec())?;
+        }
+        Ok(())
     }
 
-    /// The common ring-write loop: chunk `total` records by free space
-    /// *and* the ring's wrap point (so every chunk is one contiguous slot
-    /// span), parking on a full ring. `store(span, offset, take)` writes
-    /// source records `offset..offset + take` into the slot span.
-    fn write_slots(
-        &self,
-        total: usize,
-        mut store: impl FnMut(&[AtomicU64], usize, usize),
-    ) -> Result<(), QueueClosed> {
+    /// Appends one chunk of at most `capacity` records, waiting until the
+    /// lane has room for all of it.
+    fn push_chunk(&self, chunk: Vec<u64>) -> Result<(), QueueClosed> {
         let lane = &self.shared.lanes[self.id];
-        let mut written = 0usize;
-        while written < total {
-            if self.shared.closed.load(Ordering::SeqCst) {
-                return Err(QueueClosed);
-            }
-            let tail = lane.tail.load(Ordering::SeqCst);
-            let head = lane.head.load(Ordering::SeqCst);
-            let free = lane.capacity - (tail - head);
-            if free == 0 {
-                lane.producer.park(|| {
-                    self.shared.closed.load(Ordering::SeqCst)
-                        || lane.head.load(Ordering::SeqCst) != head
-                });
-                continue;
-            }
-            let start = (tail & lane.slot_mask) as usize;
-            let take = (total - written)
-                .min(free as usize)
-                .min(lane.slots.len() - start);
-            store(&lane.slots[start..start + take], written, take);
-            lane.tail.store(tail + take as u64, Ordering::SeqCst);
-            self.shared.consumer.wake();
-            written += take;
+        let room = self.shared.capacity - chunk.len();
+        let ready = |f: &Fifo| f.closed || f.buffered <= room;
+        let mut fifo = lane.lock_when(PRODUCER, ready);
+        if fifo.closed {
+            return Err(QueueClosed);
+        }
+        fifo.buffered += chunk.len();
+        fifo.chunks.push_back(chunk);
+        if fifo.waiting[CONSUMER] {
+            lane.filled.notify_one();
         }
         Ok(())
     }
@@ -466,8 +356,11 @@ impl IngestProducer {
 impl Drop for IngestProducer {
     fn drop(&mut self) {
         let lane = &self.shared.lanes[self.id];
-        lane.finished.store(true, Ordering::SeqCst);
-        self.shared.consumer.wake();
+        lane.fifo
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .finished = true;
+        lane.filled.notify_one();
     }
 }
 
@@ -502,45 +395,28 @@ impl IngestConsumer {
     /// that wait *is* the determinism.
     ///
     /// This is the chunk-amortized drain: [`MemorySystem::ingest`] hands
-    /// it the staging buffer and whole batches are copied out of the ring
-    /// with no intermediate `Vec` per batch.
+    /// it the staging buffer and the lane's chunks are unpacked straight
+    /// into it, one lock per chunk, with no intermediate `Vec` per batch.
     pub fn next_event_into(&mut self, out: &mut Vec<(u32, u32)>) -> Option<IngestEvent> {
         let lanes = self.shared.lanes.len();
-        let mut skipped = 0;
-        while skipped < lanes {
+        // Each pass either returns an event or skips a finished, drained
+        // lane — which stays so — so `lanes` skips in a row mean the end.
+        for _ in 0..lanes {
             let lane = &self.shared.lanes[self.turn];
-            let head = lane.batch_head.load(Ordering::SeqCst);
-            if lane.batch_tail.load(Ordering::SeqCst) != head {
-                let desc = ring_load(&lane.batches, lane.batch_mask, head);
-                let event = if desc & CUT_FLAG != 0 {
-                    IngestEvent::EpochCut
-                } else {
-                    let before = out.len();
-                    self.copy_batch(lane, desc, out);
-                    IngestEvent::Records(out.len() - before)
-                };
-                lane.batch_head.store(head + 1, Ordering::SeqCst);
-                lane.producer.wake();
-                self.turn = (self.turn + 1) % lanes;
-                return Some(event);
-            }
-            if lane.finished.load(Ordering::SeqCst) {
-                // Re-check: a descriptor published just before the finish
-                // flag must not be skipped.
-                if lane.batch_tail.load(Ordering::SeqCst) != head {
-                    continue;
-                }
-                self.turn = (self.turn + 1) % lanes;
-                skipped += 1;
+            self.turn = (self.turn + 1) % lanes;
+            let ready = |f: &Fifo| f.finished || !f.events.is_empty();
+            let mut fifo = lane.lock_when(CONSUMER, ready);
+            let Some(event) = fifo.events.pop_front() else {
                 continue;
+            };
+            if fifo.waiting[PRODUCER] {
+                lane.drained.notify_one();
             }
-            // The lane is empty but live: wait for it — no reordering
-            // around a lagging producer.
-            self.shared.consumer.park(|| {
-                lane.batch_tail.load(Ordering::SeqCst) != head
-                    || lane.finished.load(Ordering::SeqCst)
+            drop(fifo);
+            return Some(match event {
+                IngestEvent::Records(len) => IngestEvent::Records(copy_batch(lane, len, out)),
+                IngestEvent::EpochCut => IngestEvent::EpochCut,
             });
-            skipped = 0;
         }
         None
     }
@@ -553,50 +429,45 @@ impl IngestConsumer {
         let mut out = Vec::new();
         self.next_batch_into(&mut out).then_some(out)
     }
+}
 
-    /// Copies one `len`-record batch out of `lane`'s slot ring into
-    /// `out`, waiting for records the producer is still writing. If the
-    /// producer vanishes mid-batch (a reader thread erroring out of its
-    /// socket), the prefix that did arrive is delivered — the session is
-    /// failing anyway, and a partial batch must not hang the merge.
-    fn copy_batch(&self, lane: &Lane, len: u64, out: &mut Vec<(u32, u32)>) {
-        let mut head = lane.head.load(Ordering::SeqCst);
-        let mut remaining = len;
-        while remaining > 0 {
-            let tail = lane.tail.load(Ordering::SeqCst);
-            let avail = (tail - head).min(remaining);
-            if avail == 0 {
-                if lane.finished.load(Ordering::SeqCst) && lane.tail.load(Ordering::SeqCst) == head
-                {
-                    return; // truncated batch: deliver the prefix
-                }
-                self.shared.consumer.park(|| {
-                    lane.tail.load(Ordering::SeqCst) != head || lane.finished.load(Ordering::SeqCst)
-                });
-                continue;
-            }
-            // At most two contiguous spans (the ring's wrap point), each
-            // a bulk slice extend.
-            let start = (head & lane.slot_mask) as usize;
-            let first = (avail as usize).min(lane.slots.len() - start);
-            span_extend(&lane.slots[start..start + first], out);
-            let wrapped = avail as usize - first;
-            if wrapped > 0 {
-                span_extend(&lane.slots[..wrapped], out);
-            }
-            head += avail;
-            lane.head.store(head, Ordering::SeqCst);
-            lane.producer.wake();
-            remaining -= avail;
+/// Unpacks one `len`-record batch of `lane` onto `out` and returns the
+/// records delivered: one lock per chunk, the unpack outside it, waiting
+/// for records the producer is still writing. If the producer vanishes
+/// mid-batch (a reader thread erroring out of its socket), the prefix
+/// that did arrive is delivered — the session is failing anyway, and a
+/// partial batch must not hang the merge.
+fn copy_batch(lane: &Lane, len: usize, out: &mut Vec<(u32, u32)>) -> usize {
+    let mut copied = 0;
+    while copied < len {
+        let ready = |f: &Fifo| f.finished || !f.chunks.is_empty();
+        let mut fifo = lane.lock_when(CONSUMER, ready);
+        let Some(mut chunk) = fifo.chunks.pop_front() else {
+            break; // truncated batch: deliver the prefix
+        };
+        if chunk.len() > len - copied {
+            // Records written past this batch open the producer's next one.
+            fifo.chunks.push_front(chunk.split_off(len - copied));
         }
+        fifo.buffered -= chunk.len();
+        if fifo.waiting[PRODUCER] {
+            lane.drained.notify_one();
+        }
+        drop(fifo);
+        out.extend(chunk.iter().map(|&packed| wire::unpack_record(packed)));
+        copied += chunk.len();
     }
+    copied
 }
 
 impl Drop for IngestConsumer {
     fn drop(&mut self) {
-        self.shared.closed.store(true, Ordering::SeqCst);
         for lane in self.shared.lanes.iter() {
-            lane.producer.wake();
+            lane.fifo
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .closed = true;
+            lane.drained.notify_one();
         }
     }
 }
@@ -641,7 +512,7 @@ pub fn deal(trace: &[(u32, u32)], producers: usize, chunk: usize) -> Vec<Vec<&[(
 pub struct ServeOptions {
     /// Connections to accept; ingestion ends when all of them finish.
     pub producers: usize,
-    /// Per-connection ring bound, in records (the backpressure
+    /// Per-connection lane bound, in records (the backpressure
     /// threshold — see the [module docs](self)).
     pub queue_capacity: usize,
     /// Checkpointing (`DESIGN.md §11`): when set, every merged batch is
@@ -690,7 +561,7 @@ const READ_CHUNK_RECORDS: usize = 4096;
 ///
 /// Each reader thread decodes frames **zero-copy**: payload bytes land in
 /// a per-connection reusable buffer, are reinterpreted as packed records
-/// (the wire layout *is* the ring-slot layout — [`wire::pack_record`]),
+/// (the wire layout *is* the lane's record layout — [`wire::pack_record`]),
 /// validated, and stored straight into the lane. No `Vec<(u32, u32)>` is
 /// ever materialised on the server's ingest path.
 ///
@@ -698,8 +569,8 @@ const READ_CHUNK_RECORDS: usize = 4096;
 /// **at the connection** — a malformed client gets its connection errored
 /// instead of panicking the drain thread.
 ///
-/// Backpressure: each connection's reader thread parks once its ring
-/// lane is full, which stalls the socket via TCP flow control.
+/// Backpressure: each connection's reader thread waits once its lane is
+/// full, which stalls the socket via TCP flow control.
 ///
 /// ```no_run
 /// use std::net::TcpListener;
@@ -903,7 +774,7 @@ fn accept_producers(
 
 /// One connection's reader loop: frame headers → sequence check → chunked
 /// zero-copy payload decode → bank/row validation against the served
-/// slice → ring lane. Returns the stream (for the stats reply) and
+/// slice → lane. Returns the stream (for the stats reply) and
 /// whether the client requested stats. Dropping `producer` on any exit
 /// finishes the lane, so the merge never waits on a dead connection (a
 /// batch cut short by an error is delivered as its prefix — the session
@@ -924,7 +795,7 @@ fn read_connection(
     let mut expected_seq = 0u64;
     let mut wants_stats = false;
     // Reused across every frame of the connection: the raw payload bytes
-    // and their packed-u64 view. The packed view IS the ring-slot layout,
+    // and their packed-u64 view. The packed view IS the lane's record layout,
     // so decode is `read_exact` + `from_le_bytes` and nothing else.
     let mut payload = Vec::new();
     let mut packed = Vec::new();
@@ -1122,6 +993,9 @@ impl IngestClient {
     ///
     /// Propagates socket errors.
     pub fn finish_with_stats(mut self) -> io::Result<StatsSnapshot> {
+        // The reply waits on these last few bytes: with Nagle's algorithm
+        // on, they would sit behind the server's delayed ACK for ~40 ms.
+        self.writer.get_ref().set_nodelay(true)?;
         wire::write_frame(&mut self.writer, &Frame::StatsRequest)?;
         wire::write_frame(&mut self.writer, &Frame::Finish)?;
         self.writer.flush()?;
@@ -1215,8 +1089,8 @@ mod tests {
     fn a_batch_larger_than_the_ring_streams_through_it() {
         let (mut handles, mut consumer) = IngestQueue::bounded(1, 4);
         let mut p = handles.pop().unwrap();
-        // 25× the ring capacity: the descriptor publishes first, then the
-        // records stream through as the consumer frees slots.
+        // 25× the lane capacity: the descriptor publishes first, then the
+        // records stream through as the consumer frees room.
         let sender = std::thread::spawn(move || {
             p.send(&batch(0, 100)).unwrap();
             drop(p);
@@ -1228,9 +1102,9 @@ mod tests {
 
     #[test]
     fn wraparound_at_capacity_boundaries_preserves_contents() {
-        // Pow2 and non-pow2 capacities: the slot ring is pow2-sized but
-        // the logical bound is exact, so cursors sweep the seam between
-        // mask wraparound and capacity-limited free space many times.
+        // Pow2 and non-pow2 capacities, neither a multiple of the 3-record
+        // batches: chunk boundaries and capacity-limited room sweep every
+        // offset of the batches many times.
         for capacity in [8usize, 10] {
             let (mut handles, mut consumer) = IngestQueue::bounded(1, capacity);
             let mut p = handles.pop().unwrap();
@@ -1290,6 +1164,52 @@ mod tests {
         assert_eq!(consumer.next_batch(), Some(vec![]));
         assert_eq!(consumer.next_batch(), Some(vec![(1, 2)]));
         assert_eq!(consumer.next_batch(), None);
+    }
+
+    #[test]
+    fn control_events_never_use_record_capacity() {
+        let (mut handles, mut consumer) = IngestQueue::bounded(1, 8);
+        let mut p = handles.pop().unwrap();
+        // The lane holds exactly its capacity in records, and no consumer
+        // runs: cuts and empty batches up to the descriptor bound must
+        // still publish without waiting.
+        let (done, published) = std::sync::mpsc::channel();
+        let producer = std::thread::spawn(move || {
+            p.send(&batch(0, 8)).unwrap();
+            for k in 1..LANE_EVENTS as u64 {
+                let seq = if k % 2 == 0 {
+                    p.send_cut()
+                } else {
+                    p.send(&[])
+                };
+                assert_eq!(seq, Ok(k));
+            }
+            done.send(()).unwrap();
+        });
+        let waited = published.recv_timeout(std::time::Duration::from_secs(10));
+        let timeout = Err(std::sync::mpsc::RecvTimeoutError::Timeout);
+        assert_ne!(waited, timeout, "a control event waited on record room");
+        producer.join().unwrap();
+        let mut out = Vec::new();
+        assert_eq!(
+            consumer.next_event_into(&mut out),
+            Some(IngestEvent::Records(8))
+        );
+        assert_eq!(out, batch(0, 8));
+        for k in 1..LANE_EVENTS {
+            let expected = if k % 2 == 0 {
+                IngestEvent::EpochCut
+            } else {
+                IngestEvent::Records(0)
+            };
+            assert_eq!(
+                consumer.next_event_into(&mut out),
+                Some(expected),
+                "event {k}"
+            );
+        }
+        assert_eq!(consumer.next_event_into(&mut out), None);
+        assert_eq!(out.len(), 8);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub struct RouterOptions {
     /// Client connections [`serve`] accepts; the session ends when all of
     /// them finish. (Ignored by [`IngestRouter::connect`].)
     pub producers: usize,
-    /// Per-client ring bound, in records (see [`crate::ingest`]).
+    /// Per-client lane bound, in records (see [`crate::ingest`]).
     /// (Ignored by [`IngestRouter::connect`].)
     pub queue_capacity: usize,
     /// The router's epoch clock: `Some(n)` cuts every backend after every

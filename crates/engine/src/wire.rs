@@ -84,13 +84,13 @@ pub const MAX_SPEC_LEN: u16 = 1024;
 /// Bytes of one `(bank, row)` record on the wire. A record's 8 wire bytes
 /// read as one little-endian `u64` **are** its [`pack_record`] value —
 /// the invariant behind the server's zero-copy decode path, which turns
-/// payload bytes into ring slots with a single `u64::from_le_bytes` each.
+/// payload bytes into lane records with a single `u64::from_le_bytes` each.
 pub const RECORD_BYTES: usize = 8;
 
 /// Packs a record into its 8-byte little-endian wire layout: `bank` in
 /// the low 32 bits, `row` in the high 32 (i.e. `bank` then `row`, each
-/// u32 LE, on the wire). This is also the slot format of the ingestion
-/// rings in [`crate::ingest`].
+/// u32 LE, on the wire). This is also the record format of the ingestion
+/// lanes in [`crate::ingest`].
 #[inline]
 #[must_use]
 pub fn pack_record(bank: u32, row: u32) -> u64 {
@@ -126,10 +126,6 @@ pub(crate) fn bad(message: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message.into())
 }
 
-fn write_u16<W: Write>(w: &mut W, v: u16) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
 fn write_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
 }
@@ -156,6 +152,16 @@ fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
     Ok(u64::from_le_bytes(b))
 }
 
+/// Magic and version, the opening bytes of both hellos, in a buffer the
+/// rest of the hello is encoded into. Control messages go out with one
+/// `write_all` each: a run of small writes on an unbuffered socket lets
+/// Nagle's algorithm and the peer's delayed ACK hold the tail for ~40 ms.
+fn hello_prefix() -> Vec<u8> {
+    let mut buf = MAGIC.to_vec();
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf
+}
+
 fn read_magic_version<R: Read>(r: &mut R, who: &str) -> io::Result<()> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
@@ -177,11 +183,11 @@ fn read_magic_version<R: Read>(r: &mut R, who: &str) -> io::Result<()> {
 /// the side that dealt the trace — because TCP accept order is racy: lane
 /// assignment must follow the deal, not connection timing. A session's
 /// ids must form a permutation of `0..producers`; the server rejects
-/// duplicates and out-of-range claims.
+/// duplicates and out-of-range claims. The hello leaves in one write.
 pub fn write_client_hello<W: Write>(w: &mut W, producer_id: u32) -> io::Result<()> {
-    w.write_all(&MAGIC)?;
-    write_u16(w, VERSION)?;
-    write_u32(w, producer_id)
+    let mut buf = hello_prefix();
+    buf.extend_from_slice(&producer_id.to_le_bytes());
+    w.write_all(&buf)
 }
 
 /// Reads and validates a client hello, returning the claimed producer id.
@@ -224,15 +230,18 @@ pub struct ServerHello {
     pub epochs: u64,
 }
 
-/// Writes the server's handshake reply.
+/// Writes the server's handshake reply in one write.
 ///
 /// # Errors
 ///
 /// [`io::ErrorKind::InvalidData`] if the spec string exceeds
 /// [`MAX_SPEC_LEN`]; I/O errors pass through.
 pub fn write_server_hello<W: Write>(w: &mut W, hello: &ServerHello) -> io::Result<()> {
-    w.write_all(&MAGIC)?;
-    write_u16(w, VERSION)?;
+    let spec = hello.spec.as_bytes();
+    if spec.len() > usize::from(MAX_SPEC_LEN) {
+        return Err(bad(format!("spec string of {} bytes", spec.len())));
+    }
+    let mut buf = hello_prefix();
     let g = &hello.geometry;
     for field in [
         g.channels,
@@ -241,20 +250,17 @@ pub fn write_server_hello<W: Write>(w: &mut W, hello: &ServerHello) -> io::Resul
         g.rows_per_bank,
         g.lines_per_row,
         g.line_bytes,
+        hello.slice_start,
+        hello.slice_banks,
     ] {
-        write_u32(w, field)?;
+        buf.extend_from_slice(&field.to_le_bytes());
     }
-    write_u32(w, hello.slice_start)?;
-    write_u32(w, hello.slice_banks)?;
-    let spec = hello.spec.as_bytes();
-    if spec.len() > usize::from(MAX_SPEC_LEN) {
-        return Err(bad(format!("spec string of {} bytes", spec.len())));
+    buf.extend_from_slice(&(spec.len() as u16).to_le_bytes());
+    buf.extend_from_slice(spec);
+    for field in [hello.epoch_len.unwrap_or(0), hello.accesses, hello.epochs] {
+        buf.extend_from_slice(&field.to_le_bytes());
     }
-    write_u16(w, spec.len() as u16)?;
-    w.write_all(spec)?;
-    write_u64(w, hello.epoch_len.unwrap_or(0))?;
-    write_u64(w, hello.accesses)?;
-    write_u64(w, hello.epochs)
+    w.write_all(&buf)
 }
 
 /// Reads and validates a server hello (an epoch length of `0` decodes as
@@ -411,7 +417,7 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
 
 /// The header of one post-handshake frame, with a `Records` payload left
 /// **unread** on the stream. This is the zero-copy server's entry point:
-/// it reads the header, then pulls the payload in ring-sized chunks with
+/// it reads the header, then pulls the payload in bounded chunks with
 /// [`read_packed_records`] instead of materialising a `Vec<(u32, u32)>`
 /// per frame like [`read_frame`] does.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -472,7 +478,7 @@ pub fn read_frame_header<R: Read>(r: &mut R) -> io::Result<FrameHeader> {
 /// `read_exact` into recycled storage, then one `u64::from_le_bytes` per
 /// record — no per-record parsing and, after the first call at a given
 /// chunk size, no allocation. Callers may split one frame's payload
-/// across several calls (the server reads ring-sized chunks).
+/// across several calls (the server reads bounded chunks).
 ///
 /// # Errors
 ///
@@ -546,20 +552,22 @@ pub struct StatsSnapshot {
 /// [`SchemeStats::FIELDS`] order — the same name-checked encode table the
 /// checkpoint format uses, so a new `SchemeStats` field extends both wire
 /// paths (and their tests) in one place instead of silently dropping off
-/// a hand-maintained positional list.
+/// a hand-maintained positional list. The snapshot is encoded into one
+/// buffer and leaves in one `write_all`, like the hellos.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the writer.
 pub fn write_stats<W: Write>(w: &mut W, snap: &StatsSnapshot) -> io::Result<()> {
-    write_u64(w, snap.accesses)?;
-    write_u64(w, snap.epochs)?;
-    for field in SchemeStats::FIELDS {
-        write_u64(w, (field.get)(&snap.stats))?;
-    }
-    write_u64(w, snap.banks)?;
-    write_u64(w, snap.materialized_banks)?;
-    write_u64(w, snap.scheme_bytes)
+    let counters = SchemeStats::FIELDS
+        .iter()
+        .map(|field| (field.get)(&snap.stats));
+    let fields = [snap.accesses, snap.epochs]
+        .into_iter()
+        .chain(counters)
+        .chain([snap.banks, snap.materialized_banks, snap.scheme_bytes]);
+    let buf: Vec<u8> = fields.flat_map(u64::to_le_bytes).collect();
+    w.write_all(&buf)
 }
 
 /// Reads a stats snapshot (see [`write_stats`] for the field order).
@@ -624,6 +632,64 @@ mod tests {
                 assert_eq!(read_server_hello(&mut buf.as_slice()).unwrap(), hello);
             }
         }
+    }
+
+    /// A `Write` that keeps what it is sent and counts the `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn control_messages_leave_in_one_write() {
+        let mut w = CountingWriter::default();
+        write_client_hello(&mut w, 7).unwrap();
+        assert_eq!(w.writes, 1, "client hello");
+        assert_eq!(read_client_hello(&mut w.bytes.as_slice()).unwrap(), 7);
+
+        let hello = ServerHello {
+            geometry: geometry(),
+            slice_start: 8,
+            slice_banks: 8,
+            spec: "drcat:64:11:32768".into(),
+            epoch_len: Some(50_000),
+            accesses: 110_000,
+            epochs: 2,
+        };
+        let mut w = CountingWriter::default();
+        write_server_hello(&mut w, &hello).unwrap();
+        assert_eq!(w.writes, 1, "server hello");
+        assert_eq!(read_server_hello(&mut w.bytes.as_slice()).unwrap(), hello);
+
+        let snap = StatsSnapshot {
+            accesses: 1 << 40,
+            epochs: 77,
+            stats: SchemeStats {
+                refresh_events: 3,
+                max_depth_touched: 12,
+                ..SchemeStats::default()
+            },
+            banks: 16,
+            materialized_banks: 13,
+            scheme_bytes: 1 << 20,
+        };
+        let mut w = CountingWriter::default();
+        write_stats(&mut w, &snap).unwrap();
+        assert_eq!(w.writes, 1, "stats snapshot");
+        assert_eq!(read_stats(&mut w.bytes.as_slice()).unwrap(), snap);
     }
 
     #[test]

@@ -161,11 +161,11 @@ fn loopback_catd_matches_flat_engine_for_every_producer_shard_and_flush_combo() 
     }
 }
 
-/// In-process sweep of the SPSC lanes without the socket layer: for
+/// In-process sweep of the ingest lanes without the socket layer: for
 /// several trace seeds and every 1/2/4 producers × 1/2/4 shards combo,
-/// real OS threads stream `deal` lanes through a deliberately small ring
-/// (1 << 10 slots — smaller than the 7 777-record chunks, so every batch
-/// must stream through the ring under producer/consumer backpressure)
+/// real OS threads stream `deal` lanes through a deliberately small lane
+/// (1 << 10 records — smaller than the 7 777-record chunks, so every batch
+/// must stream through the lane under producer/consumer backpressure)
 /// while the consumer merges into a sharded [`MemorySystem`]. The result
 /// must match the flat single-thread reference bit for bit.
 #[test]

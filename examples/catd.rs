@@ -1,9 +1,9 @@
 //! `catd` — the CAT mitigation engine as a network service: a TCP server
 //! that accepts N producer connections speaking the `cat-engine` wire
 //! format, streams their activation records through per-producer
-//! lock-free SPSC lanes and the deterministic `(seq, producer)` merge
-//! into one `MemorySystem`, applies backpressure when a connection's
-//! ring lane fills (ring-full blocks the producer, never the merge), and
+//! bounded lanes and the deterministic `(seq, producer)` merge into one
+//! `MemorySystem`, applies backpressure when a connection's lane fills
+//! (lane-full blocks the producer, never the merge), and
 //! answers stats-snapshot requests once ingestion completes
 //! (`DESIGN.md §8`).
 //!

@@ -58,7 +58,7 @@ echo "tier-1: sparse 1Mi-bank smoke OK (under 1 GiB ceiling)"
 # 127.0.0.1 port, the load generator streams a bounded workload slice over
 # N producer connections and exits nonzero unless the server's stats
 # snapshot is bit-identical to its local replay (DESIGN.md §8). Run at
-# 2 producers × 2 shards and again at 4 × 4 so the SPSC-lane merge is
+# 2 producers × 2 shards and again at 4 × 4 so the per-producer lane merge is
 # exercised with more lanes than this host may have cores.
 CATD_LOG="$(mktemp)"
 CATD_PID=""
