@@ -5,9 +5,9 @@
 //!   MitigationScheme>>>` (each `build_instance` boxed explicitly), one
 //!   virtual call per activation, modulo epoch rollover. Kept as one
 //!   historical row, and as every row's stats oracle;
-//! * `instance`     — `cat_engine::BankEngine::process` over the
-//!   statically-dispatched `SchemeInstance` values: the speedup baseline
-//!   of every standard row;
+//! * `instance`     — `cat_engine::BankEngine::process_with_cuts` over the
+//!   statically-dispatched `SchemeInstance` values, cut every epoch: the
+//!   speedup baseline of every standard row;
 //! * `stream`       — `cat_engine::MemorySystem` streaming ingestion:
 //!   `push_decoded` per access, staging buffer flushing through the
 //!   cut-aware batch path;
@@ -215,10 +215,10 @@ fn main() {
         let (boxed_rate, base_stats) = measure(accesses, || {
             boxed_dyn_loop(&cfg, spec, &trace.entries, trace.per_epoch)
         });
+        let cuts = cuts_every(trace.per_epoch, trace.entries.len());
         let (instance_rate, instance_stats) = measure(accesses, || {
-            let mut engine = BankEngine::new(spec, cfg.total_banks(), cfg.rows_per_bank)
-                .with_epoch_length(trace.per_epoch);
-            engine.process(&trace.entries);
+            let mut engine = BankEngine::new(spec, cfg.total_banks(), cfg.rows_per_bank);
+            engine.process_with_cuts(&trace.entries, &cuts);
             engine.stats()
         });
         let mut row = |path: &'static str,
@@ -357,10 +357,10 @@ fn main() {
         // checksum, one unmeasured boxed replay, differs from the rows
         // above).
         let small_stats = boxed_dyn_loop(&cfg, spec, &trace.entries, SMALL_EPOCH);
+        let small_cuts = cuts_every(SMALL_EPOCH, trace.entries.len());
         let (small_rate, stats) = measure(accesses, || {
-            let mut engine = BankEngine::new(spec, cfg.total_banks(), cfg.rows_per_bank)
-                .with_epoch_length(SMALL_EPOCH);
-            engine.process(&trace.entries);
+            let mut engine = BankEngine::new(spec, cfg.total_banks(), cfg.rows_per_bank);
+            engine.process_with_cuts(&trace.entries, &small_cuts);
             engine.stats()
         });
         row(
@@ -387,6 +387,14 @@ fn main() {
         write_json(&path, accesses, &results);
         println!("wrote {path}");
     }
+}
+
+/// Cut positions every `epoch` accesses of a `len`-access trace — where a
+/// system `with_epoch_length(epoch)` fires its boundaries.
+fn cuts_every(epoch: u64, len: usize) -> Vec<usize> {
+    (1..=len as u64 / epoch)
+        .map(|k| (k * epoch) as usize)
+        .collect()
 }
 
 /// The huge-geometry rows: a 1 Mi-bank engine, ~1% of the banks hot
@@ -427,10 +435,10 @@ fn sparse_1m_rows(results: &mut Vec<Measurement>) {
     );
 
     let mut footprint = EngineFootprint::default();
+    let cuts = cuts_every(1_000_000, entries.len());
     let (flat_rate, flat_stats) = measure(accesses as u64, || {
-        let mut engine =
-            BankEngine::new(spec, SPARSE_BANKS, ROWS_PER_BANK).with_epoch_length(1_000_000);
-        engine.process(&entries);
+        let mut engine = BankEngine::new(spec, SPARSE_BANKS, ROWS_PER_BANK);
+        engine.process_with_cuts(&entries, &cuts);
         footprint = engine.footprint();
         engine.stats()
     });

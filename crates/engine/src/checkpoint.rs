@@ -48,8 +48,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use cat_core::{StateError, StateReader};
 
 use crate::ingest::IngestEvent;
-use crate::shard::Bucketer;
-use crate::wire::{bad, check_records, pack_record, unpack_record, MAX_SPEC_LEN};
+use crate::wire::{bad, pack_record, unpack_record, MAX_SPEC_LEN};
 use crate::{BankEngine, MemorySystem};
 
 /// Checkpoint image magic, the first four bytes of every image
@@ -69,8 +68,11 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"CATC";
 /// count and the epoch clock for its engine sections. Version 5 replaced
 /// the engine section's four sort-scratch capacities with the four marks
 /// of the bucketing scratch, and added the system's own bucketing marks
-/// to the system section.
-pub const CHECKPOINT_VERSION: u16 = 5;
+/// to the system section. Version 6 made an engine section one list of
+/// bank records — bank, activation count, scheme state — in place of the
+/// separate activation and scheme lists, and dropped the engine's
+/// bucketing marks (only the system buckets).
+pub const CHECKPOINT_VERSION: u16 = 6;
 
 /// Hard cap on a checkpoint image/file size — bounds what [`resume_from_dir`]
 /// will read into memory.
@@ -303,31 +305,23 @@ fn read_epoch_len(r: &mut ByteReader<'_>) -> io::Result<Option<u64>> {
 ///
 /// ```text
 /// u64 accesses, epochs
-/// u64 act_block_cap            activation slab directory capacity (high-water)
-/// u64 act_occupied             then that many (u64 bank, u64 count) ascending
-/// u64 scheme_block_cap         scheme slab directory capacity (high-water)
-/// u64 materialized             then per bank ascending:
-///                                u64 bank, u64 nwords, nwords × u64 state
-/// u64 × 4                      bucketing scratch capacities: tally,
-///                                touched, rows, runs (high-water marks)
+/// u64 block_cap                bank slab directory capacity (high-water)
+/// u64 records                  then per touched bank ascending:
+///                                u64 bank, u64 activations (>= 1),
+///                                u64 nwords, nwords × u64 scheme state
+///                                (nwords is 0 exactly when the spec is none)
 /// ```
 fn encode_engine_section(e: &BankEngine, out: &mut Vec<u8>) -> io::Result<()> {
     put_u64(out, e.accesses);
     put_u64(out, e.epochs);
-
-    put_u64(out, e.activations.block_capacity() as u64);
-    put_u64(out, e.activations.occupied() as u64);
-    for (bank, &count) in e.activations.iter() {
-        put_u64(out, bank as u64);
-        put_u64(out, count);
-    }
-
     put_u64(out, e.banks.block_capacity() as u64);
-    put_u64(out, e.banks.materialized() as u64);
+    put_u64(out, e.banks.touched() as u64);
     let mut words: Vec<u64> = Vec::new();
-    for (bank, scheme) in e.banks.iter() {
+    for (bank, record) in e.banks.records() {
         words.clear();
-        scheme.save_state(&mut words).map_err(state_err)?;
+        if let Some(scheme) = &record.scheme {
+            scheme.save_state(&mut words).map_err(state_err)?;
+        }
         if words.len() as u64 > MAX_STATE_WORDS {
             return Err(bad(format!(
                 "bank {bank} scheme state of {} words exceeds the {MAX_STATE_WORDS}-word cap",
@@ -335,13 +329,12 @@ fn encode_engine_section(e: &BankEngine, out: &mut Vec<u8>) -> io::Result<()> {
             )));
         }
         put_u64(out, bank as u64);
+        put_u64(out, record.activations);
         put_u64(out, words.len() as u64);
         for &w in &words {
             put_u64(out, w);
         }
     }
-
-    put_marks(out, &e.bucketer);
     Ok(())
 }
 
@@ -367,24 +360,6 @@ fn read_bank_index(
     Ok(bank)
 }
 
-/// Appends a bucketer's four scratch high-water marks.
-fn put_marks(out: &mut Vec<u8>, bucketer: &Bucketer) {
-    for mark in bucketer.marks() {
-        put_u64(out, mark as u64);
-    }
-}
-
-/// Reads four bucketing scratch marks and reserves them on the fresh
-/// `bucketer` ([`Bucketer::reserve`]).
-fn read_marks(r: &mut ByteReader<'_>, bucketer: &mut Bucketer) -> io::Result<()> {
-    let mut marks = [0usize; 4];
-    for (mark, what) in marks.iter_mut().zip(["tally", "touched", "rows", "runs"]) {
-        *mark = read_scratch_cap(r, &format!("bucketing {what} capacity"))?;
-    }
-    bucketer.reserve(marks);
-    Ok(())
-}
-
 /// Reads a saved scratch-capacity high-water mark, bounded by
 /// [`MAX_SCRATCH_CAP`] so a forged field cannot force a huge allocation.
 fn read_scratch_cap(r: &mut ByteReader<'_>, what: &str) -> io::Result<usize> {
@@ -405,70 +380,44 @@ fn decode_engine_section(r: &mut ByteReader<'_>, e: &mut BankEngine) -> io::Resu
     let epochs = r.u64("epoch count")?;
     let banks = e.bank_count();
 
-    // Activation counters: reserve the saved directory high-water mark,
-    // then re-insert in ascending bank order — that reproduces the slab's
-    // heap layout bit-for-bit (packed payload capacities depend only on
-    // the final entry count, the directory only on the reserved cap).
-    // The directory holds at most ceil(banks/64) blocks, but Vec growth
+    // Reserve the saved directory high-water mark, then re-touch in
+    // ascending bank order — that reproduces the slab's heap layout
+    // bit-for-bit (packed payload capacities depend only on the final
+    // entry count, the directory only on the reserved cap). The
+    // directory holds at most ceil(banks/64) blocks, but Vec growth
     // (doubling, minimum first allocation) can leave its capacity up to
     // 2× that — or 8 for tiny slabs — so bound forged values there.
-    let max_blocks = banks.div_ceil(64);
-    let cap_bound = max_blocks.saturating_mul(2).max(8);
-    let act_cap = r.u64("activation block capacity")? as usize;
-    if act_cap > cap_bound {
+    let cap_bound = banks.div_ceil(64).saturating_mul(2).max(8);
+    let block_cap = r.u64("bank block capacity")? as usize;
+    if block_cap > cap_bound {
         return Err(bad(format!(
-            "activation directory capacity {act_cap} exceeds the {cap_bound}-block bound"
+            "bank directory capacity {block_cap} exceeds the {cap_bound}-block bound"
         )));
     }
-    let occupied = r.u64("activation entry count")? as usize;
-    if occupied > banks || occupied.saturating_mul(16) > r.remaining() {
-        return Err(bad(format!(
-            "{occupied} activation entries exceed the image"
-        )));
+    let records = r.u64("bank record count")? as usize;
+    if records > banks || records.saturating_mul(24) > r.remaining() {
+        return Err(bad(format!("{records} bank records exceed the image")));
     }
-    e.activations.reserve_block_capacity(act_cap);
+    e.banks.reserve_block_capacity(block_cap);
+    let has_scheme = e.banks.has_scheme();
+    let mut words: Vec<u64> = Vec::new();
     let mut prev: Option<usize> = None;
     let mut activated = 0u64;
-    for _ in 0..occupied {
-        let bank = read_bank_index(r, banks, prev, "activation bank")?;
+    for _ in 0..records {
+        let bank = read_bank_index(r, banks, prev, "bank")?;
         prev = Some(bank);
         let count = r.u64("activation count")?;
         if count == 0 {
             return Err(bad(format!("zero activation count for bank {bank}")));
         }
         activated = activated.saturating_add(count);
-        e.activations.insert(bank, count);
-    }
-    // Every access activates exactly one bank, so the counts must sum to
-    // the access count — a re-carve recomputes accesses from them.
-    if activated != accesses {
-        return Err(bad(format!(
-            "activation counts sum to {activated}, engine counted {accesses} accesses"
-        )));
-    }
-
-    // Scheme instances: same reserve-then-ascending-rebuild discipline;
-    // each bank is materialized fresh from the (already validated) spec,
-    // then its saved word stream is applied with full structural checks.
-    let scheme_cap = r.u64("scheme block capacity")? as usize;
-    if scheme_cap > cap_bound {
-        return Err(bad(format!(
-            "scheme directory capacity {scheme_cap} exceeds the {cap_bound}-block bound"
-        )));
-    }
-    let materialized = r.u64("materialized bank count")? as usize;
-    if materialized > banks || materialized.saturating_mul(16) > r.remaining() {
-        return Err(bad(format!(
-            "{materialized} scheme entries exceed the image"
-        )));
-    }
-    e.banks.reserve_block_capacity(scheme_cap);
-    let mut words: Vec<u64> = Vec::new();
-    let mut prev: Option<usize> = None;
-    for _ in 0..materialized {
-        let bank = read_bank_index(r, banks, prev, "scheme bank")?;
-        prev = Some(bank);
         let nwords = r.u64("scheme state length")?;
+        if (nwords == 0) == has_scheme {
+            let want = if has_scheme { "a scheme" } else { "no scheme" };
+            return Err(bad(format!(
+                "bank {bank} records {nwords} scheme state words, but its spec attaches {want}"
+            )));
+        }
         if nwords > MAX_STATE_WORDS {
             return Err(bad(format!(
                 "bank {bank} scheme state of {nwords} words exceeds the {MAX_STATE_WORDS}-word cap"
@@ -483,16 +432,24 @@ fn decode_engine_section(r: &mut ByteReader<'_>, e: &mut BankEngine) -> io::Resu
         for _ in 0..nwords {
             words.push(r.u64("scheme state word")?);
         }
-        let scheme = e
-            .banks
-            .scheme_mut(bank)
-            .ok_or_else(|| bad("scheme state recorded for a schemeless engine"))?;
-        let mut sr = StateReader::new(&words);
-        scheme.restore_state(&mut sr).map_err(state_err)?;
-        sr.finish().map_err(state_err)?;
+        // Each bank is materialized fresh from the (already validated)
+        // spec, then its saved word stream is applied with full
+        // structural checks.
+        let record = e.banks.touch(bank);
+        record.activations = count;
+        if let Some(scheme) = &mut record.scheme {
+            let mut sr = StateReader::new(&words);
+            scheme.restore_state(&mut sr).map_err(state_err)?;
+            sr.finish().map_err(state_err)?;
+        }
     }
-
-    read_marks(r, &mut e.bucketer)?;
+    // Every access activates exactly one bank, so the counts must sum to
+    // the access count — a re-carve recomputes accesses from them.
+    if activated != accesses {
+        return Err(bad(format!(
+            "activation counts sum to {activated}, engine counted {accesses} accesses"
+        )));
+    }
 
     e.accesses = accesses;
     e.epochs = epochs;
@@ -541,7 +498,9 @@ fn encode_system_section(s: &MemorySystem, out: &mut Vec<u8>) -> io::Result<()> 
     put_u64(out, s.accesses);
     put_u64(out, s.epochs);
     put_u64(out, s.staged.capacity() as u64);
-    put_marks(out, &s.bucketer);
+    for mark in s.bucketer.marks() {
+        put_u64(out, mark as u64);
+    }
     put_u32(out, s.engines.len() as u32);
     for engine in &s.engines {
         put_u32(out, engine.banks.capacity() as u32);
@@ -616,7 +575,11 @@ fn decode_system_section(s: &mut MemorySystem, r: &mut ByteReader<'_>) -> io::Re
     }
     let staged = read_scratch_cap(r, "staging buffer capacity")?;
     s.staged.reserve_exact(staged);
-    read_marks(r, &mut s.bucketer)?;
+    let mut marks = [0usize; 4];
+    for (mark, what) in marks.iter_mut().zip(["tally", "touched", "rows", "runs"]) {
+        *mark = read_scratch_cap(r, &format!("bucketing {what} capacity"))?;
+    }
+    s.bucketer.reserve(marks);
     let owned = s.owned;
     let count = r.u32("engine count")?;
     if count == 0 || count > owned.banks() {
@@ -940,7 +903,6 @@ fn replay_tail(system: &mut MemorySystem, path: &Path) -> io::Result<u64> {
     let mut skip = accesses - log.base;
     let owed = epochs - log.base_epochs;
     let mut skip_cuts = system.epoch_length().is_none().then_some(owed);
-    let owned = *system.slice();
     // One event per word past the overlap: a record or a cut.
     let next = |out: &mut Vec<(u32, u32)>| {
         while let Some(word) = log.next_word()? {
@@ -958,7 +920,7 @@ fn replay_tail(system: &mut MemorySystem, path: &Path) -> io::Result<u64> {
             } else if skip_cuts > Some(0) {
                 return Err(bad("trace log overlap holds fewer cut markers than epochs"));
             } else {
-                check_records(&[word], &owned).map_err(|e| bad(format!("trace log {e}")))?;
+                // The drain range-checks every record it is handed.
                 out.push(unpack_record(word));
                 return Ok(Some(IngestEvent::Records(1)));
             }
@@ -1192,9 +1154,10 @@ mod tests {
     #[test]
     fn version_4_images_are_refused() {
         // A v4 image is a v5 image without the system section's four
-        // bucketing marks (the engine sections kept four marks each), under
-        // version 4. It fails at the header with the typed version error,
-        // before any of its layout is read.
+        // bucketing marks; a v5 image is a v6 image whose engine sections
+        // hold separate activation and scheme lists plus four marks each.
+        // Both fail at the header with the typed version error, before any
+        // of their layout is read.
         let mut original = fresh();
         original.process(&trace(2000));
         let image = original.checkpoint().unwrap();
@@ -1202,15 +1165,18 @@ mod tests {
         let marks_at = 6 + 2 + spec_len + SYSTEM_FIXED_BYTES - 4 - 4 * 8;
         let mut v4 = image[..image.len() - 8].to_vec();
         v4.drain(marks_at..marks_at + 4 * 8);
-        v4[4..6].copy_from_slice(&4u16.to_le_bytes());
-        seal(&mut v4);
-        let err = fresh().restore(&v4).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert_eq!(
-            err.to_string(),
-            format!("checkpoint version 4, this build reads {CHECKPOINT_VERSION}")
-        );
-        assert_eq!(CHECKPOINT_VERSION, 5);
+        let v5 = image[..image.len() - 8].to_vec();
+        for (version, mut old) in [(4u16, v4), (5, v5)] {
+            old[4..6].copy_from_slice(&version.to_le_bytes());
+            seal(&mut old);
+            let err = fresh().restore(&old).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(
+                err.to_string(),
+                format!("checkpoint version {version}, this build reads {CHECKPOINT_VERSION}")
+            );
+        }
+        assert_eq!(CHECKPOINT_VERSION, 6);
     }
 
     /// Deterministic LCG for the corruption sweeps (no external RNG and no
@@ -1294,14 +1260,18 @@ mod tests {
         }
     }
 
-    #[test]
-    fn forged_entry_counts_are_refused() {
-        let mut original = fresh();
-        original.process(&trace(2000));
-        let image = original.checkpoint().unwrap();
+    /// Recomputes the integrity hash of an edited image.
+    fn reseal(image: &mut [u8]) {
         let body_len = image.len() - 8;
-        // Walk a reader to the first channel's structural count fields so
-        // the forged offsets stay correct if the layout ever shifts.
+        let h = fnv1a(&image[..body_len]).to_le_bytes();
+        image[body_len..].copy_from_slice(&h);
+    }
+
+    /// Image offset of the first engine section's directory capacity (its
+    /// record count and then its first record follow), found by walking
+    /// a reader so the offsets stay correct if the layout ever shifts.
+    fn first_engine_body(image: &[u8]) -> usize {
+        let body_len = image.len() - 8;
         let mut r = ByteReader::new(&image[..body_len]);
         read_header(&mut r).unwrap();
         let spec_len = usize::from(r.u16("spec length").unwrap());
@@ -1309,16 +1279,77 @@ mod tests {
             .unwrap();
         let eng_fixed = 8 + 16; // bank range, access and epoch counts
         r.take(eng_fixed, "engine fields").unwrap();
-        let act_cap_off = body_len - r.remaining();
-        let act_count_off = act_cap_off + 8;
-        for off in [act_cap_off, act_count_off] {
+        body_len - r.remaining()
+    }
+
+    #[test]
+    fn forged_entry_counts_are_refused() {
+        let mut original = fresh();
+        original.process(&trace(2000));
+        let image = original.checkpoint().unwrap();
+        let cap_off = first_engine_body(&image);
+        let count_off = cap_off + 8;
+        for off in [cap_off, count_off] {
             let mut corrupt = image.clone();
             corrupt[off..off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-            let h = fnv1a(&corrupt[..body_len]).to_le_bytes();
-            corrupt[body_len..].copy_from_slice(&h);
+            reseal(&mut corrupt);
             let mut target = fresh();
             let err = target.restore(&corrupt).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "offset {off}");
+        }
+
+        // Bank records that no run produces: each a typed refusal.
+        let word =
+            |image: &[u8], off: usize| u64::from_le_bytes(image[off..off + 8].try_into().unwrap());
+        let put = |image: &mut Vec<u8>, off: usize, value: u64| {
+            image[off..off + 8].copy_from_slice(&value.to_le_bytes());
+        };
+        let first = count_off + 8; // bank, activations, word count, words
+        let second = first + 24 + 8 * word(&image, first + 16) as usize;
+        let mut zero_activations = image.clone();
+        put(&mut zero_activations, first + 8, 0);
+        let mut no_words = image.clone();
+        put(&mut no_words, first + 16, 0);
+        let mut descending = image.clone();
+        put(&mut descending, second, word(&image, first));
+
+        let schemeless = || MemorySystem::new(geometry(), SchemeSpec::None).with_epoch_length(1000);
+        let mut none = schemeless();
+        none.process(&trace(2000));
+        let none_image = none.checkpoint().unwrap();
+        let none_first = first_engine_body(&none_image) + 16;
+        let mut with_words = none_image.clone();
+        put(&mut with_words, none_first + 16, 1);
+        with_words.splice(none_first + 24..none_first + 24, 7u64.to_le_bytes());
+
+        let cases = [
+            (
+                "zero activations",
+                zero_activations,
+                "zero activation count",
+            ),
+            (
+                "scheme record without words",
+                no_words,
+                "scheme state words",
+            ),
+            ("descending banks", descending, "not strictly ascending"),
+            (
+                "schemeless record with words",
+                with_words,
+                "scheme state words",
+            ),
+        ];
+        for (what, mut forged, message) in cases {
+            reseal(&mut forged);
+            let mut target = if what.starts_with("schemeless") {
+                schemeless()
+            } else {
+                fresh()
+            };
+            let err = target.restore(&forged).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+            assert!(err.to_string().contains(message), "{what}: {err}");
         }
     }
 
@@ -1413,7 +1444,7 @@ mod tests {
         let mut original = fresh();
         original.process(&trace(2000));
         let image = original.checkpoint().unwrap();
-        let (_, scheme) = original.engines[0].banks.iter().next().unwrap();
+        let scheme = original.engines[0].schemes().next().unwrap();
         let mut words = Vec::new();
         scheme.save_state(&mut words).unwrap();
         let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();

@@ -819,7 +819,7 @@ fn read_connection(
                     wire::read_packed_records(&mut reader, &mut payload, &mut packed, take)?;
                     // Both coordinates are checked here, at the connection,
                     // so a bad record errors this socket, not the drain.
-                    wire::check_records(&packed, &owned)
+                    wire::check_records(packed.iter().map(|&p| wire::unpack_record(p)), &owned)
                         .map_err(|e| bad(format!("producer {peer}: {e}")))?;
                     producer.write_packed(&packed).map_err(closed)?;
                     remaining -= take;

@@ -23,9 +23,10 @@
 //! staging. Each engine then replays its banks' runs — one
 //! [`SchemeInstance::run`] per bank per segment — with no sort of its own.
 //! [`MemorySystem::process`] buckets over its owned range and replays
-//! every engine; [`BankEngine::process`] and
-//! [`BankEngine::process_with_cuts`] are adapters that bucket over the
-//! engine's own banks and replay it, through the same two calls.
+//! every engine; [`BankEngine::process_with_cuts`] is an adapter that
+//! buckets one engine's banks at caller-given cuts through the same two
+//! calls. The epoch clock and the bucketing scratch belong to the
+//! [`MemorySystem`]; a [`BankEngine`] is only its banks.
 //!
 //! [`MemorySystem::with_shards`] changes only *where* the replay runs. A
 //! shard is an engine slice: with `n > 1` shards the engine split is
@@ -66,9 +67,11 @@
 //!    bank keeps its seed no matter which engine it lands in,
 //!
 //! the resulting [`SchemeStats`] — aggregated in bank order — are
-//! **bit-identical for every shard count and engine split**, including the
-//! single-engine [`BankEngine::process`] path. The equivalence is asserted
-//! for every [`SchemeSpec`] variant by `tests/equivalence.rs`.
+//! **bit-identical for every shard count and engine split**, including a
+//! single [`BankEngine`] driven through
+//! [`process_with_cuts`](BankEngine::process_with_cuts) at the same cuts.
+//! The equivalence is asserted for every [`SchemeSpec`] variant by
+//! `tests/equivalence.rs`.
 //!
 //! ## Batching rationale
 //!
@@ -85,14 +88,22 @@
 //! correctly.
 //!
 //! ```
-//! use cat_engine::BankEngine;
 //! use cat_core::SchemeSpec;
+//! use cat_engine::{MemGeometry, MemorySystem};
 //!
+//! let geometry = MemGeometry {
+//!     channels: 1,
+//!     ranks_per_channel: 1,
+//!     banks_per_rank: 4,
+//!     rows_per_bank: 65_536,
+//!     lines_per_row: 16,
+//!     line_bytes: 64,
+//! };
 //! let spec = SchemeSpec::Sca { counters: 64, threshold: 1024 };
-//! let mut engine = BankEngine::new(spec, 4, 65_536).with_epoch_length(10_000);
+//! let mut system = MemorySystem::new(&geometry, spec).with_epoch_length(10_000);
 //! let batch: Vec<(u32, u32)> = (0..20_000).map(|i| (i % 4, 7)).collect();
-//! engine.process(&batch);
-//! let report = engine.report();
+//! system.process(&batch);
+//! let report = system.report();
 //! assert_eq!(report.accesses, 20_000);
 //! assert_eq!(report.epochs, 2);
 //! assert!(report.scheme_stats.refresh_events > 0);
@@ -116,7 +127,7 @@ pub use address::{
 };
 pub use system::MemorySystem;
 
-use cat_core::{Refreshes, RowId, SchemeInstance, SchemeSpec, SchemeStats, SparseSlab};
+use cat_core::{Refreshes, RowId, SchemeInstance, SchemeSpec, SchemeStats};
 use shard::Bucketer;
 use sparse::SparseBanks;
 
@@ -125,10 +136,11 @@ use sparse::SparseBanks;
 /// global epoch boundary falls" (`on_epoch_end` fires there). Positions are
 /// strictly increasing, in `1..=len`; `cuts` is cleared first.
 ///
-/// This is *the* epoch-phase arithmetic — [`BankEngine::process`] and
-/// [`MemorySystem`]'s batch path both derive their cut lists here, so the paths
-/// cannot drift apart (their bit-identical equivalence depends on agreeing
-/// about boundary positions, see `DESIGN.md §7`).
+/// This is *the* epoch-phase arithmetic — [`MemorySystem`]'s batch path,
+/// its write-ahead drain and the router's epoch clock all derive their cut
+/// lists here, so the paths cannot drift apart (their bit-identical
+/// equivalence depends on agreeing about boundary positions, see
+/// `DESIGN.md §7`).
 pub(crate) fn epoch_cuts(
     len: usize,
     accesses_so_far: u64,
@@ -158,7 +170,7 @@ pub(crate) fn validate_cuts(cuts: &[usize], len: usize) {
     }
 }
 
-/// Aggregate outcome of one [`BankEngine::process`] batch, computed by
+/// Aggregate outcome of one [`MemorySystem::process`] batch, computed by
 /// differencing O(banks) stats snapshots around the batch — the
 /// per-activation loops carry no accounting at all.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -226,8 +238,8 @@ impl EngineFootprint {
     }
 }
 
-/// Snapshot of an engine's accumulated state, shaped like the reports the
-/// simulator layers expose.
+/// Snapshot of a system's accumulated state ([`MemorySystem::report`]),
+/// shaped like the reports the simulator layers expose.
 #[derive(Clone, Debug, Default)]
 pub struct EngineReport {
     /// Accesses processed.
@@ -265,28 +277,20 @@ impl EngineReport {
 }
 
 /// A multi-bank mitigation engine: one [`SchemeInstance`] per bank and
-/// batched activation processing with epoch accounting — the unit a
-/// [`MemorySystem`] slices its banks into and replays, inline or on a
-/// shard worker.
+/// batched activation processing — the unit a [`MemorySystem`] slices its
+/// banks into and replays, inline or on a shard worker. It is exactly a
+/// contiguous slice of bank records plus its access and epoch counts; the
+/// epoch clock and the bucketing scratch belong to the [`MemorySystem`].
 ///
 /// Bank storage is **sparse and lazily materialized** (`DESIGN.md §10`): a
-/// bank's scheme instance is built from the spec on the bank's first
-/// activation, so construction is O(1) in the bank count and an engine over
-/// millions of banks only pays for the banks the workload touches.
+/// bank's record — its activation count and scheme instance — is built on
+/// the bank's first activation, so construction is O(1) in the bank count
+/// and an engine over millions of banks only pays for the banks the
+/// workload touches.
 pub struct BankEngine {
     pub(crate) banks: SparseBanks,
-    /// Per-bank row-activation counters, sparse like the scheme storage
-    /// (an absent entry is a bank that was never activated).
-    pub(crate) activations: SparseSlab<u64>,
-    /// Bucketing scratch of [`process`](Self::process) and
-    /// [`process_with_cuts`](Self::process_with_cuts); empty on engines a
-    /// [`MemorySystem`] drives, which buckets for all of its engines.
-    pub(crate) bucketer: Bucketer,
     pub(crate) accesses: u64,
     pub(crate) epochs: u64,
-    /// Accesses per auto-refresh epoch; `None` disables access-count epoch
-    /// accounting (the timed simulator fires epochs by cycle count instead).
-    pub(crate) epoch_len: Option<u64>,
 }
 
 impl BankEngine {
@@ -319,24 +323,9 @@ impl BankEngine {
         drop(spec.build_instance(rows_per_bank, bank_base));
         BankEngine {
             banks: SparseBanks::new(spec, banks, rows_per_bank, bank_base),
-            activations: SparseSlab::new(banks as usize),
-            bucketer: Bucketer::default(),
             accesses: 0,
             epochs: 0,
-            epoch_len: None,
         }
-    }
-
-    /// Enables access-count epoch accounting: every `accesses_per_epoch`
-    /// processed accesses, every bank receives an `on_epoch_end`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `accesses_per_epoch` is zero.
-    pub fn with_epoch_length(mut self, accesses_per_epoch: u64) -> Self {
-        assert!(accesses_per_epoch > 0, "epoch must contain accesses");
-        self.epoch_len = Some(accesses_per_epoch);
-        self
     }
 
     /// Number of banks (with or without an attached scheme).
@@ -358,150 +347,71 @@ impl BankEngine {
     /// were never activated report `0`).
     pub fn activations_per_bank(&self) -> Vec<u64> {
         let mut dense = vec![0u64; self.banks.capacity()];
-        for (bank, &count) in self.activations.iter() {
-            dense[bank] = count;
+        for (bank, record) in self.banks.records() {
+            dense[bank] = record.activations;
         }
         dense
     }
 
     /// Drives one activation through bank `bank` and returns the refreshes
-    /// the scheme requests. Fires no epoch boundaries — the single-access
+    /// the scheme requests. Fires no epoch boundaries — single-access
     /// callers (the timing simulator) own their epoch clock and call
     /// [`end_epoch`](Self::end_epoch) themselves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine was configured with
-    /// [`with_epoch_length`](Self::with_epoch_length): the access would
-    /// advance the batched epoch phase without ever firing a boundary,
-    /// silently corrupting every later [`process`](Self::process) call.
-    /// Single-access and access-count-epoch driving cannot be mixed.
     #[inline]
     pub fn activate(&mut self, bank: usize, row: u32) -> Refreshes {
-        assert!(
-            self.epoch_len.is_none(),
-            "BankEngine::activate cannot be mixed with access-count epoch accounting \
-             (with_epoch_length): the access would shift the batched epoch phase. \
-             Drive epochs from your own clock via end_epoch() instead."
-        );
-        self.activate_unchecked(bank, row)
-    }
-
-    /// The shared single-activation path; batched callers manage the epoch
-    /// phase themselves.
-    #[inline]
-    fn activate_unchecked(&mut self, bank: usize, row: u32) -> Refreshes {
-        *self.activations.get_or_insert_with(bank, u64::default) += 1;
         self.accesses += 1;
-        match self.banks.scheme_mut(bank) {
+        let record = self.banks.touch(bank);
+        record.activations += 1;
+        match &mut record.scheme {
             Some(scheme) => scheme.on_activation(RowId(row)),
             None => Refreshes::none(),
         }
     }
 
-    /// Signals an auto-refresh epoch boundary to every bank — the manual
-    /// epoch clock for single-access and cut-list callers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine was configured with
-    /// [`with_epoch_length`](Self::with_epoch_length): the automatic clock
-    /// keeps firing at its own access-count positions regardless, so a
-    /// manual boundary would silently interleave two epoch clocks (the
-    /// same mixing every other entry point rejects).
-    pub fn end_epoch(&mut self) {
-        assert!(
-            self.epoch_len.is_none(),
-            "BankEngine::end_epoch cannot be mixed with access-count epoch accounting \
-             (with_epoch_length): the automatic boundaries would keep firing at their \
-             own positions alongside the manual one"
-        );
-        self.fire_epoch();
-    }
-
-    /// The unguarded boundary used by the batch paths when the engine's
-    /// own access-count clock (or a caller's cut list) fires. Only
+    /// Signals an auto-refresh epoch boundary to every bank. Only
     /// materialized banks are visited: an unmaterialized bank is fresh,
     /// and `on_epoch_end` on a fresh instance is a bit-exact no-op
     /// (fresh-idempotence, `DESIGN.md §10`).
-    fn fire_epoch(&mut self) {
+    pub fn end_epoch(&mut self) {
         self.epochs += 1;
-        for (_, s) in self.banks.iter_mut() {
-            s.on_epoch_end();
+        for scheme in self.banks.schemes_mut() {
+            scheme.on_epoch_end();
         }
     }
 
-    /// Processes a batch of `(bank, row)` activations in order, firing epoch
-    /// boundaries (if configured) at the right global positions, and returns
-    /// the incrementally-aggregated outcome of the batch.
+    /// Processes a batch of `(bank, row)` activations in order, with the
+    /// epoch boundaries dictated by the caller: `cuts[i]` fires
+    /// `on_epoch_end` on every bank after the batch's first `cuts[i]`
+    /// accesses. Positions must be nondecreasing and at most
+    /// `batch.len()`; `0` and duplicates are allowed (boundaries before
+    /// the first access / back-to-back empty epochs). It buckets the batch
+    /// over this engine's banks through the same pass as
+    /// [`MemorySystem`]'s batch path (`DESIGN.md §7`), with scratch local
+    /// to the call, and returns the incrementally-aggregated outcome.
     ///
     /// ```
     /// use cat_core::SchemeSpec;
     /// use cat_engine::BankEngine;
     ///
     /// let spec = SchemeSpec::Sca { counters: 16, threshold: 64 };
-    /// let mut engine = BankEngine::new(spec, 4, 4096).with_epoch_length(600);
+    /// let mut engine = BankEngine::new(spec, 4, 4096);
     /// let batch: Vec<(u32, u32)> = (0..1_000).map(|i| (i % 4, 7)).collect();
-    /// let out = engine.process(&batch);
+    /// let out = engine.process_with_cuts(&batch, &[600]);
     /// assert_eq!((out.accesses, out.epochs), (1_000, 1));
     /// assert!(out.refresh_events > 0);
-    /// ```
-    pub fn process(&mut self, batch: &[(u32, u32)]) -> BatchOutcome {
-        let mut cuts = Vec::new();
-        epoch_cuts(batch.len(), self.accesses, self.epoch_len, &mut cuts);
-        self.run_with_cuts(batch, &cuts)
-    }
-
-    /// Processes a batch like [`process`](Self::process), but with the
-    /// epoch boundaries dictated by the caller instead of the engine's own
-    /// access counter: `cuts[i]` fires `on_epoch_end` on every bank after
-    /// the batch's first `cuts[i]` accesses. Positions must be
-    /// nondecreasing and at most `batch.len()`; `0` and duplicates are
-    /// allowed (boundaries before the first access / back-to-back empty
-    /// epochs). It buckets the batch over this engine's banks through the
-    /// same pass as [`MemorySystem`]'s batch path (`DESIGN.md §7`).
-    ///
-    /// ```
-    /// use cat_core::SchemeSpec;
-    /// use cat_engine::BankEngine;
-    ///
-    /// let spec = SchemeSpec::Sca { counters: 16, threshold: 64 };
-    /// let mut external = BankEngine::new(spec, 4, 4096);
-    /// let mut internal = BankEngine::new(spec, 4, 4096).with_epoch_length(600);
-    /// let batch: Vec<(u32, u32)> = (0..1_000).map(|i| (i % 4, 7)).collect();
-    /// external.process_with_cuts(&batch, &[600]);
-    /// internal.process(&batch);
-    /// assert_eq!(external.stats(), internal.stats());
-    /// assert_eq!(external.epochs(), 1);
+    /// assert_eq!(engine.epochs(), 1);
     /// ```
     ///
     /// # Panics
     ///
-    /// Panics if the engine was configured with
-    /// [`with_epoch_length`](Self::with_epoch_length) (two epoch clocks
-    /// cannot be mixed) or if `cuts` is not a valid cut list.
+    /// Panics if `cuts` is not a valid cut list.
     pub fn process_with_cuts(&mut self, batch: &[(u32, u32)], cuts: &[usize]) -> BatchOutcome {
-        assert!(
-            self.epoch_len.is_none(),
-            "BankEngine::process_with_cuts cannot be mixed with access-count epoch \
-             accounting (with_epoch_length): the engine would fire each boundary twice"
-        );
         validate_cuts(cuts, batch.len());
-        self.run_with_cuts(batch, cuts)
-    }
-
-    /// The shared core of [`process`](Self::process) and
-    /// [`process_with_cuts`](Self::process_with_cuts): the batch path's
-    /// bucketing pass over this engine's banks, then its replay
-    /// (`DESIGN.md §7`).
-    fn run_with_cuts(&mut self, batch: &[(u32, u32)], cuts: &[usize]) -> BatchOutcome {
         let before = shard::refresh_totals(std::slice::from_ref(self));
-        let mut bucketer = std::mem::take(&mut self.bucketer);
         let origin = self.banks.base();
-        bucketer.run(batch, cuts, 0, self.bank_count(), |runs| {
+        Bucketer::default().run(batch, cuts, 0, self.bank_count(), |runs| {
             shard::replay(std::slice::from_mut(self), runs, origin);
         });
-        self.bucketer = bucketer;
         let after = shard::refresh_totals(std::slice::from_ref(self));
         BatchOutcome {
             accesses: batch.len() as u64,
@@ -520,18 +430,19 @@ impl BankEngine {
     /// through one monomorphic [`SchemeInstance::run`] loop — the bank
     /// lookup is paid once per run, not once per access.
     fn replay_run(&mut self, bank: usize, rows: &[u32]) {
-        if let Some(scheme) = self.banks.scheme_mut(bank) {
+        self.accesses += rows.len() as u64;
+        let record = self.banks.touch(bank);
+        record.activations += rows.len() as u64;
+        if let Some(scheme) = &mut record.scheme {
             scheme.run(rows, |_| {});
         }
-        *self.activations.get_or_insert_with(bank, u64::default) += rows.len() as u64;
-        self.accesses += rows.len() as u64;
     }
 
-    /// Moves every bank `donor` holds inside this engine's bank range —
-    /// scheme instances and activation counts, keyed by global bank —
-    /// into this engine, and moves the activations' access count with
-    /// them. O(materialized banks moved): the re-carve step behind
-    /// [`MemorySystem::with_shards`] and cross-layout checkpoint restore.
+    /// Moves every bank record `donor` holds inside this engine's bank
+    /// range — keyed by global bank — into this engine, and moves the
+    /// records' access count with them. O(touched banks moved): the
+    /// re-carve step behind [`MemorySystem::with_shards`] and
+    /// cross-layout checkpoint restore.
     pub(crate) fn adopt(&mut self, donor: &mut BankEngine) {
         let base = self.banks.base() as usize;
         let donor_base = donor.banks.base() as usize;
@@ -540,14 +451,13 @@ impl BankEngine {
         if lo >= hi {
             return;
         }
-        let from = lo - donor_base..hi - donor_base;
-        let at = lo - base;
-        self.banks.adopt_range(at, &mut donor.banks, from.clone());
-        for (bank, count) in donor.activations.drain_range(from.clone()) {
-            self.activations.insert(at + bank - from.start, count);
-            self.accesses += count;
-            donor.accesses -= count;
-        }
+        let moved = self.banks.adopt_range(
+            lo - base,
+            &mut donor.banks,
+            lo - donor_base..hi - donor_base,
+        );
+        self.accesses += moved;
+        donor.accesses -= moved;
     }
 
     /// Scheme statistics aggregated across banks, in ascending bank order.
@@ -555,7 +465,7 @@ impl BankEngine {
     /// by fresh-idempotence), so only materialized banks are walked.
     pub fn stats(&self) -> SchemeStats {
         let mut total = SchemeStats::default();
-        for (_, s) in self.banks.iter() {
+        for s in self.schemes() {
             total.merge(s.stats());
         }
         total
@@ -569,8 +479,10 @@ impl BankEngine {
             return Vec::new();
         }
         let mut stats = vec![SchemeStats::default(); self.banks.capacity()];
-        for (bank, s) in self.banks.iter() {
-            stats[bank] = *s.stats();
+        for (bank, record) in self.banks.records() {
+            if let Some(s) = &record.scheme {
+                stats[bank] = *s.stats();
+            }
         }
         stats
     }
@@ -578,7 +490,7 @@ impl BankEngine {
     /// The materialized scheme instances, in ascending bank order (banks
     /// never touched have no instance yet and are skipped).
     pub fn schemes(&self) -> impl Iterator<Item = &SchemeInstance> {
-        self.banks.iter().map(|(_, s)| s)
+        self.banks.schemes()
     }
 
     /// Resident-memory snapshot of the engine's sparse bank storage.
@@ -587,21 +499,7 @@ impl BankEngine {
             banks: self.banks.capacity(),
             materialized_banks: self.banks.materialized(),
             scheme_bytes: self.banks.scheme_bytes(),
-            accounting_bytes: self.banks.container_bytes()
-                + self.activations.heap_bytes()
-                + self.bucketer.heap_bytes(),
-        }
-    }
-
-    /// Snapshot of everything the simulator layers report.
-    pub fn report(&self) -> EngineReport {
-        EngineReport {
-            accesses: self.accesses,
-            epochs: self.epochs,
-            activations_per_bank: self.activations_per_bank(),
-            scheme_stats: self.stats(),
-            per_bank_stats: self.per_bank_stats(),
-            footprint: self.footprint(),
+            accounting_bytes: self.banks.container_bytes(),
         }
     }
 }
@@ -625,6 +523,19 @@ mod tests {
             .collect()
     }
 
+    /// Runs `batch` through `engine` with a boundary every `epoch`
+    /// accesses of the engine's own stream — the cut list a system with
+    /// `with_epoch_length(epoch)` computes for the same position.
+    pub(crate) fn clocked(
+        engine: &mut BankEngine,
+        batch: &[(u32, u32)],
+        epoch: u64,
+    ) -> BatchOutcome {
+        let mut cuts = Vec::new();
+        epoch_cuts(batch.len(), engine.accesses(), Some(epoch), &mut cuts);
+        engine.process_with_cuts(batch, &cuts)
+    }
+
     /// One channel of `banks` banks: the system counterpart of a flat
     /// `BankEngine::new(spec, banks, 4096)`.
     fn one_channel(banks: u32) -> MemGeometry {
@@ -644,20 +555,20 @@ mod tests {
             counters: 16,
             threshold: 1 << 20,
         };
-        let mut engine = BankEngine::new(spec, 4, 4096).with_epoch_length(1_000);
-        let out = engine.process(&batch(2_500, 4));
+        let mut engine = BankEngine::new(spec, 4, 4096);
+        let out = clocked(&mut engine, &batch(2_500, 4), 1_000);
         assert_eq!(out.epochs, 2);
         assert_eq!(engine.epochs(), 2);
         // The boundary state carries across process calls.
-        let out = engine.process(&batch(500, 4));
+        let out = clocked(&mut engine, &batch(500, 4), 1_000);
         assert_eq!(out.epochs, 1);
         assert_eq!(engine.accesses(), 3_000);
     }
 
     #[test]
     fn none_spec_counts_activations_only() {
-        let mut engine = BankEngine::new(SchemeSpec::None, 4, 4096).with_epoch_length(100);
-        engine.process(&batch(400, 4));
+        let mut engine = BankEngine::new(SchemeSpec::None, 4, 4096);
+        clocked(&mut engine, &batch(400, 4), 100);
         assert_eq!(engine.activations_per_bank(), &[100, 100, 100, 100]);
         assert!(engine.per_bank_stats().is_empty());
         assert_eq!(engine.stats(), SchemeStats::default());
@@ -671,7 +582,7 @@ mod tests {
             threshold: 64,
         };
         let mut engine = BankEngine::new(spec, 4, 4096);
-        let out = engine.process(&batch(10_000, 4));
+        let out = engine.process_with_cuts(&batch(10_000, 4), &[]);
         let stats = engine.stats();
         assert_eq!(out.refresh_events, stats.refresh_events);
         assert_eq!(out.refreshed_rows, stats.refreshed_rows);
@@ -688,8 +599,8 @@ mod tests {
             threshold: 256,
         };
         let trace = batch(50_000, 8);
-        let mut seq = BankEngine::new(spec, 8, 4096).with_epoch_length(7_000);
-        seq.process(&trace);
+        let mut seq = BankEngine::new(spec, 8, 4096);
+        clocked(&mut seq, &trace, 7_000);
         for shards in [1, 2, 4, 8, 64] {
             let mut sharded = MemorySystem::new(one_channel(8), spec)
                 .with_epoch_length(7_000)
@@ -714,8 +625,8 @@ mod tests {
             threshold: 128,
         };
         let trace = batch(30_000, 8);
-        let mut seq = BankEngine::new(spec, 8, 4096).with_epoch_length(4_000);
-        seq.process(&trace);
+        let mut seq = BankEngine::new(spec, 8, 4096);
+        clocked(&mut seq, &trace, 4_000);
         let mut sharded = MemorySystem::new(one_channel(8), spec).with_epoch_length(4_000);
         for (chunk, shards) in trace.chunks(10_000).zip([2usize, 4, 2]) {
             sharded = sharded.with_shards(shards);
@@ -741,32 +652,7 @@ mod tests {
         assert!(rows > 0, "threshold 4 must fire within 16 activations");
         assert_eq!(engine.activations_per_bank(), &[0, 16]);
         assert_eq!(engine.epochs(), 1);
-        let report = engine.report();
-        assert_eq!(report.accesses, 16);
-        assert_eq!(report.per_bank_stats.len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot be mixed with access-count epoch accounting")]
-    fn activate_on_epoch_configured_engine_is_rejected() {
-        // Mixing the single-access path into a batched engine used to be a
-        // doc caveat that silently shifted every later epoch boundary.
-        let mut engine = BankEngine::new(SchemeSpec::None, 2, 4096).with_epoch_length(1_000);
-        let _ = engine.activate(0, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "epoch must contain accesses")]
-    fn zero_epoch_length_rejected() {
-        let _ = BankEngine::new(SchemeSpec::None, 1, 4096).with_epoch_length(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "end_epoch cannot be mixed")]
-    fn manual_epoch_on_epoch_configured_engine_is_rejected() {
-        // The automatic clock would keep firing at its own positions, so a
-        // manual boundary silently interleaves two epoch clocks.
-        let mut engine = BankEngine::new(SchemeSpec::None, 2, 4096).with_epoch_length(1_000);
-        engine.end_epoch();
+        assert_eq!(engine.accesses(), 16);
+        assert_eq!(engine.per_bank_stats().len(), 2);
     }
 }

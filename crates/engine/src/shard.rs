@@ -11,7 +11,9 @@
 //! bank ranges, so [`replay`] walks the runs once and hands each to its
 //! engine, with no sort of its own. The same two calls serve
 //! [`MemorySystem`](crate::MemorySystem) (over its owned range, every
-//! engine) and [`BankEngine::process`] (over the engine's own banks).
+//! engine, with scratch it keeps across batches) and
+//! [`BankEngine::process_with_cuts`] (over the engine's own banks, with
+//! scratch local to the call).
 //!
 //! With `n > 1` shards, [`ShardWorkers`] spawns `n` threads **once** and
 //! gives each a contiguous group of engines. Per chunk the engines travel
@@ -190,7 +192,7 @@ pub(crate) fn replay(engines: &mut [BankEngine], runs: &Runs, origin: u32) {
     let mut e = 0;
     for &(bank, len) in &runs.runs {
         if bank == CUT {
-            engines.iter_mut().for_each(BankEngine::fire_epoch);
+            engines.iter_mut().for_each(BankEngine::end_epoch);
             e = 0;
             continue;
         }

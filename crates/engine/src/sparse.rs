@@ -1,13 +1,15 @@
-//! Lazily-materialized per-bank scheme storage — **the** sparse accessor
-//! module (`DESIGN.md §10`).
+//! Lazily-materialized per-bank state — **the** sparse accessor module
+//! (`DESIGN.md §10`).
 //!
-//! [`SparseBanks`] wraps a [`SparseSlab`] of [`SchemeInstance`]s plus the
-//! recipe to build one: the [`SchemeSpec`], the per-bank row count and
-//! the engine's bank base. A bank's scheme is built on the bank's *first
-//! touch*, from the spec and the bank's deterministic global index — the
-//! same pure function [`BankEngine::with_bank_base`] used to call for
-//! every bank eagerly — so instantiation order cannot leak into results
-//! and an engine over a million banks constructs in O(1).
+//! [`SparseBanks`] wraps one [`SparseSlab`] of [`Bank`] records — a
+//! bank's activation count and its [`SchemeInstance`] — plus the recipe
+//! to build one: the [`SchemeSpec`], the per-bank row count and the
+//! engine's bank base. A bank's record is created on the bank's *first
+//! touch*, its scheme built from the spec and the bank's deterministic
+//! global index — the same pure function [`BankEngine::with_bank_base`]
+//! used to call for every bank eagerly — so instantiation order cannot
+//! leak into results and an engine over a million banks constructs in
+//! O(1).
 //!
 //! Lazy materialization preserves the determinism contract (`DESIGN.md
 //! §7`) because every scheme's `on_epoch_end` is *fresh-idempotent*: on a
@@ -24,14 +26,23 @@
 
 use cat_core::{SchemeInstance, SchemeSpec, SparseSlab};
 
+/// One touched bank: every activation it has seen and its scheme, which
+/// exists exactly when the spec attaches one.
+pub(crate) struct Bank {
+    /// Row activations this bank has seen; at least 1 once touched.
+    pub(crate) activations: u64,
+    /// The bank's scheme instance; `None` only for [`SchemeSpec::None`].
+    pub(crate) scheme: Option<SchemeInstance>,
+}
+
 /// Sparse, lazily-materialized map from local bank index to the bank's
-/// [`SchemeInstance`] (see the module docs).
+/// record (see the module docs).
 pub(crate) struct SparseBanks {
     spec: SchemeSpec,
     rows: u32,
     /// Global index of local bank 0 — the PRA seed derivation input.
     base: u32,
-    slab: SparseSlab<SchemeInstance>,
+    slab: SparseSlab<Bank>,
 }
 
 impl SparseBanks {
@@ -46,14 +57,24 @@ impl SparseBanks {
         }
     }
 
-    /// Number of banks this storage spans (materialized or not).
+    /// Number of banks this storage spans (touched or not).
     pub(crate) fn capacity(&self) -> usize {
         self.slab.capacity()
     }
 
-    /// Number of banks whose scheme instance has been materialized.
-    pub(crate) fn materialized(&self) -> usize {
+    /// Number of touched banks.
+    pub(crate) fn touched(&self) -> usize {
         self.slab.occupied()
+    }
+
+    /// Number of banks whose scheme instance has been materialized: every
+    /// touched bank, unless the spec attaches no scheme.
+    pub(crate) fn materialized(&self) -> usize {
+        if self.has_scheme() {
+            self.touched()
+        } else {
+            0
+        }
     }
 
     /// Global index of local bank 0 (see the struct docs).
@@ -70,7 +91,7 @@ impl SparseBanks {
     }
 
     /// Pre-grows the slab's block directory (checkpoint restore: reserve
-    /// first, then materialize in ascending bank order, so the restored
+    /// first, then touch in ascending bank order, so the restored
     /// footprint is bit-equal to the saved one).
     pub(crate) fn reserve_block_capacity(&mut self, cap: usize) {
         self.slab.reserve_block_capacity(cap);
@@ -81,45 +102,52 @@ impl SparseBanks {
         !matches!(self.spec, SchemeSpec::None)
     }
 
-    /// The scheme of `bank`, materializing it on first touch. `None` only
-    /// for [`SchemeSpec::None`], which builds no instance.
+    /// The record of `bank`, created with no activations and a fresh
+    /// scheme on first touch — one slab lookup either way.
     #[inline]
-    pub(crate) fn scheme_mut(&mut self, bank: usize) -> Option<&mut SchemeInstance> {
-        if !self.slab.contains(bank) {
-            let instance = self
-                .spec
-                .build_instance(self.rows, self.base + bank as u32)?;
-            self.slab.insert(bank, instance);
-        }
-        self.slab.get_mut(bank)
+    pub(crate) fn touch(&mut self, bank: usize) -> &mut Bank {
+        let (spec, rows, base) = (self.spec, self.rows, self.base);
+        self.slab.get_or_insert_with(bank, || Bank {
+            activations: 0,
+            scheme: spec.build_instance(rows, base + bank as u32),
+        })
     }
 
-    /// Materialized schemes in ascending bank order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, &SchemeInstance)> {
+    /// Touched banks' records in ascending bank order.
+    pub(crate) fn records(&self) -> impl Iterator<Item = (usize, &Bank)> {
         self.slab.iter()
     }
 
-    /// Mutable materialized schemes in ascending bank order.
-    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (usize, &mut SchemeInstance)> {
-        self.slab.iter_mut()
+    /// Materialized schemes in ascending bank order.
+    pub(crate) fn schemes(&self) -> impl Iterator<Item = &SchemeInstance> {
+        self.records().filter_map(|(_, b)| b.scheme.as_ref())
     }
 
-    /// Moves the donor's materialized banks in `range` (donor-local
-    /// indices) here, the donor's `range.start` landing at local bank
-    /// `at` — the re-carve step of `BankEngine::adopt`. An instance keeps
-    /// the global index it was built with, so both sides must agree on
-    /// it. Ascending inserts: O(materialized in range), not O(range).
+    /// Mutable materialized schemes in ascending bank order.
+    pub(crate) fn schemes_mut(&mut self) -> impl Iterator<Item = &mut SchemeInstance> {
+        self.slab.iter_mut().filter_map(|(_, b)| b.scheme.as_mut())
+    }
+
+    /// Moves the donor's touched banks in `range` (donor-local indices)
+    /// here, the donor's `range.start` landing at local bank `at` — the
+    /// re-carve step of `BankEngine::adopt` — and returns the activations
+    /// they carry. An instance keeps the global index it was built with,
+    /// so both sides must agree on it. Ascending inserts: O(touched in
+    /// range), not O(range).
     pub(crate) fn adopt_range(
         &mut self,
         at: usize,
         donor: &mut SparseBanks,
         range: std::ops::Range<usize>,
-    ) {
+    ) -> u64 {
         debug_assert_eq!(self.base as usize + at, donor.base as usize + range.start);
         let start = range.start;
-        for (bank, instance) in donor.slab.drain_range(range) {
-            self.slab.insert(at + bank - start, instance);
+        let mut moved = 0;
+        for (bank, record) in donor.slab.drain_range(range) {
+            moved += record.activations;
+            self.slab.insert(at + bank - start, record);
         }
+        moved
     }
 
     /// Resident bytes of the materialized schemes themselves: the sum of
@@ -128,17 +156,15 @@ impl SparseBanks {
     /// exactly across the slices of a partition (`DESIGN.md §12`) — the
     /// property the fleet's merged footprint relies on.
     pub(crate) fn scheme_bytes(&self) -> usize {
-        self.iter()
-            .map(|(_, instance)| instance.footprint_bytes())
-            .sum()
+        self.schemes().map(SchemeInstance::footprint_bytes).sum()
     }
 
     /// Resident bytes of the slab's own block storage: directory plus
-    /// slot vectors, minus the occupied slots' instance payload (already
-    /// counted by [`scheme_bytes`](Self::scheme_bytes) — slot capacity is
-    /// always at least the occupied count, so this never underflows).
-    /// Depends on the engine split and touch order — accounting
-    /// overhead, not scheme state.
+    /// record slots, activation counts included, minus the materialized
+    /// instances' payload (already counted by
+    /// [`scheme_bytes`](Self::scheme_bytes) — every such instance sits in
+    /// an occupied slot, so this never underflows). Depends on the engine
+    /// split and touch order — accounting overhead, not scheme state.
     pub(crate) fn container_bytes(&self) -> usize {
         self.slab.heap_bytes() - self.materialized() * std::mem::size_of::<SchemeInstance>()
     }

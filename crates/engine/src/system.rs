@@ -5,9 +5,9 @@
 //! components sitting behind a channel/rank/bank decode, and every consumer
 //! in this repo used to hand-roll exactly that layer: decode an address,
 //! flatten it to a global bank id, feed an engine. `MemorySystem` owns that
-//! path — [`AddressMapping`] decode, per-slice routing, global epoch
-//! accounting, streaming ingestion — behind the same batched
-//! `process`/report API as [`BankEngine`], at whole-system scope.
+//! path — [`AddressMapping`] decode, per-slice routing, the one epoch
+//! clock, the bucketing scratch, streaming ingestion — behind a batched
+//! `process`/`report` API at whole-system scope.
 //!
 //! ## Batch datapath
 //!
@@ -60,7 +60,7 @@ use cat_core::{Refreshes, SchemeInstance, SchemeSpec, SchemeStats};
 use crate::checkpoint::Wal;
 use crate::ingest::{IngestConsumer, IngestEvent};
 use crate::shard::{self, Bucketer, ShardWorkers};
-use crate::wire::bad;
+use crate::wire::{bad, check_records};
 use crate::{
     epoch_cuts, AddressMapping, BankEngine, BatchOutcome, EngineFootprint, EngineReport,
     GeometrySlice, MemGeometry, Partition,
@@ -502,10 +502,11 @@ impl MemorySystem {
     /// # Errors
     ///
     /// [`io::ErrorKind::InvalidData`] if a batch contains a bank outside
-    /// the [owned slice](Self::slice) (the batch is dropped; the TCP
-    /// server refuses such records at the connection), or if an epoch-cut
-    /// event arrives while the system runs its own access-count epoch
-    /// clock (the wire handshake refuses that mix up front).
+    /// the [owned slice](Self::slice) or a row past its bank's last (the
+    /// batch is dropped; the TCP server refuses such records at the
+    /// connection), or if an epoch-cut event arrives while the system
+    /// runs its own access-count epoch clock (the wire handshake refuses
+    /// that mix up front).
     pub fn ingest(&mut self, consumer: &mut IngestConsumer) -> io::Result<BatchOutcome> {
         self.drain(|out| Ok(consumer.next_event_into(out)), None)
     }
@@ -545,21 +546,13 @@ impl MemorySystem {
                     }
                 }
                 Some(IngestEvent::Records(_)) => {
-                    // The push_decoded bank check, hoisted out of the hot
-                    // loop (an `all` scan vectorizes; the offending bank
-                    // is only located on the failure arm): fail at the
-                    // drain, not deep inside a later bucketing pass.
-                    let fresh = &self.staged[before..];
-                    if !fresh.iter().all(|&(bank, _)| owned.contains(bank)) {
-                        let bank = fresh
-                            .iter()
-                            .map(|&(bank, _)| bank)
-                            .find(|&bank| !owned.contains(bank))
-                            .unwrap_or(u32::MAX);
+                    // The wire's range rule, once per merged batch: fail
+                    // at the drain, not in a later bucketing pass or a
+                    // scheme's row assert.
+                    let fresh = self.staged[before..].iter().copied();
+                    if let Err(e) = check_records(fresh, &owned) {
                         self.staged.truncate(before);
-                        return Err(bad(format!(
-                            "global bank {bank} out of range for a system owning {owned}"
-                        )));
+                        return Err(e);
                     }
                     match wal.as_deref_mut() {
                         Some(wal) => self.drain_logged(wal, before)?,
@@ -851,6 +844,7 @@ fn refine(split: &[GeometrySlice], shards: usize) -> Vec<GeometrySlice> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::clocked;
 
     fn geometry() -> MemGeometry {
         MemGeometry {
@@ -885,8 +879,8 @@ mod tests {
             threshold: 64,
         };
         let trace = batch(40_000);
-        let mut flat = BankEngine::new(spec, 16, 4096).with_epoch_length(9_000);
-        flat.process(&trace);
+        let mut flat = BankEngine::new(spec, 16, 4096);
+        clocked(&mut flat, &trace, 9_000);
         for shards in [1usize, 4] {
             let mut system = MemorySystem::new(geometry(), spec)
                 .with_epoch_length(9_000)
@@ -912,8 +906,8 @@ mod tests {
             threshold: 128,
         };
         let trace = batch(30_000);
-        let mut flat = BankEngine::new(spec, 16, 4096).with_epoch_length(97);
-        flat.process(&trace);
+        let mut flat = BankEngine::new(spec, 16, 4096);
+        clocked(&mut flat, &trace, 97);
         for shards in [1usize, 3, 8] {
             let mut system = MemorySystem::new(geometry(), spec)
                 .with_epoch_length(97)

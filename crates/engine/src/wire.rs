@@ -18,7 +18,7 @@
 //!   │  ServerHello {magic, version,        │
 //!   │    geometry, spec, epoch_len}        │
 //!   ◄──────────────────────────────────────┤
-//!   │  Frame::Records {seq, (bank,row)*}   │  any number, seq = 0,1,2,…
+//!   │  Records {seq, (bank,row)*}          │  any number, seq = 0,1,2,…
 //!   ├──────────────────────────────────────►
 //!   │  Frame::Checkpoint    (optional)     │  any number, any time
 //!   ├──────────────────────────────────────►
@@ -31,7 +31,7 @@
 //!   ◄──────────────────────────────────────┤
 //! ```
 //!
-//! Each producer numbers its `Records` frames consecutively from zero; the
+//! Each producer numbers its records frames consecutively from zero; the
 //! server verifies the sequence and feeds the frames to the deterministic
 //! merge in [`crate::ingest`]. Malformed input is reported as
 //! [`std::io::Error`] with [`std::io::ErrorKind::InvalidData`] — a protocol
@@ -74,7 +74,7 @@ pub const MAGIC: [u8; 4] = *b"CATW";
 /// version-3 peer accepted before is still accepted.
 pub const VERSION: u16 = 3;
 
-/// Hard cap on records per [`Frame::Records`] — bounds the allocation a
+/// Hard cap on records per records frame — bounds the allocation a
 /// malformed (or malicious) length prefix can force on the receiver.
 pub const MAX_RECORDS_PER_FRAME: u32 = 1 << 20;
 
@@ -104,17 +104,33 @@ pub fn unpack_record(packed: u64) -> (u32, u32) {
     (packed as u32, (packed >> 32) as u32)
 }
 
-/// Checks packed records against the slice a server owns: every bank
-/// inside `owned`, every row below its banks' row count. The one range
-/// check for records from a peer connection or a trace log: the schemes
-/// downstream assert on out-of-range rows, and a panic on the shared
-/// drain thread would take the whole session down.
-pub(crate) fn check_records(packed: &[u64], owned: &GeometrySlice) -> io::Result<()> {
+/// Checks records against the slice a system owns: every bank inside
+/// `owned`, every row below its banks' row count. The one range rule for
+/// records from a peer connection, a trace log or an in-process
+/// producer: the schemes downstream assert on out-of-range rows, and a
+/// panic on the shared drain thread would take the whole session down.
+pub(crate) fn check_records<I>(records: I, owned: &GeometrySlice) -> io::Result<()>
+where
+    I: IntoIterator<Item = (u32, u32)>,
+    I::IntoIter: Clone,
+{
     let rows = owned.geometry().rows_per_bank;
-    for (bank, row) in packed.iter().map(|&p| unpack_record(p)) {
-        if !owned.contains(bank) || row >= rows {
+    let records = records.into_iter();
+    // A branch-free scan vectorizes (an early-exit one does not); the
+    // offender is only located on the failure arm.
+    let ok = |(bank, row): (u32, u32)| owned.contains(bank) & (row < rows);
+    if records.clone().fold(true, |all, record| all & ok(record)) {
+        return Ok(());
+    }
+    for (bank, row) in records {
+        if !owned.contains(bank) {
             return Err(bad(format!(
-                "record (bank {bank}, row {row}) out of range for {owned} with {rows}-row banks"
+                "global bank {bank} out of range for a system owning {owned}"
+            )));
+        }
+        if row >= rows {
+            return Err(bad(format!(
+                "row {row} of global bank {bank} out of range for {rows}-row banks"
             )));
         }
     }
@@ -124,10 +140,6 @@ pub(crate) fn check_records(packed: &[u64], owned: &GeometrySlice) -> io::Result
 /// The crate's typed refusal: an [`io::ErrorKind::InvalidData`] error.
 pub(crate) fn bad(message: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message.into())
-}
-
-fn write_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
 }
 
 fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
@@ -310,18 +322,14 @@ pub fn read_server_hello<R: Read>(r: &mut R) -> io::Result<ServerHello> {
     })
 }
 
-/// One client → server frame after the handshake.
+/// One client → server control frame after the handshake. The records
+/// frames between them — a batch of `(global bank, row)` activations in
+/// stream order, tagged with the producer's consecutive sequence number
+/// (the key of the deterministic merge, `DESIGN.md §8`) — are encoded by
+/// [`encode_records`] and read by [`read_frame_header`] plus
+/// [`read_packed_records`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Frame {
-    /// A batch of `(global bank, row)` activations in stream order, tagged
-    /// with this producer's consecutive sequence number (the key of the
-    /// deterministic merge — `DESIGN.md §8`).
-    Records {
-        /// Producer-local sequence number: 0 for the first frame, then +1.
-        seq: u64,
-        /// The activations, in the order the producer observed them.
-        records: Vec<(u32, u32)>,
-    },
     /// Ask the server to send a [`StatsSnapshot`] once ingestion completes
     /// (i.e. after *every* producer has finished).
     StatsRequest,
@@ -335,11 +343,11 @@ pub enum Frame {
     /// §12`): the router owns the fleet's epoch clock and delivers each
     /// cut to every backend at the exact stream position it fired, so
     /// clockless backends count epochs bit-identically to a single host.
-    /// Shares the producer's sequence space with `Records` so its
+    /// Shares the producer's sequence space with records frames so its
     /// position survives the deterministic merge. Servers that fire their
     /// own epoch boundaries refuse the frame (connection-fatal).
     EpochCut {
-        /// Producer-local sequence number, shared with `Records` frames.
+        /// Producer-local sequence number, shared with records frames.
         seq: u64,
     },
 }
@@ -352,30 +360,10 @@ const TAG_CHECKPOINT: u8 = 0x04;
 // (no client sent it, servers refused it). Never reuse it for a new kind.
 const TAG_EPOCH_CUT: u8 = 0x06;
 
-/// Writes a [`Frame::Records`] directly from a slice (no intermediate
-/// `Vec`) — the form the streaming clients use.
-///
-/// # Errors
-///
-/// [`io::ErrorKind::InvalidData`] if `records` exceeds
-/// [`MAX_RECORDS_PER_FRAME`]; I/O errors pass through.
-pub fn write_records<W: Write>(w: &mut W, seq: u64, records: &[(u32, u32)]) -> io::Result<()> {
-    if records.len() > MAX_RECORDS_PER_FRAME as usize {
-        return Err(bad(format!("{}-record frame", records.len())));
-    }
-    w.write_all(&[TAG_RECORDS])?;
-    write_u64(w, seq)?;
-    write_u32(w, records.len() as u32)?;
-    for &(bank, row) in records {
-        write_u64(w, pack_record(bank, row))?;
-    }
-    Ok(())
-}
-
-/// Encodes a [`Frame::Records`] into `buf` (cleared first) — the
-/// buffer-reusing counterpart of [`write_records`] for clients that stream
-/// many frames over one connection: after the first call at a given batch
-/// size, encoding allocates nothing.
+/// Encodes a records frame of `records` with sequence number `seq` into
+/// `buf` (cleared first). Clients stream many frames over one connection
+/// through one buffer: after the first call at a given batch size,
+/// encoding allocates nothing.
 ///
 /// # Errors
 ///
@@ -396,15 +384,13 @@ pub fn encode_records(buf: &mut Vec<u8>, seq: u64, records: &[(u32, u32)]) -> io
     Ok(())
 }
 
-/// Writes one frame.
+/// Writes one control frame.
 ///
 /// # Errors
 ///
-/// [`io::ErrorKind::InvalidData`] if a `Records` frame exceeds
-/// [`MAX_RECORDS_PER_FRAME`]; I/O errors pass through.
+/// I/O errors pass through.
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
     match frame {
-        Frame::Records { seq, records } => write_records(w, *seq, records),
         Frame::StatsRequest => w.write_all(&[TAG_STATS_REQUEST]),
         Frame::Finish => w.write_all(&[TAG_FINISH]),
         Frame::Checkpoint => w.write_all(&[TAG_CHECKPOINT]),
@@ -415,14 +401,15 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
     }
 }
 
-/// The header of one post-handshake frame, with a `Records` payload left
+/// The header of one post-handshake frame, with a records payload left
 /// **unread** on the stream. This is the zero-copy server's entry point:
 /// it reads the header, then pulls the payload in bounded chunks with
-/// [`read_packed_records`] instead of materialising a `Vec<(u32, u32)>`
-/// per frame like [`read_frame`] does.
+/// [`read_packed_records`], never materialising a `Vec<(u32, u32)>` per
+/// frame.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FrameHeader {
-    /// A [`Frame::Records`] header; `count` records follow on the stream.
+    /// A records frame header ([`encode_records`]); `count` records
+    /// follow on the stream.
     Records {
         /// Producer-local sequence number: 0 for the first frame, then +1.
         seq: u64,
@@ -437,7 +424,7 @@ pub enum FrameHeader {
     Checkpoint,
     /// A [`Frame::EpochCut`] (no payload beyond the sequence number).
     EpochCut {
-        /// Producer-local sequence number, shared with `Records` frames.
+        /// Producer-local sequence number, shared with records frames.
         seq: u64,
     },
 }
@@ -473,7 +460,7 @@ pub fn read_frame_header<R: Read>(r: &mut R) -> io::Result<FrameHeader> {
     }
 }
 
-/// Reads exactly `count` records of a `Records` payload into `packed`
+/// Reads exactly `count` records of a records payload into `packed`
 /// (cleared first), going through the reusable byte buffer `buf`: one
 /// `read_exact` into recycled storage, then one `u64::from_le_bytes` per
 /// record — no per-record parsing and, after the first call at a given
@@ -498,31 +485,6 @@ pub fn read_packed_records<R: Read>(
         u64::from_le_bytes(bytes)
     }));
     Ok(())
-}
-
-/// Reads one frame.
-///
-/// # Errors
-///
-/// [`io::ErrorKind::InvalidData`] on an unknown tag or an oversized record
-/// count; I/O errors (including `UnexpectedEof` on a truncated frame) pass
-/// through.
-pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Frame> {
-    match read_frame_header(r)? {
-        FrameHeader::Records { seq, count } => {
-            let mut buf = Vec::new();
-            let mut packed = Vec::new();
-            read_packed_records(r, &mut buf, &mut packed, count as usize)?;
-            Ok(Frame::Records {
-                seq,
-                records: packed.iter().map(|&p| unpack_record(p)).collect(),
-            })
-        }
-        FrameHeader::StatsRequest => Ok(Frame::StatsRequest),
-        FrameHeader::Finish => Ok(Frame::Finish),
-        FrameHeader::Checkpoint => Ok(Frame::Checkpoint),
-        FrameHeader::EpochCut { seq } => Ok(Frame::EpochCut { seq }),
-    }
 }
 
 /// The server's reply to a [`Frame::StatsRequest`]: the system-wide state
@@ -706,31 +668,70 @@ mod tests {
         assert!(err.to_string().contains("version"));
     }
 
+    /// Reads one frame the way the server does: the header, then a
+    /// records payload through [`read_packed_records`], unpacked.
+    fn read_one(r: &mut &[u8]) -> io::Result<(FrameHeader, Vec<(u32, u32)>)> {
+        let header = read_frame_header(r)?;
+        let (mut bytes, mut packed) = (Vec::new(), Vec::new());
+        if let FrameHeader::Records { count, .. } = header {
+            read_packed_records(r, &mut bytes, &mut packed, count as usize)?;
+        }
+        Ok((header, packed.iter().map(|&p| unpack_record(p)).collect()))
+    }
+
     #[test]
     fn frames_round_trip() {
-        let frames = [
-            Frame::Records {
-                seq: 0,
-                records: vec![(0, 1), (15, 4095), (u32::MAX, u32::MAX)],
-            },
-            Frame::Records {
-                seq: u64::MAX,
-                records: Vec::new(),
-            },
+        let mut buf = Vec::new();
+        let mut frame = Vec::new();
+        let batches: [(u64, Vec<(u32, u32)>); 2] = [
+            (0, vec![(0, 1), (15, 4095), (u32::MAX, u32::MAX)]),
+            (u64::MAX, Vec::new()),
+        ];
+        for (seq, records) in &batches {
+            encode_records(&mut frame, *seq, records).unwrap();
+            buf.extend_from_slice(&frame);
+        }
+        let controls = [
             Frame::StatsRequest,
             Frame::Finish,
             Frame::Checkpoint,
             Frame::EpochCut { seq: 17 },
             Frame::EpochCut { seq: u64::MAX },
         ];
-        let mut buf = Vec::new();
-        for f in &frames {
+        for f in &controls {
             write_frame(&mut buf, f).unwrap();
         }
         let mut r = buf.as_slice();
-        for f in &frames {
-            assert_eq!(&read_frame(&mut r).unwrap(), f);
+        for (seq, records) in &batches {
+            let count = records.len() as u32;
+            let (header, got) = read_one(&mut r).unwrap();
+            assert_eq!(header, FrameHeader::Records { seq: *seq, count });
+            assert_eq!(&got, records);
         }
+        let headers = [
+            FrameHeader::StatsRequest,
+            FrameHeader::Finish,
+            FrameHeader::Checkpoint,
+            FrameHeader::EpochCut { seq: 17 },
+            FrameHeader::EpochCut { seq: u64::MAX },
+        ];
+        for header in headers {
+            assert_eq!(read_one(&mut r).unwrap(), (header, Vec::new()));
+        }
+        assert!(r.is_empty());
+
+        // A payload split across chunked reads, like the server does, and
+        // a stale encode buffer that must be cleared.
+        let mut frame = vec![0xFF; 3];
+        encode_records(&mut frame, 5, &[(1, 2), (3, 4), (5, 6)]).unwrap();
+        let mut r = frame.as_slice();
+        let header = read_frame_header(&mut r).unwrap();
+        assert_eq!(header, FrameHeader::Records { seq: 5, count: 3 });
+        let (mut bytes, mut packed) = (Vec::new(), Vec::new());
+        read_packed_records(&mut r, &mut bytes, &mut packed, 2).unwrap();
+        assert_eq!(packed, [pack_record(1, 2), pack_record(3, 4)]);
+        read_packed_records(&mut r, &mut bytes, &mut packed, 1).unwrap();
+        assert_eq!(packed, [pack_record(5, 6)]);
         assert!(r.is_empty());
     }
 
@@ -741,23 +742,21 @@ mod tests {
         buf.push(0x01);
         buf.extend_from_slice(&0u64.to_le_bytes());
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
-        let err = read_frame(&mut buf.as_slice()).unwrap_err();
+        let err = read_frame_header(&mut buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
-        let err = read_frame(&mut [0x7f_u8].as_slice()).unwrap_err();
+        let err = read_frame_header(&mut [0x7f_u8].as_slice()).unwrap_err();
         assert!(err.to_string().contains("unknown frame tag"));
 
-        let oversized = Frame::Records {
-            seq: 0,
-            records: vec![(0, 0); MAX_RECORDS_PER_FRAME as usize + 1],
-        };
-        assert!(write_frame(&mut Vec::new(), &oversized).is_err());
+        let oversized = vec![(0u32, 0u32); MAX_RECORDS_PER_FRAME as usize + 1];
+        let err = encode_records(&mut Vec::new(), 0, &oversized).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
         // The retired restore tag is reserved: a peer sending it (with
         // the old length prefix) meets the unknown-tag refusal.
         let mut buf = vec![0x05];
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
-        let err = read_frame(&mut buf.as_slice()).unwrap_err();
+        let err = read_frame_header(&mut buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("unknown frame tag 0x05"));
     }
@@ -781,7 +780,10 @@ mod tests {
         // the invariant behind the server's zero-copy decode.
         let records = [(3u32, 0x1234_5678u32), (u32::MAX, 0)];
         let mut buf = Vec::new();
-        write_records(&mut buf, 9, &records).unwrap();
+        encode_records(&mut buf, 9, &records).unwrap();
+        assert_eq!(buf[0], 0x01);
+        assert_eq!(buf[1..9], 9u64.to_le_bytes());
+        assert_eq!(buf[9..13], 2u32.to_le_bytes());
         let payload = &buf[1 + 8 + 4..];
         assert_eq!(payload.len(), records.len() * RECORD_BYTES);
         for (chunk, &(bank, row)) in payload.chunks(RECORD_BYTES).zip(&records) {
@@ -793,49 +795,14 @@ mod tests {
     }
 
     #[test]
-    fn header_then_chunked_payload_reads_equal_read_frame() {
-        let mut buf = Vec::new();
-        write_records(&mut buf, 5, &[(1, 2), (3, 4), (5, 6)]).unwrap();
-        write_frame(&mut buf, &Frame::Finish).unwrap();
-        let mut r = buf.as_slice();
-        let header = read_frame_header(&mut r).unwrap();
-        assert_eq!(header, FrameHeader::Records { seq: 5, count: 3 });
-        // Split the payload across two chunked reads, like the server does.
-        let (mut bytes, mut packed) = (Vec::new(), Vec::new());
-        read_packed_records(&mut r, &mut bytes, &mut packed, 2).unwrap();
-        assert_eq!(packed, [pack_record(1, 2), pack_record(3, 4)]);
-        read_packed_records(&mut r, &mut bytes, &mut packed, 1).unwrap();
-        assert_eq!(packed, [pack_record(5, 6)]);
-        assert_eq!(read_frame_header(&mut r).unwrap(), FrameHeader::Finish);
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn encode_records_matches_write_records() {
-        let records: Vec<(u32, u32)> = (0..100u32).map(|i| (i, i * 31)).collect();
-        let mut streamed = Vec::new();
-        write_records(&mut streamed, 42, &records).unwrap();
-        let mut encoded = vec![0xFF; 3]; // stale content must be cleared
-        encode_records(&mut encoded, 42, &records).unwrap();
-        assert_eq!(encoded, streamed);
-
-        let oversized = vec![(0u32, 0u32); MAX_RECORDS_PER_FRAME as usize + 1];
-        assert!(encode_records(&mut encoded, 0, &oversized).is_err());
-    }
-
-    #[test]
     fn truncated_frames_report_eof() {
         let mut buf = Vec::new();
-        write_frame(
-            &mut buf,
-            &Frame::Records {
-                seq: 3,
-                records: vec![(1, 2), (3, 4)],
-            },
-        )
-        .unwrap();
-        let err = read_frame(&mut buf[..buf.len() - 1].as_ref()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        encode_records(&mut buf, 3, &[(1, 2), (3, 4)]).unwrap();
+        // Cut inside the payload and inside the header.
+        for len in [buf.len() - 1, 5] {
+            let err = read_one(&mut &buf[..len]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "length {len}");
+        }
     }
 
     #[test]

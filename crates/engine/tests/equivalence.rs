@@ -42,6 +42,16 @@ fn one_channel(banks: u32) -> MemGeometry {
     }
 }
 
+/// Epoch cut positions every `epoch` accesses of a `len`-access batch that
+/// opens a stream — the cut list a system `with_epoch_length(epoch)`
+/// computes for it.
+fn cuts_every(epoch: u64, len: usize) -> Vec<usize> {
+    (1..)
+        .map(|k| (k * epoch) as usize)
+        .take_while(|&c| c <= len)
+        .collect()
+}
+
 /// Deterministic trace mixing a few hammered rows with a spread background,
 /// across all banks (splitmix-style mixing, no RNG dependency).
 fn trace(n: u64) -> Vec<(u32, u32)> {
@@ -135,8 +145,8 @@ fn engine_matches_old_loop_for_every_spec_and_shard_count() {
         let (old_total, old_per_bank) = old_sequential_loop(spec, &trace);
 
         // Batched, unsharded.
-        let mut engine = BankEngine::new(spec, BANKS, ROWS).with_epoch_length(EPOCH);
-        engine.process(&trace);
+        let mut engine = BankEngine::new(spec, BANKS, ROWS);
+        engine.process_with_cuts(&trace, &cuts_every(EPOCH, trace.len()));
         assert_eq!(engine.stats(), old_total, "{spec}: batched != old loop");
         assert_eq!(
             engine.per_bank_stats(),
@@ -186,8 +196,8 @@ fn memory_system_matches_old_loop_for_every_spec_and_shard_count() {
     let trace = trace(150_000);
     for spec in all_specs() {
         let (old_total, old_per_bank) = old_sequential_loop(spec, &trace);
-        let mut flat = BankEngine::new(spec, BANKS, ROWS).with_epoch_length(EPOCH);
-        flat.process(&trace);
+        let mut flat = BankEngine::new(spec, BANKS, ROWS);
+        flat.process_with_cuts(&trace, &cuts_every(EPOCH, trace.len()));
 
         for shards in [1usize, 2, 4, 8] {
             let mut system = MemorySystem::new(geometry(), spec)
@@ -268,8 +278,8 @@ fn small_epochs_match_old_loop_for_every_spec_and_path() {
         for spec in all_specs() {
             let (old_total, old_per_bank) = old_loop_with_epoch(spec, &trace, epoch);
 
-            let mut flat = BankEngine::new(spec, BANKS, ROWS).with_epoch_length(epoch);
-            flat.process(&trace);
+            let mut flat = BankEngine::new(spec, BANKS, ROWS);
+            flat.process_with_cuts(&trace, &cuts_every(epoch, trace.len()));
             assert_eq!(flat.stats(), old_total, "{spec}: flat != old loop @{epoch}");
 
             let mut sharded = MemorySystem::new(geometry(), spec)
@@ -311,8 +321,8 @@ fn small_epochs_match_old_loop_for_every_spec_and_path() {
 #[test]
 fn external_cuts_match_internal_epoch_accounting() {
     // process_with_cuts, and a clockless 4-shard system ending an epoch at
-    // each cut, with the cut positions with_epoch_length would have
-    // computed must land on identical stats — the cut-list form is the
+    // each cut, with the cut positions a clocked one-engine system
+    // computes must land on identical stats — the cut-list form is the
     // same epoch clock, just caller-owned.
     let spec = SchemeSpec::Drcat {
         counters: 64,
@@ -321,13 +331,10 @@ fn external_cuts_match_internal_epoch_accounting() {
     };
     let trace = trace(50_000);
     let epoch = 7_000u64;
-    let mut internal = BankEngine::new(spec, BANKS, ROWS).with_epoch_length(epoch);
+    let mut internal = MemorySystem::new(one_channel(BANKS), spec).with_epoch_length(epoch);
     internal.process(&trace);
 
-    let cuts: Vec<usize> = (1..)
-        .map(|k| (k * epoch) as usize)
-        .take_while(|&c| c <= trace.len())
-        .collect();
+    let cuts = cuts_every(epoch, trace.len());
     let mut external = BankEngine::new(spec, BANKS, ROWS);
     let out = external.process_with_cuts(&trace, &cuts);
     assert_eq!(external.stats(), internal.stats());
@@ -435,8 +442,8 @@ fn sparse_storage_matches_dense_reference_across_touch_patterns() {
         for spec in all_specs() {
             let (old_total, old_per_bank) =
                 old_loop_over_banks(spec, trace, EPOCH, SPARSE_BANKS, ROWS);
-            let mut flat = BankEngine::new(spec, SPARSE_BANKS, ROWS).with_epoch_length(EPOCH);
-            flat.process(trace);
+            let mut flat = BankEngine::new(spec, SPARSE_BANKS, ROWS);
+            flat.process_with_cuts(trace, &cuts_every(EPOCH, trace.len()));
             assert_eq!(flat.stats(), old_total, "{spec} {name}: flat != dense");
             if spec != SchemeSpec::None {
                 assert_eq!(
@@ -496,11 +503,11 @@ fn cold_banks_never_materialize_at_big_geometry() {
         levels: 11,
         threshold: 512,
     };
-    let mut engine = BankEngine::new(spec, BIG, ROWS).with_epoch_length(1_000);
+    let mut engine = BankEngine::new(spec, BIG, ROWS);
     let trace: Vec<(u32, u32)> = (0..10_000u64)
         .map(|i| ((i % 64 * 16_384) as u32, 1_000 + (i % 7) as u32))
         .collect();
-    engine.process(&trace);
+    engine.process_with_cuts(&trace, &cuts_every(1_000, trace.len()));
     let fp = engine.footprint();
     assert_eq!(fp.banks, BIG as usize);
     assert_eq!(fp.materialized_banks, 64);

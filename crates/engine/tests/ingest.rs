@@ -445,4 +445,19 @@ fn ingest_refuses_foreign_events_with_typed_errors() {
     );
     assert_eq!((backend.accesses(), backend.epochs()), (1, 1));
     assert_eq!(backend.pending(), 0, "the offending batch left the stage");
+
+    // An owned bank with a row past its last: the same typed refusal, not
+    // a scheme's row assert panicking the drain.
+    let mut rows = MemorySystem::for_slice(&slice, spec);
+    let err = rows
+        .ingest(&mut feed(&[
+            Some(&[(8, 1)]),
+            None,
+            Some(&[(15, 2), (9, ROWS)]),
+        ]))
+        .unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("row 4096"), "{err}");
+    assert_eq!((rows.accesses(), rows.epochs()), (1, 1));
+    assert_eq!(rows.pending(), 0, "the offending batch left the stage");
 }

@@ -673,7 +673,7 @@ fn rule_dense_banks(ctx: &Ctx<'_>, rel: &str, out: &mut Vec<Violation>) {
                 toks[i].line,
                 "dense-banks",
                 "`banks[…]` indexes bank storage directly: go through the sparse \
-                 accessor module (`SparseBanks::scheme_mut` / `iter`), which \
+                 accessor module (`SparseBanks::touch` / `records`), which \
                  materializes banks lazily — dense indexing reintroduces O(banks) \
                  residency (DESIGN.md §10)"
                     .to_string(),

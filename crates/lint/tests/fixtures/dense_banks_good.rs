@@ -1,13 +1,11 @@
 //! Fixture: bank access through the sparse accessor, plus the rule's
 //! escape hatches (allow directive and test-region masking).
 
-use cat_core::SchemeInstance;
-
-use crate::sparse::SparseBanks;
+use crate::sparse::{Bank, SparseBanks};
 
 /// Goes through the sparse accessor: the bank materializes lazily.
-pub fn touch(banks: &mut SparseBanks, bank: usize) -> Option<&mut SchemeInstance> {
-    banks.scheme_mut(bank)
+pub fn touch(banks: &mut SparseBanks, bank: usize) -> &mut Bank {
+    banks.touch(bank)
 }
 
 /// A justified dense borrow (a scratch slice that is not scheme storage)

@@ -20,9 +20,13 @@
 //! * [`functional`] — a fast timing-free mode that drives only the
 //!   mitigation schemes (used for the large CMRPO parameter sweeps).
 //!
-//! Both modes drive the per-bank schemes through `cat_engine::BankEngine`
-//! (statically-dispatched [`cat_core::SchemeInstance`] values), built
-//! from a [`cat_core::SchemeSpec`].
+//! Both modes drive the per-bank schemes through a
+//! [`cat_engine::MemorySystem`] — it owns the epoch clock (access counts
+//! in [`functional`], the refresh cycle in [`Simulator`] via `end_epoch`)
+//! and routes into per-channel `cat_engine::BankEngine`s, each a slice
+//! of bank records holding statically-dispatched
+//! [`cat_core::SchemeInstance`] values built from a
+//! [`cat_core::SchemeSpec`].
 //!
 //! ```
 //! use cat_core::SchemeSpec;

@@ -69,6 +69,19 @@ cleanup_catd() {
     rm -f "$CATD_LOG"
 }
 trap cleanup_catd EXIT
+# Prints the address a server logged as "<tag>: listening on <addr>",
+# polling its log for up to 10 s; fails (exit 1, the log on stderr) if it
+# never appears. Call it in a command substitution.
+scrape_listen_addr() { # <log> <tag: catd|catd_router>
+    local addr=""
+    for _ in $(seq 1 100); do
+        addr="$(sed -n "s/^$2: listening on //p" "$1")"
+        [ -n "$addr" ] && break
+        sleep 0.1
+    done
+    [ -n "$addr" ] || { echo "$2 never reported its address" >&2; cat "$1" >&2; exit 1; }
+    printf '%s' "$addr"
+}
 run_catd_smoke() {
     local producers="$1" shards="$2"
     : >"$CATD_LOG"
@@ -78,13 +91,8 @@ run_catd_smoke() {
     ./target/release/examples/catd 127.0.0.1:0 drcat:64:11:2048 \
         "$producers" 50000 "$shards" >"$CATD_LOG" &
     CATD_PID=$!
-    local addr=""
-    for _ in $(seq 1 100); do
-        addr="$(sed -n 's/^catd: listening on //p' "$CATD_LOG")"
-        [ -n "$addr" ] && break
-        sleep 0.1
-    done
-    [ -n "$addr" ] || { echo "catd never reported its address"; cat "$CATD_LOG"; exit 1; }
+    local addr
+    addr="$(scrape_listen_addr "$CATD_LOG" catd)"
     ./target/release/examples/catd_loadgen "$addr" swapt 200000 "$producers"
     wait "$CATD_PID"
     CATD_PID=""
@@ -111,13 +119,8 @@ run_catd_resume_smoke() {
     ./target/release/examples/catd 127.0.0.1:0 drcat:64:11:2048 2 50000 2 \
         --checkpoint-dir "$ckpt_dir" >"$CATD_LOG" &
     CATD_PID=$!
-    local addr=""
-    for _ in $(seq 1 100); do
-        addr="$(sed -n 's/^catd: listening on //p' "$CATD_LOG")"
-        [ -n "$addr" ] && break
-        sleep 0.1
-    done
-    [ -n "$addr" ] || { echo "catd never reported its address"; cat "$CATD_LOG"; exit 1; }
+    local addr
+    addr="$(scrape_listen_addr "$CATD_LOG" catd)"
     ./target/release/examples/catd_loadgen "$addr" swapt "$total" 2 8192 0 "$first"
     wait "$CATD_PID"
     CATD_PID=""
@@ -126,13 +129,7 @@ run_catd_resume_smoke() {
     ./target/release/examples/catd 127.0.0.1:0 drcat:64:11:2048 2 50000 4 \
         --checkpoint-dir "$ckpt_dir" --resume >"$CATD_LOG" &
     CATD_PID=$!
-    addr=""
-    for _ in $(seq 1 100); do
-        addr="$(sed -n 's/^catd: listening on //p' "$CATD_LOG")"
-        [ -n "$addr" ] && break
-        sleep 0.1
-    done
-    [ -n "$addr" ] || { echo "catd never reported its address"; cat "$CATD_LOG"; exit 1; }
+    addr="$(scrape_listen_addr "$CATD_LOG" catd)"
     grep -q "^catd: resumed $first accesses" "$CATD_LOG" || {
         echo "catd did not resume at access $first"; cat "$CATD_LOG"; exit 1; }
     ./target/release/examples/catd_loadgen "$addr" swapt "$total" 2 8192 "$first"
@@ -160,17 +157,6 @@ run_fleet_smoke() {
     local dir0 dir1 b0log b1log rlog
     dir0="$(mktemp -d)"; dir1="$(mktemp -d)"
     b0log="$(mktemp)"; b1log="$(mktemp)"; rlog="$(mktemp)"
-
-    scrape_listen_addr() { # <log> <tag: catd|catd_router>
-        local addr=""
-        for _ in $(seq 1 100); do
-            addr="$(sed -n "s/^$2: listening on //p" "$1")"
-            [ -n "$addr" ] && break
-            sleep 0.1
-        done
-        [ -n "$addr" ] || { echo "$2 never reported its address" >&2; cat "$1" >&2; exit 1; }
-        printf '%s' "$addr"
-    }
 
     fleet_session() { # <skip> <send> <backend-resume-flag or empty>
         local skip="$1" send="$2" resume="$3"
