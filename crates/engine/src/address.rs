@@ -631,6 +631,12 @@ impl Partition {
         self.slices.len()
     }
 
+    /// `log2` of the slice size when every slice spans the same bank
+    /// count: a bank's slice id is then `bank >> shift`.
+    pub(crate) fn uniform_shift(&self) -> Option<u32> {
+        self.uniform_shift
+    }
+
     /// Routes a global bank to the id of the slice that owns it — the
     /// decode hook of the partitioned datapath. Uniform partitions route
     /// with a shift; mixed slice sizes fall back to a binary search over

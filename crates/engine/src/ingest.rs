@@ -22,7 +22,7 @@
 //! wire carries, so the server's decode is a store, not a re-encode) as
 //! owned chunks. Every lane operation moves a whole chunk: a producer
 //! takes the lock once to append one, the consumer once to pop one, and
-//! the consumer unpacks outside the lock. Two `Condvar`s per lane carry
+//! the consumer reads it outside the lock. Two `Condvar`s per lane carry
 //! the waits: the consumer's for an event or records, the producer's for
 //! room. Each side signals the other only while a flag in the FIFO says
 //! it waits, so a lane in steady state makes no futex wake.
@@ -43,6 +43,13 @@
 //! skipping producers that have finished. The merged stream is therefore a
 //! pure function of *what each producer sent* — thread scheduling, arrival
 //! interleaving, and lane capacity are all unobservable.
+//!
+//! The merge is **packed end to end**: its one core,
+//! [`IngestConsumer::next_event_with`], hands each drained chunk to a
+//! `&[u64]` sink as it left the lane. The fleet router forwards those
+//! words to its backends without unpacking them; the `(bank, row)` views
+//! ([`IngestConsumer::next_event_into`], [`IngestConsumer::next_batch_into`])
+//! are thin adapters that unpack on top of it, for the system drain.
 //!
 //! A client that wants the merged stream to equal an original trace deals
 //! it round-robin by contiguous chunk ([`deal`]): chunk `k` goes to
@@ -388,16 +395,25 @@ impl IngestConsumer {
         }
     }
 
-    /// Appends the next event in `(sequence, producer)` order — a record
-    /// batch appended to `out`, or an epoch cut — blocking until it is
-    /// available; `None` once every producer has finished and drained.
-    /// Waits for a lagging producer rather than reordering around it —
-    /// that wait *is* the determinism.
-    ///
-    /// This is the chunk-amortized drain: [`MemorySystem::ingest`] hands
-    /// it the staging buffer and the lane's chunks are unpacked straight
-    /// into it, one lock per chunk, with no intermediate `Vec` per batch.
+    /// [`next_event_with`](Self::next_event_with), unpacking the batch's
+    /// records onto `out`: [`MemorySystem::ingest`] hands it the staging
+    /// buffer, so the lane's chunks land straight in it with no
+    /// intermediate `Vec` per batch.
     pub fn next_event_into(&mut self, out: &mut Vec<(u32, u32)>) -> Option<IngestEvent> {
+        self.next_event_with(|words| out.extend(words.iter().map(|&w| wire::unpack_record(w))))
+    }
+
+    /// Takes the next event in `(sequence, producer)` order, blocking
+    /// until it is available; `None` once every producer has finished and
+    /// drained. A record batch is handed to `sink` chunk by chunk, in the
+    /// lanes' packed layout ([`wire::pack_record`]), one lock per chunk
+    /// and the sink called outside it; an epoch cut calls no sink. Waits
+    /// for a lagging producer rather than reordering around it — that
+    /// wait *is* the determinism.
+    ///
+    /// This is the merge's one core: the fleet router forwards the words
+    /// as they come, and the `(bank, row)` views are adapters on top.
+    pub fn next_event_with(&mut self, mut sink: impl FnMut(&[u64])) -> Option<IngestEvent> {
         let lanes = self.shared.lanes.len();
         // Each pass either returns an event or skips a finished, drained
         // lane — which stays so — so `lanes` skips in a row mean the end.
@@ -414,7 +430,7 @@ impl IngestConsumer {
             }
             drop(fifo);
             return Some(match event {
-                IngestEvent::Records(len) => IngestEvent::Records(copy_batch(lane, len, out)),
+                IngestEvent::Records(len) => IngestEvent::Records(copy_batch(lane, len, &mut sink)),
                 IngestEvent::EpochCut => IngestEvent::EpochCut,
             });
         }
@@ -431,13 +447,13 @@ impl IngestConsumer {
     }
 }
 
-/// Unpacks one `len`-record batch of `lane` onto `out` and returns the
-/// records delivered: one lock per chunk, the unpack outside it, waiting
-/// for records the producer is still writing. If the producer vanishes
-/// mid-batch (a reader thread erroring out of its socket), the prefix
-/// that did arrive is delivered — the session is failing anyway, and a
-/// partial batch must not hang the merge.
-fn copy_batch(lane: &Lane, len: usize, out: &mut Vec<(u32, u32)>) -> usize {
+/// Hands one `len`-record batch of `lane` to `sink` and returns the
+/// records delivered: one lock per chunk, the sink called outside it,
+/// waiting for records the producer is still writing. If the producer
+/// vanishes mid-batch (a reader thread erroring out of its socket), the
+/// prefix that did arrive is delivered — the session is failing anyway,
+/// and a partial batch must not hang the merge.
+fn copy_batch(lane: &Lane, len: usize, sink: &mut impl FnMut(&[u64])) -> usize {
     let mut copied = 0;
     while copied < len {
         let ready = |f: &Fifo| f.finished || !f.chunks.is_empty();
@@ -454,7 +470,7 @@ fn copy_batch(lane: &Lane, len: usize, out: &mut Vec<(u32, u32)>) -> usize {
             lane.drained.notify_one();
         }
         drop(fifo);
-        out.extend(chunk.iter().map(|&packed| wire::unpack_record(packed)));
+        sink(&chunk);
         copied += chunk.len();
     }
     copied
@@ -944,6 +960,18 @@ impl IngestClient {
             }
             rest = tail;
         }
+    }
+
+    /// Sends a records frame built in place (header room, then packed
+    /// payload bytes) as this connection's next batch: the header is
+    /// sealed with the next sequence number ([`wire::seal_records`]) and
+    /// the buffer written as is. The fleet router's scatter frames go out
+    /// this way.
+    pub(crate) fn send_frame(&mut self, frame: &mut [u8]) -> io::Result<()> {
+        wire::seal_records(frame, self.next_seq);
+        self.writer.write_all(frame)?;
+        self.next_seq += 1;
+        Ok(())
     }
 
     /// Sends [`Frame::EpochCut`] at the current position of this

@@ -2,15 +2,29 @@
 //! (`DESIGN.md §12`).
 //!
 //! [`IngestRouter`] consumes a merged client record stream and re-deals
-//! it by [`Partition::route`]: each record goes to the backend owning its
-//! global bank, buffered and flushed as wire frames over **one producer
-//! connection per backend** — so every backend sees a single, gapless
-//! sequence space and its `(seq, producer)` merge degenerates to FIFO.
-//! Per-backend sub-streams preserve the merged stream's relative record
-//! order, which is all the determinism contract needs: a backend's slice
-//! engines never observe banks outside the slice, so dropping the other
-//! slices' records from the stream is unobservable to them (`DESIGN.md
-//! §7`).
+//! it by slice: each record goes to the backend owning its global bank,
+//! over **one producer connection per backend** — so every backend sees a
+//! single, gapless sequence space and its `(seq, producer)` merge
+//! degenerates to FIFO. Per-backend sub-streams preserve the merged
+//! stream's relative record order, which is all the determinism contract
+//! needs: a backend's slice engines never observe banks outside the
+//! slice, so dropping the other slices' records from the stream is
+//! unobservable to them (`DESIGN.md §7`).
+//!
+//! The scatter is **packed end to end** ([`IngestRouter::scatter_packed`]).
+//! A merged batch arrives as the lanes' packed words
+//! ([`crate::ingest::IngestConsumer::next_event_with`]), which are the
+//! wire's record bytes. The batch is range-checked once against the union
+//! geometry (banks *and* rows, the rule every connection reader and the
+//! system drain apply), so a bad record refuses the whole batch before any
+//! of it is forwarded. Each word is then appended, untouched, to its
+//! backend's reusable records frame: header, then packed payload, so
+//! filling the buffer *is* the encode. The backend key is `bank >> shift`
+//! for a uniform partition and a binary search over the slices for a
+//! mixed one, chosen once per run of words between cuts, not per record.
+//! A frame goes out when it holds 8 192 records (a backend's staging
+//! capacity), at every epoch cut and at session end. Every error raised
+//! while talking to a backend names it.
 //!
 //! The router owns the **epoch clock**. Backends run clockless (their
 //! handshake must advertise no epoch length) and receive
@@ -37,8 +51,8 @@ use std::io;
 use std::net::{TcpListener, ToSocketAddrs};
 
 use crate::ingest::{run_session, IngestClient, IngestEvent};
-use crate::wire::{bad, ServerHello, StatsSnapshot};
-use crate::{epoch_cuts, MemorySystem, Partition};
+use crate::wire::{self, bad, check_records, ServerHello, StatsSnapshot};
+use crate::{epoch_cuts, GeometrySlice, MemorySystem, Partition};
 
 use cat_core::SchemeStats;
 
@@ -64,6 +78,12 @@ pub struct RouterOptions {
 /// Records buffered per backend before a flush becomes a wire frame: a
 /// backend's staging capacity, so one frame fills one staging flush.
 const FLUSH_RECORDS: usize = MemorySystem::DEFAULT_STREAM_CAPACITY;
+
+/// Bytes of a full scatter frame: the records header and
+/// [`FLUSH_RECORDS`] packed records.
+const FULL_FRAME_BYTES: usize = wire::RECORDS_HEADER_BYTES + FLUSH_RECORDS * wire::RECORD_BYTES;
+
+const _: () = assert!(FLUSH_RECORDS <= wire::MAX_RECORDS_PER_FRAME as usize);
 
 impl Default for RouterOptions {
     fn default() -> Self {
@@ -91,15 +111,18 @@ pub struct RouterReport {
 
 /// Splits a record stream across the backends of a [`Partition`] — the
 /// fleet scatter stage described in the [module docs](self). Drive it
-/// with [`scatter`](Self::scatter) (+ [`cut`](Self::cut) when clockless),
+/// with [`scatter_packed`](Self::scatter_packed) or its `(bank, row)`
+/// adapter [`scatter`](Self::scatter) (+ [`cut`](Self::cut) when clockless),
 /// then [`finish_with_stats`](Self::finish_with_stats) to gather and
 /// merge the fleet's snapshots.
 pub struct IngestRouter {
     partition: Partition,
-    backends: Vec<IngestClient>,
-    /// Per-backend scatter buffers, flushed at [`FLUSH_RECORDS`], epoch
-    /// cuts, and session end.
-    pending: Vec<Vec<(u32, u32)>>,
+    /// The union geometry as one slice: the range every scattered record
+    /// must fall in.
+    union: GeometrySlice,
+    links: Links,
+    /// Epoch cut positions inside the batch being scattered.
+    cuts: Vec<usize>,
     epoch_len: Option<u64>,
     accesses: u64,
     epochs: u64,
@@ -160,7 +183,7 @@ impl IngestRouter {
             // The router is each backend's only producer: producer id 0,
             // one gapless sequence space per backend.
             let client = IngestClient::connect_with_retry(addr, 0, options.connect_attempts)
-                .map_err(|e| io::Error::new(e.kind(), format!("backend {id}: {e}")))?;
+                .map_err(named(id))?;
             let hello = client.server_hello();
             if hello.geometry != *partition.geometry() {
                 return Err(bad(format!(
@@ -212,10 +235,12 @@ impl IngestRouter {
         }
         let spec = spec.ok_or_else(|| bad("a partition has at least one slice"))?;
         let start_epochs = start_epochs.unwrap_or(0);
+        let union = GeometrySlice::full(*partition.geometry()).map_err(|e| bad(e.to_string()))?;
         Ok(IngestRouter {
-            pending: (0..partition.len()).map(|_| Vec::new()).collect(),
             partition: partition.clone(),
-            backends: clients,
+            union,
+            links: Links::new(clients),
+            cuts: Vec::new(),
             epoch_len: options.epoch_len,
             accesses: 0,
             epochs: 0,
@@ -260,50 +285,55 @@ impl IngestRouter {
     }
 
     /// Routes `records` (global `(bank, row)` pairs, in merged-stream
-    /// order) to the backends owning their banks. With an epoch clock,
-    /// every backend is cut at the exact record position the single-host
-    /// system would have fired its boundary — mid-slice when the boundary
-    /// lands inside `records`.
+    /// order) to the backends owning their banks: packs them and runs
+    /// [`scatter_packed`](Self::scatter_packed), with the same errors.
+    ///
+    /// # Errors
+    ///
+    /// As [`scatter_packed`](Self::scatter_packed).
+    pub fn scatter(&mut self, records: &[(u32, u32)]) -> io::Result<()> {
+        let packed: Vec<u64> = records
+            .iter()
+            .map(|&(bank, row)| wire::pack_record(bank, row))
+            .collect();
+        self.scatter_packed(&packed)
+    }
+
+    /// Routes a merged batch of packed records ([`wire::pack_record`]) to
+    /// the backends owning their banks, appending each word untouched to
+    /// its backend's records frame ([module docs](self)). With an epoch
+    /// clock, every backend is cut at the exact record position the
+    /// single-host system would have fired its boundary — mid-slice when
+    /// the boundary lands inside `words`.
     ///
     /// # Errors
     ///
     /// [`io::ErrorKind::InvalidData`] for a bank outside the partitioned
-    /// geometry (the stream is corrupt; nothing further is routed), or
-    /// any backend socket error.
-    pub fn scatter(&mut self, records: &[(u32, u32)]) -> io::Result<()> {
-        let total_banks = self.partition.geometry().total_banks();
+    /// geometry or a row past its bank's last: the batch is corrupt and
+    /// nothing of it is forwarded. A backend socket error, naming the
+    /// backend.
+    pub fn scatter_packed(&mut self, words: &[u64]) -> io::Result<()> {
+        check_records(words.iter().map(|&w| wire::unpack_record(w)), &self.union)?;
         // The clock runs on the fleet position, so a resumed fleet sitting
         // mid-epoch (a replayed trace-log tail) first completes the epoch
         // in progress, exactly where the single host would have cut.
-        let mut cuts = Vec::new();
+        let mut cuts = std::mem::take(&mut self.cuts);
         epoch_cuts(
-            records.len(),
+            words.len(),
             self.fleet_accesses(),
             self.epoch_len,
             &mut cuts,
         );
         let mut done = 0;
-        for (i, end) in cuts.iter().copied().chain([records.len()]).enumerate() {
-            for &(bank, row) in &records[done..end] {
-                if bank >= total_banks {
-                    return Err(bad(format!(
-                        "record (bank {bank}, row {row}) outside the {total_banks}-bank \
-                         partitioned geometry"
-                    )));
-                }
-                let id = self.partition.route(bank);
-                self.pending[id].push((bank, row));
-                if self.pending[id].len() >= FLUSH_RECORDS {
-                    self.backends[id].send(&self.pending[id])?;
-                    self.pending[id].clear();
-                }
-            }
+        for (i, end) in cuts.iter().copied().chain([words.len()]).enumerate() {
+            self.links.place(&self.partition, &words[done..end])?;
             self.accesses += (end - done) as u64;
             done = end;
             if i < cuts.len() {
                 self.cut_fleet()?;
             }
         }
+        self.cuts = cuts;
         Ok(())
     }
 
@@ -325,16 +355,13 @@ impl IngestRouter {
         self.cut_fleet()
     }
 
-    /// Flushes every scatter buffer, then sends [`crate::wire::Frame::EpochCut`]
+    /// Flushes every scatter frame, then sends [`crate::wire::Frame::EpochCut`]
     /// to **every** backend: each slice cuts at the same global stream
     /// position, keeping per-epoch accounting aligned across the fleet.
     fn cut_fleet(&mut self) -> io::Result<()> {
-        for id in 0..self.backends.len() {
-            if !self.pending[id].is_empty() {
-                self.backends[id].send(&self.pending[id])?;
-                self.pending[id].clear();
-            }
-            self.backends[id].send_cut()?;
+        for id in 0..self.links.clients.len() {
+            self.links.flush(id)?;
+            self.links.clients[id].send_cut().map_err(named(id))?;
         }
         self.epochs += 1;
         Ok(())
@@ -350,18 +377,12 @@ impl IngestRouter {
     /// fleet's accounting disagrees with the router's (lost records, or a
     /// backend whose epoch count drifted from the shared clock).
     pub fn finish_with_stats(mut self) -> io::Result<RouterReport> {
-        for id in 0..self.backends.len() {
-            if !self.pending[id].is_empty() {
-                self.backends[id].send(&self.pending[id])?;
-                self.pending[id].clear();
-            }
+        for id in 0..self.links.clients.len() {
+            self.links.flush(id)?;
         }
-        let mut per_backend = Vec::with_capacity(self.backends.len());
-        for (id, client) in self.backends.into_iter().enumerate() {
-            let snap = client
-                .finish_with_stats()
-                .map_err(|e| io::Error::new(e.kind(), format!("backend {id}: {e}")))?;
-            per_backend.push(snap);
+        let mut per_backend = Vec::with_capacity(self.links.clients.len());
+        for (id, client) in self.links.clients.into_iter().enumerate() {
+            per_backend.push(client.finish_with_stats().map_err(named(id))?);
         }
         let fleet_epochs = self.start_epochs + self.epochs;
         let mut merged = StatsSnapshot {
@@ -401,6 +422,77 @@ impl IngestRouter {
             stats_served: 0,
         })
     }
+}
+
+/// The router's sending side: one producer link per backend, and the
+/// records frame each is filling. The frames sit back to back in one
+/// arena, [`FULL_FRAME_BYTES`] apiece (header room, then packed payload),
+/// and `ends[id]` is where backend `id`'s payload ends. Absolute cursors
+/// into one buffer keep the scatter loop to one load, one store and one
+/// cursor update per record.
+struct Links {
+    clients: Vec<IngestClient>,
+    frames: Vec<u8>,
+    ends: Vec<usize>,
+}
+
+impl Links {
+    fn new(clients: Vec<IngestClient>) -> Self {
+        let ends = (0..clients.len()).map(Self::empty).collect();
+        Links {
+            frames: vec![0; clients.len() * FULL_FRAME_BYTES],
+            ends,
+            clients,
+        }
+    }
+
+    /// Where backend `id`'s frame ends while it holds no records.
+    fn empty(id: usize) -> usize {
+        id * FULL_FRAME_BYTES + wire::RECORDS_HEADER_BYTES
+    }
+
+    /// Appends each of `words` to the frame of the backend owning its
+    /// bank, choosing the key once for the whole run of words.
+    fn place(&mut self, partition: &Partition, words: &[u64]) -> io::Result<()> {
+        match partition.uniform_shift() {
+            Some(shift) => self.place_keyed(words, |bank| (bank >> shift) as usize),
+            None => self.place_keyed(words, |bank| {
+                partition.slices().partition_point(|s| s.end_bank() <= bank)
+            }),
+        }
+    }
+
+    /// The scatter loop: one key, one 8-byte store and one fullness check
+    /// per word. The words were range-checked, so every key is a backend.
+    fn place_keyed(&mut self, words: &[u64], key: impl Fn(u32) -> usize) -> io::Result<()> {
+        for &word in words {
+            let (bank, _) = wire::unpack_record(word);
+            let id = key(bank);
+            let end = self.ends[id];
+            self.frames[end..end + wire::RECORD_BYTES].copy_from_slice(&word.to_le_bytes());
+            self.ends[id] = end + wire::RECORD_BYTES;
+            if self.ends[id] == (id + 1) * FULL_FRAME_BYTES {
+                self.flush(id)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Seals and sends backend `id`'s frame if it holds any records, and
+    /// empties it.
+    fn flush(&mut self, id: usize) -> io::Result<()> {
+        if self.ends[id] > Self::empty(id) {
+            let frame = &mut self.frames[id * FULL_FRAME_BYTES..self.ends[id]];
+            self.clients[id].send_frame(frame).map_err(named(id))?;
+            self.ends[id] = Self::empty(id);
+        }
+        Ok(())
+    }
+}
+
+/// Prefixes an error with the backend it came from.
+fn named(id: usize) -> impl FnOnce(io::Error) -> io::Error {
+    move |e| io::Error::new(e.kind(), format!("backend {id}: {e}"))
 }
 
 /// Serves one fleet session over TCP: connects to the `backends` (one
@@ -450,14 +542,16 @@ pub fn serve<A: ToSocketAddrs>(
             Ok((hello, router))
         },
         |router, consumer| {
-            // Drain the merge through the scatter stage; client cuts
-            // reach here only when the router runs clockless.
-            let mut staged = Vec::new();
-            while let Some(event) = consumer.next_event_into(&mut staged) {
+            // Drain the merge through the scatter stage, packed words all
+            // the way; client cuts reach here only when the router runs
+            // clockless.
+            let mut batch = Vec::new();
+            while let Some(event) = consumer.next_event_with(|words| batch.extend_from_slice(words))
+            {
                 match event {
                     IngestEvent::Records(_) => {
-                        router.scatter(&staged)?;
-                        staged.clear();
+                        router.scatter_packed(&batch)?;
+                        batch.clear();
                     }
                     IngestEvent::EpochCut => router.cut()?,
                 }

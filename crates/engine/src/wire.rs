@@ -374,14 +374,30 @@ pub fn encode_records(buf: &mut Vec<u8>, seq: u64, records: &[(u32, u32)]) -> io
         return Err(bad(format!("{}-record frame", records.len())));
     }
     buf.clear();
-    buf.reserve(1 + 8 + 4 + records.len() * RECORD_BYTES);
-    buf.push(TAG_RECORDS);
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(&(records.len() as u32).to_le_bytes());
+    buf.reserve(RECORDS_HEADER_BYTES + records.len() * RECORD_BYTES);
+    buf.resize(RECORDS_HEADER_BYTES, 0);
     for &(bank, row) in records {
         buf.extend_from_slice(&pack_record(bank, row).to_le_bytes());
     }
+    seal_records(buf, seq);
     Ok(())
+}
+
+/// Bytes of a records frame's header: the tag, the sequence number and
+/// the record count. The packed payload follows it.
+pub(crate) const RECORDS_HEADER_BYTES: usize = 1 + 8 + 4;
+
+/// Writes the header of a records frame built in place: `frame` is
+/// [`RECORDS_HEADER_BYTES`] of room, then the payload, each record as its
+/// 8 little-endian [`pack_record`] bytes. The header gets the tag, `seq`
+/// and the payload's record count. The caller keeps the payload at most
+/// [`MAX_RECORDS_PER_FRAME`] records. The router builds its per-backend
+/// frames this way, so filling the payload *is* the encode.
+pub(crate) fn seal_records(frame: &mut [u8], seq: u64) {
+    let count = (frame.len() - RECORDS_HEADER_BYTES) / RECORD_BYTES;
+    frame[0] = TAG_RECORDS;
+    frame[1..9].copy_from_slice(&seq.to_le_bytes());
+    frame[9..RECORDS_HEADER_BYTES].copy_from_slice(&(count as u32).to_le_bytes());
 }
 
 /// Writes one control frame.

@@ -9,15 +9,15 @@
 //! error, never a panic.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 
 use cat_core::SchemeSpec;
 use cat_engine::checkpoint::{resume_from_dir, CheckpointConfig};
 use cat_engine::ingest::{deal, serve as serve_backend, IngestClient, ServeOptions};
 use cat_engine::router::{serve as serve_fleet, IngestRouter, RouterOptions, RouterReport};
-use cat_engine::wire::StatsSnapshot;
-use cat_engine::{MemGeometry, MemorySystem, Partition};
+use cat_engine::wire::{self, ServerHello, StatsSnapshot};
+use cat_engine::{GeometrySlice, MemGeometry, MemorySystem, Partition};
 
 const BANKS: u32 = 16;
 const ROWS: u32 = 4096;
@@ -172,9 +172,21 @@ fn assert_snapshot_matches(snapshot: &StatsSnapshot, reference: &MemorySystem, l
     );
 }
 
-/// The fleet acceptance differential: {1, 2, 4} backends × {1, 2, 4}
-/// producers over loopback, each fleet bit-identical to the single-host
-/// run on the union geometry.
+/// An 8 + 4 + 4-bank partition: slices of unequal size, so the router
+/// keys records by binary search instead of a shift.
+fn mixed_partition() -> Partition {
+    let g = geometry();
+    Partition::from_slices(vec![
+        GeometrySlice::new(g, 0, 8).unwrap(),
+        GeometrySlice::new(g, 8, 4).unwrap(),
+        GeometrySlice::new(g, 12, 4).unwrap(),
+    ])
+    .unwrap()
+}
+
+/// The fleet acceptance differential: {1, 2, 4} uniform backends and the
+/// mixed 8 + 4 + 4 partition × {1, 2, 4} producers over loopback, each
+/// fleet bit-identical to the single-host run on the union geometry.
 #[test]
 fn fleet_matches_single_host_for_every_backend_and_producer_combo() {
     let spec = SchemeSpec::Sca {
@@ -190,8 +202,9 @@ fn fleet_matches_single_host_for_every_backend_and_producer_combo() {
         "trace too tame, nothing to compare"
     );
 
-    for backends in [1usize, 2, 4] {
-        let partition = Partition::uniform(geometry(), backends as u32).unwrap();
+    let uniform = [1, 2, 4].map(|n| Partition::uniform(geometry(), n).unwrap());
+    for partition in uniform.into_iter().chain([mixed_partition()]) {
+        let backends = partition.len();
         for producers in [1usize, 2, 4] {
             let systems = partition
                 .slices()
@@ -242,6 +255,260 @@ fn fleet_matches_single_host_for_a_tree_scheme() {
         .collect();
     let (report, _, _) = fleet_session(&partition, systems, &[None, None], &trace, 3, Some(EPOCH));
     assert_snapshot_matches(&report.snapshot, &reference, "drcat fleet");
+}
+
+/// The scatter range-checks a whole batch, banks and rows, before any of
+/// it is forwarded: a batch holding a foreign bank or a row past the last
+/// is refused as `InvalidData`, and the fleet ends holding exactly the
+/// batches that were accepted.
+#[test]
+fn the_scatter_refuses_a_bad_bank_or_row_before_forwarding_the_batch() {
+    let spec = SchemeSpec::Sca {
+        counters: 16,
+        threshold: 64,
+    };
+    let partition = Partition::uniform(geometry(), 2).unwrap();
+    let binds: Vec<_> = (0..2).map(|_| bind()).collect();
+    let addrs: Vec<SocketAddr> = binds.iter().map(|(_, a)| *a).collect();
+    let backends: Vec<_> = binds
+        .into_iter()
+        .zip(partition.slices().to_vec())
+        .map(|((listener, _), slice)| {
+            std::thread::spawn(move || {
+                let mut system = MemorySystem::for_slice(&slice, spec);
+                serve_backend(&listener, &mut system, &ServeOptions::default())
+            })
+        })
+        .collect();
+    let mut router =
+        IngestRouter::connect(&partition, &addrs, &RouterOptions::default()).expect("connect");
+    let good = seeded_trace(1_000, 0x5CA7);
+    router.scatter(&good).expect("an in-range batch");
+    for (bad_record, what) in [((BANKS, 0), "global bank"), ((3, ROWS), "row")] {
+        // In-range records of both slices precede the bad one.
+        let batch = [(0, 1), (BANKS - 1, 2), bad_record];
+        let err = router
+            .scatter(&batch)
+            .expect_err("a bad record refuses its batch");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains(what), "{err}");
+        assert_eq!(router.accesses(), good.len() as u64);
+    }
+    let report = router
+        .finish_with_stats()
+        .expect("the fleet finishes cleanly");
+    let mut reference = MemorySystem::new(geometry(), spec);
+    reference.process(&good);
+    assert_snapshot_matches(&report.snapshot, &reference, "after the refused batches");
+    for backend in backends {
+        backend
+            .join()
+            .unwrap()
+            .expect("no backend saw a bad record");
+    }
+}
+
+/// Accepts the router on `listener` and handshakes as a fresh, clockless
+/// backend serving `slice`; returns the connection.
+fn fake_backend(listener: &TcpListener, slice: GeometrySlice, spec: SchemeSpec) -> TcpStream {
+    let (mut stream, _) = listener.accept().expect("accept the router");
+    wire::read_client_hello(&mut stream).expect("client hello");
+    let hello = ServerHello {
+        geometry: geometry(),
+        slice_start: slice.start_bank(),
+        slice_banks: slice.banks(),
+        spec: spec.to_string(),
+        epoch_len: None,
+        accesses: 0,
+        epochs: 0,
+    };
+    wire::write_server_hello(&mut stream, &hello).expect("server hello");
+    stream
+}
+
+/// A backend that completes a valid handshake and then drops its socket
+/// is named in the router's first error, whichever send meets it.
+#[test]
+fn a_backend_that_drops_its_socket_is_named_in_the_routers_first_error() {
+    let spec = SchemeSpec::Sca {
+        counters: 16,
+        threshold: 64,
+    };
+    let partition = Partition::uniform(geometry(), 2).unwrap();
+    let lower = partition.slices()[0];
+    let upper = partition.slices()[1];
+    let (live_listener, live_addr) = bind();
+    let live = std::thread::spawn(move || {
+        let mut system = MemorySystem::for_slice(&lower, spec);
+        serve_backend(&live_listener, &mut system, &ServeOptions::default())
+    });
+    let (dead_listener, dead_addr) = bind();
+    // The backend vanishes right after its handshake.
+    let dead = std::thread::spawn(move || drop(fake_backend(&dead_listener, upper, spec)));
+    let mut router = IngestRouter::connect(
+        &partition,
+        &[live_addr, dead_addr],
+        &RouterOptions::default(),
+    )
+    .expect("both handshakes are valid");
+    dead.join().unwrap();
+    // Full frames for backend 1 only, until a send meets the closed socket.
+    let batch: Vec<(u32, u32)> = (0..8_192u32)
+        .map(|i| (BANKS / 2 + i % (BANKS / 2), i % ROWS))
+        .collect();
+    let mut first_error = None;
+    for _ in 0..1_000 {
+        if let Err(e) = router.scatter(&batch) {
+            first_error = Some(e);
+            break;
+        }
+    }
+    let err = match first_error {
+        Some(e) => {
+            drop(router);
+            e
+        }
+        None => router
+            .finish_with_stats()
+            .expect_err("a vanished backend cannot report stats"),
+    };
+    assert!(err.to_string().starts_with("backend 1: "), "{err}");
+    // The live backend's session ends (with an error) once the router is gone.
+    let _ = live.join().unwrap();
+}
+
+/// A `Read` that keeps a copy of every byte it hands out.
+struct Tee<R> {
+    inner: R,
+    seen: Vec<u8>,
+}
+
+impl<R: io::Read> io::Read for Tee<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.seen.extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+}
+
+/// A backend that handshakes as `slice`, records every byte the router
+/// sends until `Finish`, and answers the stats request with what it
+/// counted (records and cuts), so the router's accounting holds.
+fn recording_backend(
+    slice: GeometrySlice,
+    spec: SchemeSpec,
+) -> (SocketAddr, std::thread::JoinHandle<Vec<u8>>) {
+    let (listener, addr) = bind();
+    let thread = std::thread::spawn(move || {
+        let mut tee = Tee {
+            inner: fake_backend(&listener, slice, spec),
+            seen: Vec::new(),
+        };
+        let mut counted = StatsSnapshot::default();
+        let (mut bytes, mut packed) = (Vec::new(), Vec::new());
+        loop {
+            match wire::read_frame_header(&mut tee).expect("frame header") {
+                wire::FrameHeader::Records { count, .. } => {
+                    wire::read_packed_records(&mut tee, &mut bytes, &mut packed, count as usize)
+                        .expect("payload");
+                    counted.accesses += u64::from(count);
+                }
+                wire::FrameHeader::EpochCut { .. } => counted.epochs += 1,
+                wire::FrameHeader::Finish => break,
+                _ => {}
+            }
+        }
+        wire::write_stats(&mut tee.inner, &counted).expect("stats reply");
+        tee.seen
+    });
+    (addr, thread)
+}
+
+/// The scatter's wire bytes, frame by frame: each backend receives its
+/// sub-stream as records frames of 8 192 records (the backend staging
+/// capacity), a short frame before every epoch cut and at the end, every
+/// cut to every backend, and one gapless sequence space, exactly the
+/// frames `wire::encode_records` makes of a per-record route. Checked
+/// for a uniform and a mixed-size partition, with batches and cuts that
+/// straddle frame boundaries.
+#[test]
+fn scatter_frames_are_the_per_record_route_encoded() {
+    const FLUSH: usize = 8_192;
+    const EPOCH: u64 = 20_000;
+    let spec = SchemeSpec::Sca {
+        counters: 16,
+        threshold: 64,
+    };
+    let trace = seeded_trace(50_003, 0xF4A3E);
+    for partition in [
+        Partition::uniform(geometry(), 2).unwrap(),
+        mixed_partition(),
+    ] {
+        let n = partition.len();
+        let (addrs, backends): (Vec<_>, Vec<_>) = partition
+            .slices()
+            .iter()
+            .map(|&slice| recording_backend(slice, spec))
+            .unzip();
+        let mut router = IngestRouter::connect(
+            &partition,
+            &addrs,
+            &RouterOptions {
+                epoch_len: Some(EPOCH),
+                ..Default::default()
+            },
+        )
+        .expect("connect");
+        for batch in trace.chunks(CHUNK) {
+            router.scatter(batch).expect("scatter");
+        }
+        let report = router.finish_with_stats().expect("finish");
+        assert_eq!(report.snapshot.accesses, trace.len() as u64);
+
+        // The reference: route record by record, encode each full or cut
+        // buffer as one frame.
+        let mut expected = vec![Vec::new(); n];
+        let mut seqs = vec![0u64; n];
+        let mut pending: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
+        let mut frame = Vec::new();
+        let mut flush = |seq: &mut u64, pending: &mut Vec<(u32, u32)>, out: &mut Vec<u8>| {
+            if !pending.is_empty() {
+                wire::encode_records(&mut frame, *seq, pending).unwrap();
+                out.extend_from_slice(&frame);
+                *seq += 1;
+                pending.clear();
+            }
+        };
+        for (i, &(bank, row)) in trace.iter().enumerate() {
+            let id = partition.route(bank);
+            pending[id].push((bank, row));
+            if pending[id].len() == FLUSH {
+                flush(&mut seqs[id], &mut pending[id], &mut expected[id]);
+            }
+            if (i as u64 + 1).is_multiple_of(EPOCH) {
+                for id in 0..n {
+                    flush(&mut seqs[id], &mut pending[id], &mut expected[id]);
+                }
+                for id in 0..n {
+                    let cut = wire::Frame::EpochCut { seq: seqs[id] };
+                    wire::write_frame(&mut expected[id], &cut).unwrap();
+                    seqs[id] += 1;
+                }
+            }
+        }
+        for id in 0..n {
+            flush(&mut seqs[id], &mut pending[id], &mut expected[id]);
+            wire::write_frame(&mut expected[id], &wire::Frame::StatsRequest).unwrap();
+            wire::write_frame(&mut expected[id], &wire::Frame::Finish).unwrap();
+        }
+        for (id, backend) in backends.into_iter().enumerate() {
+            let seen = backend.join().unwrap();
+            assert!(
+                seen == expected[id],
+                "{n} slices: backend {id}'s bytes differ"
+            );
+        }
+    }
 }
 
 /// The kill-and-resume acceptance case: a two-backend fleet streams a

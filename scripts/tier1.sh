@@ -11,6 +11,8 @@ cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
 
 cargo fmt --all --check
+# Scripts run by hand (not by this gate) must at least parse.
+bash -n scripts/perf_ab.sh
 cargo build --release --workspace --all-targets
 
 # Determinism & concurrency contract lint (DESIGN.md §9): hash-ordered
