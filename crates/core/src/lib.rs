@@ -65,7 +65,6 @@ pub mod rng;
 mod sca;
 mod scheme;
 mod space_saving;
-pub mod sparse;
 mod spec;
 pub mod state;
 mod stats;
@@ -82,7 +81,6 @@ pub use prcat::Prcat;
 pub use sca::Sca;
 pub use scheme::{HardwareProfile, MitigationScheme, Refreshes, SchemeKind};
 pub use space_saving::SpaceSaving;
-pub use sparse::SparseSlab;
 pub use spec::{ParseSpecError, SchemeSpec, PRA_DEFAULT_SEED};
 pub use state::{StateError, StateReader};
 pub use stats::{SchemeStats, StatsField};

@@ -5,9 +5,9 @@
 //! *complete* mutable state behind a [`MemorySystem`] — the one checkpoint
 //! scope: every materialized scheme instance's counters, tree shape and
 //! PRNG state (via the schemes' `save_state` word streams), the sparse
-//! slabs' occupancy **and** their touch-order-dependent block-directory
-//! capacities, the epoch position, and the scratch-buffer high-water
-//! marks. Restoring an image into a freshly built system of the same
+//! bank stores' occupancy **and** their touch-order-dependent
+//! block-directory capacities, the epoch position, and the scratch-buffer
+//! high-water marks. Restoring an image into a freshly built system of the same
 //! configuration therefore reproduces not just bit-identical stats for
 //! the rest of the run but a bit-identical [`crate::EngineFootprint`] —
 //! the kill-and-resume differential suite asserts both. A lone
@@ -305,7 +305,7 @@ fn read_epoch_len(r: &mut ByteReader<'_>) -> io::Result<Option<u64>> {
 ///
 /// ```text
 /// u64 accesses, epochs
-/// u64 block_cap                bank slab directory capacity (high-water)
+/// u64 block_cap                bank block-directory capacity (high-water)
 /// u64 records                  then per touched bank ascending:
 ///                                u64 bank, u64 activations (>= 1),
 ///                                u64 nwords, nwords × u64 scheme state
@@ -381,12 +381,12 @@ fn decode_engine_section(r: &mut ByteReader<'_>, e: &mut BankEngine) -> io::Resu
     let banks = e.bank_count();
 
     // Reserve the saved directory high-water mark, then re-touch in
-    // ascending bank order — that reproduces the slab's heap layout
-    // bit-for-bit (packed payload capacities depend only on the final
-    // entry count, the directory only on the reserved cap). The
+    // ascending bank order — that reproduces the bank store's heap layout
+    // bit-for-bit (a block's record capacity depends only on its record
+    // count, the directory only on the reserved cap). The
     // directory holds at most ceil(banks/64) blocks, but Vec growth
     // (doubling, minimum first allocation) can leave its capacity up to
-    // 2× that — or 8 for tiny slabs — so bound forged values there.
+    // 2× that — or 8 for tiny stores — so bound forged values there.
     let cap_bound = banks.div_ceil(64).saturating_mul(2).max(8);
     let block_cap = r.u64("bank block capacity")? as usize;
     if block_cap > cap_bound {

@@ -170,6 +170,19 @@ pub(crate) fn validate_cuts(cuts: &[usize], len: usize) {
     }
 }
 
+/// The one out-of-range panic of the engine layer: `bank` is outside the
+/// `banks` banks starting at `first` that a [`BankEngine`] call (local
+/// banks, `first` 0) or a bucketing pass addresses. Served batches never
+/// reach it — the wire decoder and `push_decoded` range-check first.
+#[cold]
+#[inline(never)]
+pub(crate) fn bank_out_of_range(bank: usize, first: usize, banks: usize) -> ! {
+    panic!(
+        "bank {bank} out of range for banks {first}..{}",
+        first + banks
+    )
+}
+
 /// Aggregate outcome of one [`MemorySystem::process`] batch, computed by
 /// differencing O(banks) stats snapshots around the batch — the
 /// per-activation loops carry no accounting at all.
@@ -357,6 +370,10 @@ impl BankEngine {
     /// the scheme requests. Fires no epoch boundaries — single-access
     /// callers (the timing simulator) own their epoch clock and call
     /// [`end_epoch`](Self::end_epoch) themselves.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bank` is not below [`bank_count`](Self::bank_count).
     #[inline]
     pub fn activate(&mut self, bank: usize, row: u32) -> Refreshes {
         self.accesses += 1;
@@ -404,7 +421,9 @@ impl BankEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `cuts` is not a valid cut list.
+    /// Panics if `cuts` is not a valid cut list, or if a bank of `batch`
+    /// is not below [`bank_count`](Self::bank_count) (before any access of
+    /// that bank's bucketing chunk is applied).
     pub fn process_with_cuts(&mut self, batch: &[(u32, u32)], cuts: &[usize]) -> BatchOutcome {
         validate_cuts(cuts, batch.len());
         let before = shard::refresh_totals(std::slice::from_ref(self));
@@ -654,5 +673,21 @@ mod tests {
         assert_eq!(engine.epochs(), 1);
         assert_eq!(engine.accesses(), 16);
         assert_eq!(engine.per_bank_stats().len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "bank 4 out of range for banks 0..4")]
+    fn activate_names_an_out_of_range_bank() {
+        BankEngine::new(SchemeSpec::None, 4, 4096).activate(4, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "bank 7 out of range for banks 0..4")]
+    fn process_with_cuts_names_an_out_of_range_bank() {
+        let spec = SchemeSpec::Sca {
+            counters: 16,
+            threshold: 64,
+        };
+        BankEngine::new(spec, 4, 4096).process_with_cuts(&[(7, 0)], &[]);
     }
 }

@@ -72,9 +72,11 @@ pub(crate) struct Bucketer {
 impl Bucketer {
     /// Buckets `batch` chunk by chunk and hands each chunk's runs to
     /// `replay`. Bank `b` of the batch is bucket `b - base`, which must be
-    /// below `banks`. `cuts` are epoch cut positions: nondecreasing, at
-    /// most `batch.len()`, `0` and duplicates allowed. `replay` must drop
-    /// every handle on the runs it clones before it returns.
+    /// below `banks`: a bank outside `base..base + banks` panics, naming
+    /// the bank, before its chunk is replayed. `cuts` are epoch cut
+    /// positions: nondecreasing, at most `batch.len()`, `0` and duplicates
+    /// allowed. `replay` must drop every handle on the runs it clones
+    /// before it returns.
     pub(crate) fn run(
         &mut self,
         batch: &[(u32, u32)],
@@ -83,9 +85,9 @@ impl Bucketer {
         banks: usize,
         mut replay: impl FnMut(&Arc<Runs>),
     ) {
-        if self.tally.len() < banks {
-            self.tally.resize(banks, 0);
-        }
+        // Exactly the bucketed range: the count loop's bounds check is the
+        // range check, at no extra pass over the batch.
+        self.tally.resize(banks, 0);
         let (mut start, mut first_cut) = (0, 0);
         loop {
             let cap = batch.len().min(start + CHUNK_MAX);
@@ -117,7 +119,9 @@ impl Bucketer {
             // O(touched), not O(banks).
             for &(bank, _) in seg {
                 let b = bank.wrapping_sub(base);
-                let n = &mut tally[b as usize];
+                let Some(n) = tally.get_mut(b as usize) else {
+                    crate::bank_out_of_range(bank as usize, base as usize, tally.len())
+                };
                 if *n == 0 {
                     touched.push(b);
                 }

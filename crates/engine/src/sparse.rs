@@ -1,15 +1,24 @@
 //! Lazily-materialized per-bank state — **the** sparse accessor module
 //! (`DESIGN.md §10`).
 //!
-//! [`SparseBanks`] wraps one [`SparseSlab`] of [`Bank`] records — a
-//! bank's activation count and its [`SchemeInstance`] — plus the recipe
-//! to build one: the [`SchemeSpec`], the per-bank row count and the
-//! engine's bank base. A bank's record is created on the bank's *first
-//! touch*, its scheme built from the spec and the bank's deterministic
-//! global index — the same pure function [`BankEngine::with_bank_base`]
-//! used to call for every bank eagerly — so instantiation order cannot
-//! leak into results and an engine over a million banks constructs in
-//! O(1).
+//! [`SparseBanks`] holds the [`Bank`] records — a bank's activation count
+//! and its [`SchemeInstance`] — plus the recipe to build one: the
+//! [`SchemeSpec`], the per-bank row count and the engine's bank base. A
+//! bank's record is created on the bank's *first touch*, its scheme built
+//! from the spec and the bank's deterministic global index — the same pure
+//! function [`BankEngine::with_bank_base`] used to call for every bank
+//! eagerly — so instantiation order cannot leak into results and an engine
+//! over a million banks constructs in O(1).
+//!
+//! The records live in 64-bank *bit-blocks*: a `u64` occupancy mask plus
+//! the touched banks' records in ascending bank order, so bank `i` of a
+//! block sits at rank `popcount(mask & ((1 << i) - 1))`. Blocks past the
+//! highest touched bank are never allocated and an untouched bank costs no
+//! record bytes. There is one layout only: the engine looks a bank up once
+//! per bucketed run, not once per activation, and inserts it once in its
+//! lifetime, so a dense direct-indexed layout for hot blocks would save
+//! nothing measurable. Iteration is in ascending bank order regardless of
+//! touch order — the store is purely index-addressed.
 //!
 //! Lazy materialization preserves the determinism contract (`DESIGN.md
 //! §7`) because every scheme's `on_epoch_end` is *fresh-idempotent*: on a
@@ -24,7 +33,9 @@
 //!
 //! [`BankEngine::with_bank_base`]: crate::BankEngine::with_bank_base
 
-use cat_core::{SchemeInstance, SchemeSpec, SparseSlab};
+use std::ops::Range;
+
+use cat_core::{SchemeInstance, SchemeSpec};
 
 /// One touched bank: every activation it has seen and its scheme, which
 /// exists exactly when the spec attaches one.
@@ -35,6 +46,23 @@ pub(crate) struct Bank {
     pub(crate) scheme: Option<SchemeInstance>,
 }
 
+/// 64 consecutive banks: which of them are touched, and their records in
+/// ascending bank (rank) order.
+#[derive(Default)]
+struct Block {
+    mask: u64,
+    banks: Vec<Bank>,
+}
+
+/// The bits of a block below local bank `i`, for `i` in `0..=64`.
+fn below(i: usize) -> u64 {
+    if i >= 64 {
+        u64::MAX
+    } else {
+        (1 << i) - 1
+    }
+}
+
 /// Sparse, lazily-materialized map from local bank index to the bank's
 /// record (see the module docs).
 pub(crate) struct SparseBanks {
@@ -42,7 +70,10 @@ pub(crate) struct SparseBanks {
     rows: u32,
     /// Global index of local bank 0 — the PRA seed derivation input.
     base: u32,
-    slab: SparseSlab<Bank>,
+    capacity: usize,
+    touched: usize,
+    /// Grown lazily up to the highest touched block only.
+    blocks: Vec<Block>,
 }
 
 impl SparseBanks {
@@ -53,25 +84,27 @@ impl SparseBanks {
             spec,
             rows,
             base,
-            slab: SparseSlab::new(banks as usize),
+            capacity: banks as usize,
+            touched: 0,
+            blocks: Vec::new(),
         }
     }
 
     /// Number of banks this storage spans (touched or not).
     pub(crate) fn capacity(&self) -> usize {
-        self.slab.capacity()
+        self.capacity
     }
 
     /// Number of touched banks.
     pub(crate) fn touched(&self) -> usize {
-        self.slab.occupied()
+        self.touched
     }
 
     /// Number of banks whose scheme instance has been materialized: every
     /// touched bank, unless the spec attaches no scheme.
     pub(crate) fn materialized(&self) -> usize {
         if self.has_scheme() {
-            self.touched()
+            self.touched
         } else {
             0
         }
@@ -82,19 +115,20 @@ impl SparseBanks {
         self.base
     }
 
-    /// Allocated block-directory capacity of the underlying slab — the
-    /// touch-order-dependent part of
-    /// [`container_bytes`](Self::container_bytes) that checkpoints
-    /// record as a high-water mark.
+    /// Allocated capacity of the block directory — the touch-order
+    /// dependent part of [`container_bytes`](Self::container_bytes) that
+    /// checkpoints record as a high-water mark.
     pub(crate) fn block_capacity(&self) -> usize {
-        self.slab.block_capacity()
+        self.blocks.capacity()
     }
 
-    /// Pre-grows the slab's block directory (checkpoint restore: reserve
-    /// first, then touch in ascending bank order, so the restored
-    /// footprint is bit-equal to the saved one).
+    /// Grows the block directory's allocation to exactly `cap` blocks
+    /// (checkpoint restore: reserve first, then touch in ascending bank
+    /// order, so the restored footprint is bit-equal to the saved one —
+    /// a block's record capacity depends only on its record count).
     pub(crate) fn reserve_block_capacity(&mut self, cap: usize) {
-        self.slab.reserve_block_capacity(cap);
+        self.blocks
+            .reserve_exact(cap.saturating_sub(self.blocks.len()));
     }
 
     /// `true` when the spec attaches a scheme to banks at all.
@@ -103,49 +137,120 @@ impl SparseBanks {
     }
 
     /// The record of `bank`, created with no activations and a fresh
-    /// scheme on first touch — one slab lookup either way.
+    /// scheme on first touch — one mask test and one rank either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bank` is not below [`capacity`](Self::capacity).
     #[inline]
     pub(crate) fn touch(&mut self, bank: usize) -> &mut Bank {
-        let (spec, rows, base) = (self.spec, self.rows, self.base);
-        self.slab.get_or_insert_with(bank, || Bank {
-            activations: 0,
-            scheme: spec.build_instance(rows, base + bank as u32),
-        })
+        if bank >= self.capacity {
+            crate::bank_out_of_range(bank, 0, self.capacity);
+        }
+        let (b, bit) = (bank >> 6, 1u64 << (bank & 63));
+        if self.blocks.len() <= b {
+            self.blocks.resize_with(b + 1, Block::default);
+        }
+        let block = &mut self.blocks[b];
+        let rank = (block.mask & (bit - 1)).count_ones() as usize;
+        if block.mask & bit == 0 {
+            let scheme = self.spec.build_instance(self.rows, self.base + bank as u32);
+            block.banks.insert(
+                rank,
+                Bank {
+                    activations: 0,
+                    scheme,
+                },
+            );
+            block.mask |= bit;
+            self.touched += 1;
+        }
+        &mut block.banks[rank]
     }
 
     /// Touched banks' records in ascending bank order.
     pub(crate) fn records(&self) -> impl Iterator<Item = (usize, &Bank)> {
-        self.slab.iter()
+        self.blocks.iter().enumerate().flat_map(|(b, block)| {
+            // Each record consumes the lowest remaining mask bit: there are
+            // exactly as many records as set bits.
+            block.banks.iter().scan(block.mask, move |mask, bank| {
+                let i = mask.trailing_zeros() as usize;
+                *mask &= *mask - 1;
+                Some(((b << 6) + i, bank))
+            })
+        })
     }
 
     /// Materialized schemes in ascending bank order.
     pub(crate) fn schemes(&self) -> impl Iterator<Item = &SchemeInstance> {
-        self.records().filter_map(|(_, b)| b.scheme.as_ref())
+        let banks = self.blocks.iter().flat_map(|block| &block.banks);
+        banks.filter_map(|bank| bank.scheme.as_ref())
     }
 
     /// Mutable materialized schemes in ascending bank order.
     pub(crate) fn schemes_mut(&mut self) -> impl Iterator<Item = &mut SchemeInstance> {
-        self.slab.iter_mut().filter_map(|(_, b)| b.scheme.as_mut())
+        let banks = self.blocks.iter_mut().flat_map(|block| &mut block.banks);
+        banks.filter_map(|bank| bank.scheme.as_mut())
     }
 
     /// Moves the donor's touched banks in `range` (donor-local indices)
     /// here, the donor's `range.start` landing at local bank `at` — the
     /// re-carve step of `BankEngine::adopt` — and returns the activations
-    /// they carry. An instance keeps the global index it was built with,
-    /// so both sides must agree on it. Ascending inserts: O(touched in
-    /// range), not O(range).
+    /// they carry. None of the moved banks may be touched here yet. An
+    /// instance keeps the global index it was built with, so both sides
+    /// must agree on it.
+    ///
+    /// The range is moved in windows that lie inside one block on both
+    /// sides (engine slices are power-of-two aligned, so each window is a
+    /// whole block or the whole range). Each window leaves the donor as
+    /// one contiguous rank range and lands here by one insert per record —
+    /// the capacity growth a touch gives, which keeps the footprint a pure
+    /// function of the records per block. O(blocks in range + touched
+    /// banks moved).
     pub(crate) fn adopt_range(
         &mut self,
         at: usize,
         donor: &mut SparseBanks,
-        range: std::ops::Range<usize>,
+        range: Range<usize>,
     ) -> u64 {
         debug_assert_eq!(self.base as usize + at, donor.base as usize + range.start);
-        let start = range.start;
+        let end = range.end.min(donor.blocks.len() << 6);
         let mut moved = 0;
-        for (bank, record) in donor.slab.drain_range(range) {
-            moved += record.activations;
-            self.slab.insert(at + bank - start, record);
+        let mut lo = range.start;
+        while lo < end {
+            let dst = at + lo - range.start;
+            let (src_off, dst_off) = (lo & 63, dst & 63);
+            let hi = end.min(lo - src_off + 64).min(lo + 64 - dst_off);
+            let (src, src_end) = (&mut donor.blocks[lo >> 6], src_off + hi - lo);
+            lo = hi;
+            let window = below(src_end) & !below(src_off);
+            let bits = src.mask & window;
+            if bits == 0 {
+                continue;
+            }
+            let rank = |i| (src.mask & below(i)).count_ones() as usize;
+            let ranks = rank(src_off)..rank(src_end);
+            let n = ranks.len();
+            src.mask &= !window;
+            donor.touched -= n;
+
+            if self.blocks.len() <= dst >> 6 {
+                self.blocks.resize_with((dst >> 6) + 1, Block::default);
+            }
+            let block = &mut self.blocks[dst >> 6];
+            let shifted = if dst_off >= src_off {
+                bits << (dst_off - src_off)
+            } else {
+                bits >> (src_off - dst_off)
+            };
+            debug_assert_eq!(block.mask & shifted, 0, "adopted bank already touched");
+            let first = (block.mask & below(dst_off)).count_ones() as usize;
+            for (k, bank) in src.banks.drain(ranks).enumerate() {
+                moved += bank.activations;
+                block.banks.insert(first + k, bank);
+            }
+            block.mask |= shifted;
+            self.touched += n;
         }
         moved
     }
@@ -159,13 +264,75 @@ impl SparseBanks {
         self.schemes().map(SchemeInstance::footprint_bytes).sum()
     }
 
-    /// Resident bytes of the slab's own block storage: directory plus
-    /// record slots, activation counts included, minus the materialized
+    /// Resident bytes of the block storage itself: directory plus record
+    /// slots, activation counts included, minus the materialized
     /// instances' payload (already counted by
     /// [`scheme_bytes`](Self::scheme_bytes) — every such instance sits in
-    /// an occupied slot, so this never underflows). Depends on the engine
+    /// a record slot, so this never underflows). Depends on the engine
     /// split and touch order — accounting overhead, not scheme state.
     pub(crate) fn container_bytes(&self) -> usize {
-        self.slab.heap_bytes() - self.materialized() * std::mem::size_of::<SchemeInstance>()
+        let slots: usize = self.blocks.iter().map(|block| block.banks.capacity()).sum();
+        self.blocks.capacity() * std::mem::size_of::<Block>() + slots * std::mem::size_of::<Bank>()
+            - self.materialized() * std::mem::size_of::<SchemeInstance>()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const SPEC: SchemeSpec = SchemeSpec::Sca {
+        counters: 4,
+        threshold: 64,
+    };
+
+    /// Banks across several blocks, touched high block first and out of
+    /// order within each block.
+    const OUT_OF_ORDER: [usize; 9] = [4000, 700, 3, 130, 62, 0, 129, 4001, 64];
+
+    fn touched_out_of_order() -> SparseBanks {
+        let mut banks = SparseBanks::new(SPEC, 4096, 64, 0);
+        for (i, &bank) in OUT_OF_ORDER.iter().enumerate() {
+            banks.touch(bank).activations = i as u64 + 1;
+        }
+        banks
+    }
+
+    #[test]
+    fn rank_select_survives_out_of_order_inserts() {
+        let mut banks = touched_out_of_order();
+        let mut want: Vec<usize> = OUT_OF_ORDER.to_vec();
+        want.sort_unstable();
+        let order: Vec<usize> = banks.records().map(|(bank, _)| bank).collect();
+        assert_eq!(order, want);
+        // Each record is still the one its bank's touch wrote.
+        for (bank, record) in banks.records() {
+            let i = OUT_OF_ORDER.iter().position(|&b| b == bank).unwrap();
+            assert_eq!(record.activations, i as u64 + 1, "bank {bank}");
+        }
+        assert_eq!(banks.touched(), OUT_OF_ORDER.len());
+        assert_eq!(banks.schemes().count(), OUT_OF_ORDER.len());
+        assert_eq!(banks.schemes_mut().count(), OUT_OF_ORDER.len());
+    }
+
+    #[test]
+    fn block_capacity_round_trips_heap_bytes() {
+        // Out-of-order touches leave a directory capacity that an
+        // ascending rebuild would not reach on its own; reserving the saved
+        // capacity and re-touching in ascending order (checkpoint restore)
+        // must reproduce the footprint exactly.
+        let mut original = touched_out_of_order();
+        for bank in (0..2048).step_by(5) {
+            original.touch(bank);
+        }
+        let mut rebuilt = SparseBanks::new(SPEC, 4096, 64, 0);
+        assert_eq!(rebuilt.container_bytes(), 0, "an empty store allocates");
+        rebuilt.reserve_block_capacity(original.block_capacity());
+        for (bank, _) in original.records() {
+            rebuilt.touch(bank);
+        }
+        assert_eq!(rebuilt.block_capacity(), original.block_capacity());
+        assert_eq!(rebuilt.container_bytes(), original.container_bytes());
+        assert_eq!(rebuilt.touched(), original.touched());
     }
 }

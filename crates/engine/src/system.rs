@@ -632,6 +632,11 @@ impl MemorySystem {
     /// Any [staged](Self::push) accesses are flushed first so the stream
     /// order is preserved (their outcome stays accumulated for the next
     /// [`flush`](Self::flush); the returned outcome covers only `batch`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a bank of `batch` is outside the [owned slice](Self::slice),
+    /// before any access of that bank's bucketing chunk is applied.
     pub fn process(&mut self, batch: &[(u32, u32)]) -> BatchOutcome {
         self.flush_staged();
         self.process_batch(batch)
@@ -1130,6 +1135,13 @@ mod tests {
     fn push_of_out_of_range_bank_fails_at_the_push() {
         let mut system = MemorySystem::new(geometry(), SchemeSpec::None);
         system.push_decoded(16, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "bank 16 out of range for banks 0..16")]
+    fn process_of_out_of_range_bank_names_the_bank() {
+        let mut system = MemorySystem::new(geometry(), SchemeSpec::None);
+        system.process(&[(3, 0), (16, 0)]);
     }
 
     #[test]

@@ -393,8 +393,17 @@ fn sparse_storage_matches_dense_reference_across_touch_patterns() {
     // range, a stride that leaves gaps, one single bank, or every bank —
     // the sparse engine must be bit-identical to the dense eagerly-built
     // reference on the flat path and on 1/2/4 shards, and must have
-    // materialized exactly the touched banks, never the cold ones.
-    const SPARSE_BANKS: u32 = 64;
+    // materialized exactly the touched banks, never the cold ones. At 512
+    // banks the touched banks span several 64-bank storage blocks, and a
+    // system re-sharded mid-trace (1 -> 4 -> 16 -> 2 shards: 512-, 128-,
+    // 32- and then 256-bank engines) moves whole blocks to other block
+    // offsets, splits blocks and merges them back while they are populated.
+    for sparse_banks in [64u32, 512] {
+        sparse_storage_matches_dense_reference_at(sparse_banks);
+    }
+}
+
+fn sparse_storage_matches_dense_reference_at(sparse_banks: u32) {
     const N: u64 = 60_000;
     let mix = |i: u64, bank: u32| {
         let mut z = i
@@ -421,7 +430,7 @@ fn sparse_storage_matches_dense_reference_across_touch_patterns() {
             "strided",
             (0..N)
                 .map(|i| {
-                    let bank = ((i % 8) * 8) as u32;
+                    let bank = ((i % 8) * u64::from(sparse_banks / 8)) as u32;
                     (bank, mix(i, bank))
                 })
                 .collect(),
@@ -431,7 +440,7 @@ fn sparse_storage_matches_dense_reference_across_touch_patterns() {
             "all-banks",
             (0..N)
                 .map(|i| {
-                    let bank = (i % u64::from(SPARSE_BANKS)) as u32;
+                    let bank = (i % u64::from(sparse_banks)) as u32;
                     (bank, mix(i, bank))
                 })
                 .collect(),
@@ -441,14 +450,14 @@ fn sparse_storage_matches_dense_reference_across_touch_patterns() {
         let touched: std::collections::BTreeSet<u32> = trace.iter().map(|&(b, _)| b).collect();
         for spec in all_specs() {
             let (old_total, old_per_bank) =
-                old_loop_over_banks(spec, trace, EPOCH, SPARSE_BANKS, ROWS);
-            let mut flat = BankEngine::new(spec, SPARSE_BANKS, ROWS);
+                old_loop_over_banks(spec, trace, EPOCH, sparse_banks, ROWS);
+            let mut flat = BankEngine::new(spec, sparse_banks, ROWS);
             flat.process_with_cuts(trace, &cuts_every(EPOCH, trace.len()));
             assert_eq!(flat.stats(), old_total, "{spec} {name}: flat != dense");
             if spec != SchemeSpec::None {
                 assert_eq!(
                     flat.per_bank_stats().len(),
-                    SPARSE_BANKS as usize,
+                    sparse_banks as usize,
                     "{spec} {name}: cold banks must still report (zero) stats"
                 );
                 assert_eq!(
@@ -468,7 +477,7 @@ fn sparse_storage_matches_dense_reference_across_touch_patterns() {
             }
 
             for shards in [1usize, 2, 4] {
-                let mut sharded = MemorySystem::new(one_channel(SPARSE_BANKS), spec)
+                let mut sharded = MemorySystem::new(one_channel(sparse_banks), spec)
                     .with_epoch_length(EPOCH)
                     .with_shards(shards);
                 sharded.process(trace);
@@ -487,6 +496,27 @@ fn sparse_storage_matches_dense_reference_across_touch_patterns() {
                     );
                 }
             }
+
+            let mut resharded =
+                MemorySystem::new(one_channel(sparse_banks), spec).with_epoch_length(EPOCH);
+            let chunks = trace.chunks(trace.len().div_ceil(4));
+            for (chunk, shards) in chunks.zip([1usize, 4, 16, 2]) {
+                resharded = resharded.with_shards(shards);
+                resharded.process(chunk);
+            }
+            let what = format!("{spec} {name} {sparse_banks} banks re-sharded");
+            assert_eq!(resharded.stats(), old_total, "{what}");
+            assert_eq!(resharded.per_bank_stats(), flat.per_bank_stats(), "{what}");
+            assert_eq!(
+                resharded.activations_per_bank(),
+                flat.activations_per_bank(),
+                "{what}"
+            );
+            assert_eq!(
+                resharded.footprint().materialized_banks,
+                flat.footprint().materialized_banks,
+                "{what}"
+            );
         }
     }
 }

@@ -13,6 +13,7 @@ export CARGO_NET_OFFLINE=true
 cargo fmt --all --check
 # Scripts run by hand (not by this gate) must at least parse.
 bash -n scripts/perf_ab.sh
+bash -n scripts/loc.sh
 cargo build --release --workspace --all-targets
 
 # Determinism & concurrency contract lint (DESIGN.md §9): hash-ordered
