@@ -57,7 +57,8 @@
 //! builds offline); each row is the **median of [`DEFAULT_RUNS`]
 //! independent runs**, each run the best of [`REPS`] back-to-back
 //! replays — single-run numbers are noisy enough to mask a 5%
-//! regression. Override the run count with `BENCH_RUNS`; `REPRO_QUICK`
+//! regression. The slowest and fastest runs are printed and written next
+//! to the median, so the spread behind it stays visible. Override the run count with `BENCH_RUNS`; `REPRO_QUICK`
 //! drops it to 1. Set `BENCH_ENGINE_JSON=/path/to/BENCH_engine.json` to
 //! also write the numbers as JSON (`scripts/bench.sh` does), headed by a
 //! `host` block: core count, rustc and git revision (from `BENCH_RUSTC`
@@ -105,10 +106,19 @@ fn runs_per_row() -> usize {
     }
 }
 
+/// Activations/sec of one row: the median over its runs is the row's
+/// rate; the slowest and fastest runs show the spread it was taken from.
+#[derive(Copy, Clone)]
+struct Rate {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
 struct Measurement {
     scheme: String,
     path: &'static str,
-    acts_per_sec: f64,
+    rate: Rate,
     refresh_events: u64,
     /// Resident-state footprint, recorded for the `sparse-1m-*` rows only
     /// (the standard rows run a geometry small enough that footprint is
@@ -116,11 +126,11 @@ struct Measurement {
     footprint: Option<EngineFootprint>,
 }
 
-/// Median-of-runs activations/sec for `f` (each run the best of [`REPS`]
-/// back-to-back replays). `f` replays the whole trace once per call and
+/// Median, min and max over runs of the activations/sec of `f` (each run
+/// the best of [`REPS`] back-to-back replays). `f` replays the whole trace once per call and
 /// returns the aggregate stats, asserted identical across every replay
 /// (used as a checksum so the compared paths provably did the same work).
-fn measure<F: FnMut() -> SchemeStats>(accesses: u64, mut f: F) -> (f64, SchemeStats) {
+fn measure<F: FnMut() -> SchemeStats>(accesses: u64, mut f: F) -> (Rate, SchemeStats) {
     let runs = runs_per_row();
     let mut rates = Vec::with_capacity(runs);
     let mut stats: Option<SchemeStats> = None;
@@ -141,7 +151,12 @@ fn measure<F: FnMut() -> SchemeStats>(accesses: u64, mut f: F) -> (f64, SchemeSt
         rates.push(best);
     }
     rates.sort_by(f64::total_cmp);
-    (rates[rates.len() / 2], stats.expect("at least one replay"))
+    let rate = Rate {
+        median: rates[rates.len() / 2],
+        min: rates[0],
+        max: rates[rates.len() - 1],
+    };
+    (rate, stats.expect("at least one replay"))
 }
 
 /// The pre-engine loop, reproduced as the historical row and stats oracle:
@@ -208,7 +223,7 @@ fn main() {
     ];
     let mut results: Vec<Measurement> = Vec::new();
     println!(
-        "{:<12} {:<18} {:>14} {:>10}",
+        "{:<12} {:<18} {:>14} {:>10}   [min, max] acts/sec",
         "scheme", "path", "acts/sec", "speedup"
     );
     for spec in specs {
@@ -222,7 +237,7 @@ fn main() {
             engine.stats()
         });
         let mut row = |path: &'static str,
-                       rate: f64,
+                       rate: Rate,
                        stats: &SchemeStats,
                        expected: &SchemeStats,
                        vs: f64| {
@@ -233,16 +248,18 @@ fn main() {
                 spec.label()
             );
             println!(
-                "{:<12} {:<18} {:>14.0} {:>9.2}x",
+                "{:<12} {:<18} {:>14.0} {:>9.2}x   [{:.0}, {:.0}]",
                 spec.label(),
                 path,
-                rate,
-                rate / vs
+                rate.median,
+                rate.median / vs,
+                rate.min,
+                rate.max
             );
             results.push(Measurement {
                 scheme: spec.label(),
                 path,
-                acts_per_sec: rate,
+                rate,
                 refresh_events: stats.refresh_events,
                 footprint: None,
             });
@@ -252,14 +269,14 @@ fn main() {
             boxed_rate,
             &base_stats,
             &base_stats,
-            instance_rate,
+            instance_rate.median,
         );
         row(
             "instance",
             instance_rate,
             &instance_stats,
             &base_stats,
-            instance_rate,
+            instance_rate.median,
         );
 
         // Streaming ingestion: per-access push through the staging buffer,
@@ -272,7 +289,7 @@ fn main() {
             system.flush();
             system.stats()
         });
-        row("stream", rate, &stats, &base_stats, instance_rate);
+        row("stream", rate, &stats, &base_stats, instance_rate.median);
 
         // Queue ingestion: producer threads feed the bounded deterministic
         // merge, the consumer drains it into the streaming path (the catd
@@ -303,7 +320,7 @@ fn main() {
                 });
                 system.stats()
             });
-            row(path, rate, &stats, &base_stats, instance_rate);
+            row(path, rate, &stats, &base_stats, instance_rate.median);
         }
 
         // Partitioned datapath: scatter by Partition::route into sliced
@@ -337,7 +354,7 @@ fn main() {
                 }
                 stats
             });
-            row("fleet-2", rate, &stats, &base_stats, instance_rate);
+            row("fleet-2", rate, &stats, &base_stats, instance_rate.median);
         }
 
         // Engine slices replayed on N shard workers.
@@ -349,7 +366,7 @@ fn main() {
                 system.process(&trace.entries);
                 system.stats()
             });
-            row(path, rate, &stats, &base_stats, instance_rate);
+            row(path, rate, &stats, &base_stats, instance_rate.median);
         }
 
         // Small-epoch rows: the cut-aware regression guard (speedups vs.
@@ -368,7 +385,7 @@ fn main() {
             small_rate,
             &stats,
             &small_stats,
-            small_rate,
+            small_rate.median,
         );
         let (rate, stats) = measure(accesses, || {
             let mut system = MemorySystem::new(&cfg, spec)
@@ -377,7 +394,13 @@ fn main() {
             system.process(&trace.entries);
             system.stats()
         });
-        row("shards-4-small", rate, &stats, &small_stats, small_rate);
+        row(
+            "shards-4-small",
+            rate,
+            &stats,
+            &small_stats,
+            small_rate.median,
+        );
         println!();
     }
 
@@ -430,7 +453,7 @@ fn sparse_1m_rows(results: &mut Vec<Measurement>) {
         100.0 * hot.len() as f64 / f64::from(SPARSE_BANKS)
     );
     println!(
-        "{:<12} {:<18} {:>14} {:>10}",
+        "{:<12} {:<18} {:>14} {:>10}   [min, max] acts/sec",
         "scheme", "path", "acts/sec", "speedup"
     );
 
@@ -442,7 +465,7 @@ fn sparse_1m_rows(results: &mut Vec<Measurement>) {
         footprint = engine.footprint();
         engine.stats()
     });
-    let mut row = |path: &'static str, rate: f64, stats: &SchemeStats, fp: EngineFootprint| {
+    let mut row = |path: &'static str, rate: Rate, stats: &SchemeStats, fp: EngineFootprint| {
         assert_eq!(
             stats,
             &flat_stats,
@@ -463,18 +486,20 @@ fn sparse_1m_rows(results: &mut Vec<Measurement>) {
             fp.resident_bytes()
         );
         println!(
-            "{:<12} {:<18} {:>14.0} {:>9.2}x   ({} resident bytes, dense estimate {})",
+            "{:<12} {:<18} {:>14.0} {:>9.2}x   [{:.0}, {:.0}] ({} resident bytes, dense estimate {})",
             spec.label(),
             path,
-            rate,
-            rate / flat_rate,
+            rate.median,
+            rate.median / flat_rate.median,
+            rate.min,
+            rate.max,
             fp.resident_bytes(),
             dense
         );
         results.push(Measurement {
             scheme: spec.label(),
             path,
-            acts_per_sec: rate,
+            rate,
             refresh_events: stats.refresh_events,
             footprint: Some(fp),
         });
@@ -510,9 +535,11 @@ fn sparse_1m_rows(results: &mut Vec<Measurement>) {
 /// everything else against `instance`. The sparse rows additionally
 /// carry their resident footprint — `bytes_per_bank` is the amortized
 /// cost over **all** banks, the number a dense layout cannot get below
-/// one full instance. New fields always go after `acts_per_sec`: the
-/// `scripts/bench.sh` delta table parses the rate by quote-field
-/// position.
+/// one full instance. Every row also carries `acts_per_sec_min` and
+/// `acts_per_sec_max`, the slowest and fastest of its runs, so a
+/// comparison can see the run-to-run spread behind the median. New fields
+/// always go after `acts_per_sec`: the `scripts/bench.sh` delta table
+/// parses the rate by quote-field position.
 fn write_json(path: &str, accesses: u64, results: &[Measurement]) {
     let mut rows = String::new();
     for (i, m) in results.iter().enumerate() {
@@ -544,11 +571,14 @@ fn write_json(path: &str, accesses: u64, results: &[Measurement]) {
         };
         rows.push_str(&format!(
             "    {{\"scheme\": \"{}\", \"path\": \"{}\", \"acts_per_sec\": {:.0}, \
+             \"acts_per_sec_min\": {:.0}, \"acts_per_sec_max\": {:.0}, \
              \"{speedup_key}\": {:.4}, \"refresh_events\": {}{footprint}}}{}\n",
             m.scheme,
             m.path,
-            m.acts_per_sec,
-            m.acts_per_sec / base.acts_per_sec,
+            m.rate.median,
+            m.rate.min,
+            m.rate.max,
+            m.rate.median / base.rate.median,
             m.refresh_events,
             if i + 1 == results.len() { "" } else { "," }
         ));

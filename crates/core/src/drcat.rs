@@ -139,10 +139,10 @@ impl Drcat {
         if u32::from(self.tree.counters[hot as usize].depth) >= max_depth {
             return;
         }
-        let Some((slot, inode, l, r)) = self.tree.find_cold_pair(&self.weights, hot) else {
+        let Some((l, r)) = self.tree.find_cold_pair(&self.weights, hot) else {
             return;
         };
-        let released = self.tree.merge_pair(slot, inode, l, r);
+        let released = self.tree.merge_pair(l, r);
         self.weights[released as usize] = 0;
         let new = self
             .tree

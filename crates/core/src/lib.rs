@@ -5,9 +5,10 @@
 //! Melhem — ISCA 2018):
 //!
 //! * [`CatTree`] — the paper's contribution: a dynamically grown,
-//!   potentially unbalanced binary tree of activation counters stored in the
-//!   compact SRAM pointer layout of §IV-C (arrays `I`, `C` and, for DRCAT,
-//!   `W`).
+//!   potentially unbalanced binary tree of activation counters. Its shape
+//!   is a row→counter leaf table plus each counter's depth; the §IV-C
+//!   pointer array `I` is modeled only as cost, beside the counter array
+//!   `C` and, for DRCAT, the weights `W`.
 //! * [`Prcat`] — Periodically Reset CAT (§V-A): the tree is rebuilt at every
 //!   64 ms auto-refresh epoch.
 //! * [`Drcat`] — Dynamically Reconfigured CAT (§V-B): 2-bit weight registers

@@ -1,16 +1,16 @@
-//! The Counter-based Adaptive Tree (§IV) in the compact SRAM layout of
-//! §IV-C: an array `I` of intermediate nodes (two tagged child pointers
-//! each), an array `C` of counters, and — starting from a pre-split complete
-//! tree of λ levels — direct indexing of the top `λ−1` address bits.
+//! The Counter-based Adaptive Tree (§IV), stored as its leaf table: entry
+//! `i` names the counter whose leaf covers the `i`-th aligned block of
+//! `rows >> (L−1)` rows, and each counter holds its leaf's depth — a leaf
+//! at depth `d` spans `rows >> d` aligned rows. Table and depths are the
+//! whole shape: an activation finds its counter with one load, and splits,
+//! merges, snapshots and restore all work on the table.
 //!
-//! The software goes one step further than the hardware: a derived leaf
-//! table direct-indexes the top `L−1` address bits, so an activation finds
-//! its counter with one load instead of the pointer walk. The table is a
-//! software index, not modeled SRAM (DESIGN.md §3.6):
-//! `sram_reads` still counts the nodes the §IV-C walk reads, the table is
-//! counted in `heap_bytes`, and it is never serialized — `restore_state`
-//! rebuilds it with a walk that also checks the restored pointers form a
-//! tree. The walk itself (`locate`) runs only when a leaf splits.
+//! The hardware of §IV-C stores the same shape as an array `I` of
+//! intermediate nodes with tagged child pointers below `2^{λ−1}`
+//! direct-indexed roots. That array is modeled only as cost
+//! (DESIGN.md §3.6): `sram_reads` counts the `depth − (λ−1)` nodes its walk
+//! would read, splits and merges book its writes, and its storage is part
+//! of the [`HardwareProfile`] the energy model prices.
 //!
 //! Runs of activations are replayed in two parts (DESIGN.md §3.7):
 //! `record_quiet` counts the longest prefix in which no counter reaches
@@ -18,28 +18,14 @@
 //! statistics summed in registers, and [`CatTree::record`] takes only the
 //! threshold-crossing row through Algorithm 1's split/refresh path.
 
-mod layout;
 pub mod reference;
 mod shape;
 
-pub use layout::{INode, NodeRef};
 pub use shape::{LeafInfo, TreeShape};
 
 use crate::scheme::{HardwareProfile, MitigationScheme, Refreshes, SchemeKind};
 use crate::state::{StateError, StateReader};
 use crate::{CatConfig, RowId, RowRange, SchemeStats, SplitThresholds};
-
-/// Where a node reference is stored — needed to replace a leaf reference
-/// with a freshly allocated intermediate node when the leaf splits.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub(crate) enum ParentSlot {
-    /// Entry of the direct-indexed root table.
-    Root(u32),
-    /// Left child slot of intermediate node `i`.
-    Left(u16),
-    /// Right child slot of intermediate node `i`.
-    Right(u16),
-}
 
 #[derive(Copy, Clone, Debug, Default)]
 pub(crate) struct Counter {
@@ -47,7 +33,7 @@ pub(crate) struct Counter {
     /// Split-threshold index `l_i` of Algorithm 1 (latched to `L−1` once
     /// every counter is active).
     pub tli: u8,
-    /// Structural depth of the leaf in the tree.
+    /// Depth of the counter's leaf in the tree (root = 0).
     pub depth: u8,
     pub active: bool,
 }
@@ -85,17 +71,14 @@ pub struct Activation {
 pub struct CatTree {
     config: CatConfig,
     thresholds: SplitThresholds,
-    pub(crate) roots: Vec<NodeRef>,
-    pub(crate) inodes: Vec<INode>,
     pub(crate) counters: Vec<Counter>,
     /// Leaf table: entry `i` names the counter whose leaf covers rows
-    /// `[i << leaf_shift, (i + 1) << leaf_shift)`. Derived from the tree,
-    /// never serialized.
+    /// `[i << leaf_shift, (i + 1) << leaf_shift)`. With the counter depths
+    /// it is the tree's shape.
     leaf_of: Vec<u16>,
     /// `log2(rows) − (L − 1)`: rows per table entry, as a shift.
     leaf_shift: u32,
     free_counters: Vec<u16>,
-    free_inodes: Vec<u16>,
     active_counters: usize,
     all_active: bool,
     stats: SchemeStats,
@@ -111,12 +94,9 @@ impl CatTree {
         let mut tree = CatTree {
             leaf_shift: config.rows().trailing_zeros() - top,
             thresholds: config.split_thresholds(),
-            roots: Vec::with_capacity(root_count),
-            inodes: Vec::with_capacity(m.saturating_sub(1)),
             counters: Vec::with_capacity(m),
             leaf_of: Vec::with_capacity(1 << top),
             free_counters: Vec::with_capacity(m - root_count),
-            free_inodes: Vec::new(),
             active_counters: 0,
             all_active: false,
             stats: SchemeStats::default(),
@@ -126,8 +106,9 @@ impl CatTree {
         tree
     }
 
-    /// Puts every slab and the leaf table back to the pre-split shape,
-    /// reusing their allocations. Statistics are left alone.
+    /// Puts the counters, the free list and the leaf table back to the
+    /// pre-split shape, reusing their allocations. Statistics are left
+    /// alone.
     fn rebuild(&mut self) {
         let lambda = self.config.lambda();
         let m = self.config.counters();
@@ -141,11 +122,6 @@ impl CatTree {
         self.counters.clear();
         self.counters.resize(m, Counter::default());
         self.counters[..root_count].fill(root);
-        self.roots.clear();
-        self.roots
-            .extend((0..root_count).map(|i| NodeRef::Leaf(i as u16)));
-        self.inodes.clear();
-        self.free_inodes.clear();
         // Free counters popped in ascending index order.
         self.free_counters.clear();
         self.free_counters
@@ -173,18 +149,15 @@ impl CatTree {
         &self.thresholds
     }
 
-    /// Resident heap bytes of the tree's slabs (`I`, `C`, roots and free
-    /// lists) plus the `2^{L−1}`-entry leaf table. The slabs are
+    /// Resident heap bytes of the tree: the counter array `C`, the free
+    /// list and the `2^{L−1}`-entry leaf table. The arrays are
     /// deliberately dense: they hold at most `M` (≤ 64 in every paper
     /// configuration) entries — the tree itself is the compression, so
     /// bit-block storage would only add overhead.
     pub fn heap_bytes(&self) -> usize {
-        self.roots.capacity() * std::mem::size_of::<NodeRef>()
-            + self.inodes.capacity() * std::mem::size_of::<INode>()
-            + self.counters.capacity() * std::mem::size_of::<Counter>()
+        self.counters.capacity() * std::mem::size_of::<Counter>()
             + self.leaf_of.capacity() * std::mem::size_of::<u16>()
             + self.free_counters.capacity() * std::mem::size_of::<u16>()
-            + self.free_inodes.capacity() * std::mem::size_of::<u16>()
     }
 
     /// Number of currently active counters.
@@ -198,11 +171,6 @@ impl CatTree {
         self.all_active
     }
 
-    /// Rows per direct-indexed subtree root.
-    fn root_span(&self) -> u32 {
-        self.config.rows() >> (self.config.lambda() - 1)
-    }
-
     /// The leaf covering `row`, read from the leaf table: its counter and
     /// row range. A leaf at depth `d` spans `rows >> d` aligned rows.
     fn leaf(&self, row: u32) -> (u16, u32, u32) {
@@ -212,57 +180,12 @@ impl CatTree {
         (c, lo, lo + span - 1)
     }
 
-    /// Walks the tree to the leaf covering `row`, as the §IV-C hardware
-    /// does. Returns the counter index, its range, its parent slot and the
-    /// number of intermediate nodes read. Only splits need the slot; every
-    /// other lookup goes through the leaf table.
-    pub(crate) fn locate(&self, row: u32) -> (u16, u32, u32, ParentSlot, u32) {
-        debug_assert!(row < self.config.rows());
-        let span = self.root_span();
-        let g = row / span;
-        let mut lo = g * span;
-        let mut hi = lo + span - 1;
-        let mut slot = ParentSlot::Root(g);
-        let mut node = self.roots[g as usize];
-        let mut visits = 0u32;
-        loop {
-            match node {
-                NodeRef::Leaf(c) => return (c, lo, hi, slot, visits),
-                NodeRef::Inode(i) => {
-                    visits += 1;
-                    let mid = lo + (hi - lo) / 2;
-                    let inode = &self.inodes[i as usize];
-                    if row <= mid {
-                        hi = mid;
-                        slot = ParentSlot::Left(i);
-                        node = inode.left;
-                    } else {
-                        lo = mid + 1;
-                        slot = ParentSlot::Right(i);
-                        node = inode.right;
-                    }
-                }
-            }
-        }
-    }
-
-    pub(crate) fn set_slot(&mut self, slot: ParentSlot, node: NodeRef) {
-        match slot {
-            ParentSlot::Root(g) => self.roots[g as usize] = node,
-            ParentSlot::Left(i) => self.inodes[i as usize].left = node,
-            ParentSlot::Right(i) => self.inodes[i as usize].right = node,
-        }
-    }
-
-    fn alloc_inode(&mut self, inode: INode) -> u16 {
-        if let Some(idx) = self.free_inodes.pop() {
-            self.inodes[idx as usize] = inode;
-            idx
-        } else {
-            let idx = self.inodes.len() as u16;
-            self.inodes.push(inode);
-            idx
-        }
+    /// Every leaf in ascending row order, as [`CatTree::leaf`] returns it.
+    fn leaves(&self) -> impl Iterator<Item = (u16, u32, u32)> + '_ {
+        let rows = self.config.rows();
+        std::iter::successors(Some(self.leaf(0)), move |&(_, _, hi)| {
+            (hi + 1 < rows).then(|| self.leaf(hi + 1))
+        })
     }
 
     fn latch_all_thresholds(&mut self) {
@@ -273,12 +196,12 @@ impl CatTree {
         self.all_active = true;
     }
 
-    /// Splits leaf `c` (covering `[lo, hi]`, stored in `slot`): the left
-    /// half stays with `c`, the right half goes to a newly activated clone
-    /// (Algorithm 1 lines 15–22). Returns the new counter, or `None` when
-    /// no counter is free or the leaf is already at level `L−1` — the leaf
-    /// table's granularity, so no leaf is deeper.
-    pub(crate) fn split_leaf(&mut self, c: u16, lo: u32, hi: u32, slot: ParentSlot) -> Option<u16> {
+    /// Splits leaf `c` (covering `[lo, hi]`): the left half stays with `c`,
+    /// the right half goes to a newly activated clone (Algorithm 1 lines
+    /// 15–22). Returns the new counter, or `None` when no counter is free
+    /// or the leaf is already at level `L−1` — the leaf table's
+    /// granularity, so no leaf is deeper.
+    pub(crate) fn split_leaf(&mut self, c: u16, lo: u32, hi: u32) -> Option<u16> {
         let top = (self.config.max_levels() - 1) as u8;
         let parent = self.counters[c as usize];
         if parent.depth >= top {
@@ -294,11 +217,6 @@ impl CatTree {
         };
         self.counters[c as usize].tli = child_tli;
         self.counters[c as usize].depth = parent.depth + 1;
-        let inode = self.alloc_inode(INode {
-            left: NodeRef::Leaf(c),
-            right: NodeRef::Leaf(nc),
-        });
-        self.set_slot(slot, NodeRef::Inode(inode));
         // The right half's table entries now name the clone.
         let mid = lo + (hi - lo) / 2;
         let s = self.leaf_shift;
@@ -322,7 +240,6 @@ impl CatTree {
         self.stats.sram_reads += depth_sum + n - n * u64::from(self.config.lambda() - 1);
         self.stats.max_depth_touched = self.stats.max_depth_touched.max(u64::from(deepest));
     }
-
     /// Records the longest prefix of `rows` in which no activation brings
     /// its counter to its threshold, and returns its length. Each such
     /// activation is only Algorithm 1's counter increment, so
@@ -397,9 +314,7 @@ impl CatTree {
             // Split threshold reached below the maximum level: activate a
             // clone (RCM). If no counter is free the tree is fully grown and
             // thresholds were latched to T, so the loop terminates above.
-            // Splits are rare, so only they walk the tree for the slot.
-            let (_, _, _, slot, _) = self.locate(row.0);
-            match self.split_leaf(c, lo, hi, slot) {
+            match self.split_leaf(c, lo, hi) {
                 Some(_) => {
                     // Descend into the half containing the activated row;
                     // the clone kept the parent's value, so a larger split
@@ -415,69 +330,46 @@ impl CatTree {
         }
     }
 
-    /// Depth-first search for an intermediate node whose two children are
-    /// both leaves with zero weight — a pair of cold sibling counters that
-    /// DRCAT may merge (§V-B step 1). The hot counter `exclude` is never
-    /// eligible. Returns `(slot of the inode, inode index, left leaf,
-    /// right leaf)`.
-    pub(crate) fn find_cold_pair(
-        &self,
-        weights: &[u8],
-        exclude: u16,
-    ) -> Option<(ParentSlot, u16, u16, u16)> {
-        let mut stack: Vec<(NodeRef, ParentSlot)> = self
-            .roots
-            .iter()
-            .enumerate()
-            .map(|(g, node)| (*node, ParentSlot::Root(g as u32)))
-            .collect();
-        while let Some((node, slot)) = stack.pop() {
-            if let NodeRef::Inode(i) = node {
-                let inode = self.inodes[i as usize];
-                if let Some((l, r)) = inode.both_leaves() {
-                    if l != exclude
-                        && r != exclude
-                        && weights[l as usize] == 0
-                        && weights[r as usize] == 0
-                    {
-                        return Some((slot, i, l, r));
-                    }
-                } else {
-                    stack.push((inode.left, ParentSlot::Left(i)));
-                    stack.push((inode.right, ParentSlot::Right(i)));
+    /// Finds a pair of sibling leaves that are both cold (zero weight) —
+    /// the two children of one intermediate node that DRCAT may merge
+    /// (§V-B step 1). The hot counter `exclude` is never eligible. Leaves
+    /// are visited from the top row down, the order of a right-first
+    /// depth-first search of the §IV-C node array; a leaf below the roots
+    /// whose span is odd-aligned is a right child, and its sibling is the
+    /// left neighbour when that has the same depth. Returns `(left, right)`.
+    pub(crate) fn find_cold_pair(&self, weights: &[u8], exclude: u16) -> Option<(u16, u16)> {
+        let root_depth = (self.config.lambda() - 1) as u8;
+        let cold = |c: u16| c != exclude && weights[c as usize] == 0;
+        let mut end = self.config.rows();
+        while end > 0 {
+            let (r, lo, hi) = self.leaf(end - 1);
+            let depth = self.counters[r as usize].depth;
+            if depth > root_depth && lo & (hi - lo + 1) != 0 {
+                let l = self.leaf_of[((lo - 1) >> self.leaf_shift) as usize];
+                if self.counters[l as usize].depth == depth && cold(l) && cold(r) {
+                    return Some((l, r));
                 }
             }
+            end = lo;
         }
         None
     }
 
-    /// Merges the two cold sibling leaves below intermediate node `inode`:
-    /// the right leaf is promoted into the parent slot (as in Fig. 7, where
-    /// C5 is promoted and C2 released) carrying the *maximum* of the two
-    /// counter values — merging must never under-count any row in the
-    /// combined group. Returns the released counter index.
-    pub(crate) fn merge_pair(
-        &mut self,
-        slot: ParentSlot,
-        inode: u16,
-        left: u16,
-        right: u16,
-    ) -> u16 {
-        debug_assert_eq!(
-            self.inodes[inode as usize].both_leaves(),
-            Some((left, right))
-        );
+    /// Merges the cold sibling leaves `left` and `right`: the right leaf is
+    /// promoted into the parent (as in Fig. 7, where C5 is promoted and C2
+    /// released) carrying the *maximum* of the two counter values — merging
+    /// must never under-count any row in the combined group. Returns the
+    /// released counter index.
+    pub(crate) fn merge_pair(&mut self, left: u16, right: u16) -> u16 {
+        let (lo, hi) = self.find_leaf(left).expect("a merged leaf is in the table");
+        debug_assert_eq!(self.leaf(hi + 1).0, right);
         let lv = self.counters[left as usize].value;
         let rv = self.counters[right as usize].value;
         self.counters[right as usize].value = lv.max(rv);
         self.counters[right as usize].depth -= 1;
         self.counters[left as usize] = Counter::default();
-        self.set_slot(slot, NodeRef::Leaf(right));
-        self.leaf_of
-            .iter_mut()
-            .filter(|e| **e == left)
-            .for_each(|e| *e = right);
-        self.free_inodes.push(inode);
+        let s = self.leaf_shift;
+        self.leaf_of[(lo >> s) as usize..=(hi >> s) as usize].fill(right);
         self.free_counters.push(left);
         self.active_counters -= 1;
         self.stats.merges += 1;
@@ -485,50 +377,31 @@ impl CatTree {
         left
     }
 
-    /// Finds the leaf holding counter `c`: its parent slot and row range.
-    pub(crate) fn find_leaf(&self, c: u16) -> Option<(ParentSlot, u32, u32)> {
-        let span = self.root_span();
-        for (g, root) in self.roots.iter().enumerate() {
-            let lo = g as u32 * span;
-            let mut stack = vec![(*root, lo, lo + span - 1, ParentSlot::Root(g as u32))];
-            while let Some((node, lo, hi, slot)) = stack.pop() {
-                match node {
-                    NodeRef::Leaf(idx) if idx == c => return Some((slot, lo, hi)),
-                    NodeRef::Leaf(_) => {}
-                    NodeRef::Inode(i) => {
-                        let mid = lo + (hi - lo) / 2;
-                        let inode = self.inodes[i as usize];
-                        stack.push((inode.left, lo, mid, ParentSlot::Left(i)));
-                        stack.push((inode.right, mid + 1, hi, ParentSlot::Right(i)));
-                    }
-                }
-            }
-        }
-        None
+    /// Finds the row range of the leaf held by counter `c`: the leaf of
+    /// the first table entry that names it.
+    pub(crate) fn find_leaf(&self, c: u16) -> Option<(u32, u32)> {
+        let i = self.leaf_of.iter().position(|&e| e == c)?;
+        let (_, lo, hi) = self.leaf((i as u32) << self.leaf_shift);
+        Some((lo, hi))
     }
 
     /// Splits the (hot) leaf `c` using a previously released counter (§V-B
     /// step 2). Fails when the leaf is already at level `L−1` (see
     /// `split_leaf`) or no counter is free. Returns the new counter index.
     pub(crate) fn split_hot(&mut self, c: u16) -> Option<u16> {
-        let (slot, lo, hi) = self.find_leaf(c)?;
+        let (lo, hi) = self.find_leaf(c)?;
         let was_tli = self.counters[c as usize].tli;
-        let split = self.split_leaf(c, lo, hi, slot);
-        if let Some(nc) = split {
-            // Reconfiguration happens on the fully grown tree: thresholds
-            // stay latched at L−1 rather than following the depth.
-            if self.all_active {
-                let top = (self.config.max_levels() - 1) as u8;
-                self.counters[c as usize].tli = top;
-                self.counters[nc as usize].tli = top;
-            } else {
-                self.counters[c as usize].tli = was_tli;
-                self.counters[nc as usize].tli = was_tli;
-            }
-            Some(nc)
+        let nc = self.split_leaf(c, lo, hi)?;
+        // Reconfiguration happens on the fully grown tree: thresholds stay
+        // latched at L−1 rather than following the depth.
+        let tli = if self.all_active {
+            (self.config.max_levels() - 1) as u8
         } else {
-            None
-        }
+            was_tli
+        };
+        self.counters[c as usize].tli = tli;
+        self.counters[nc as usize].tli = tli;
+        Some(nc)
     }
 
     /// Resets the tree to its initial pre-split state (used by PRCAT at
@@ -563,20 +436,14 @@ impl CatTree {
     }
 
     /// Appends the tree's complete mutable state for checkpointing: stats,
-    /// the node arrays `I` and `C`, the root table, both free lists (whose
-    /// pop/push *order* determines future allocations, so they round-trip
-    /// verbatim), and the growth latch.
+    /// the active count and growth latch, the counter array `C`, the
+    /// leaves in ascending row order (one counter index each — with the
+    /// counter depths, the whole shape), and the free list, whose pop/push
+    /// *order* determines future allocations, so it round-trips verbatim.
     pub fn save_state(&self, out: &mut Vec<u64>) {
         self.stats.save_state(out);
         out.push(self.active_counters as u64);
         out.push(u64::from(self.all_active));
-        out.push(self.roots.len() as u64);
-        out.extend(self.roots.iter().map(|&n| pack_node(n)));
-        out.push(self.inodes.len() as u64);
-        for inode in &self.inodes {
-            out.push(pack_node(inode.left));
-            out.push(pack_node(inode.right));
-        }
         out.push(self.counters.len() as u64);
         for c in &self.counters {
             out.push(
@@ -586,33 +453,33 @@ impl CatTree {
                     | u64::from(c.active) << 48,
             );
         }
+        out.push(self.active_counters as u64);
+        out.extend(self.leaves().map(|(c, _, _)| u64::from(c)));
         out.push(self.free_counters.len() as u64);
         out.extend(self.free_counters.iter().map(|&i| u64::from(i)));
-        out.push(self.free_inodes.len() as u64);
-        out.extend(self.free_inodes.iter().map(|&i| u64::from(i)));
     }
 
     /// Restores state captured by [`CatTree::save_state`] onto a freshly
-    /// built tree of the same configuration, and rebuilds the leaf table.
+    /// built tree of the same configuration, and refills the leaf table.
     ///
     /// Every structural invariant is revalidated: index bounds, the active
-    /// count against the counter flags, free-list sizes against the active
-    /// count, entry distinctness, and the shape itself — the walk that
-    /// rebuilds the leaf table accepts only a tree whose leaves are exactly
-    /// the active counters at their recorded depths. A corrupted stream
-    /// cannot produce a silently inconsistent tree, nor one whose walk
-    /// never ends.
+    /// count against the counter flags, and the shape itself — the leaves,
+    /// laid end to end at their depths, must tile `[0, rows)` exactly, each
+    /// aligned to its span at a depth in `[λ−1, L−1]`, and every active
+    /// counter must be exactly one of them. The free list must hold every
+    /// other counter once. A corrupted stream cannot produce a silently
+    /// inconsistent tree.
     ///
     /// # Errors
     ///
     /// Returns [`StateError`] on any malformed or inconsistent value.
     pub fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
         let m = self.counters.len();
-        let root_count = self.roots.len();
+        let root_depth = (self.config.lambda() - 1) as u8;
         let top = (self.config.max_levels() - 1) as u8;
         self.stats.restore_state(r)?;
         let active_counters = r.next_word()? as usize;
-        if !(root_count..=m).contains(&active_counters) {
+        if !(1 << root_depth..=m).contains(&active_counters) {
             return Err(StateError::Invalid("tree active counter count"));
         }
         let all_active = r.next_bool()?;
@@ -622,34 +489,10 @@ impl CatTree {
         if active_counters == m && !all_active {
             return Err(StateError::Invalid("tree growth latch"));
         }
-        if r.next_word()? != root_count as u64 {
-            return Err(StateError::Invalid("tree root count"));
-        }
-        let mut roots = Vec::with_capacity(root_count);
-        // Inode count arrives after the roots; node references into the
-        // inode array are validated against it in a second pass below.
-        for _ in 0..root_count {
-            roots.push(r.next_word()?);
-        }
-        let inode_len = r.next_word()? as usize;
-        if inode_len > m.saturating_sub(1) {
-            return Err(StateError::Invalid("tree inode count"));
-        }
-        let mut inodes = Vec::with_capacity(inode_len);
-        for _ in 0..inode_len {
-            let left = unpack_node(r.next_word()?, m, inode_len)?;
-            let right = unpack_node(r.next_word()?, m, inode_len)?;
-            inodes.push(INode { left, right });
-        }
-        let roots: Vec<NodeRef> = roots
-            .into_iter()
-            .map(|w| unpack_node(w, m, inode_len))
-            .collect::<Result<_, _>>()?;
         if r.next_word()? != m as u64 {
             return Err(StateError::Invalid("tree counter count"));
         }
         let mut counters = Vec::with_capacity(m);
-        let mut active_seen = 0usize;
         for _ in 0..m {
             let w = r.next_word()?;
             if w >> 49 != 0 {
@@ -664,34 +507,54 @@ impl CatTree {
             if counter.tli > top || counter.depth > top {
                 return Err(StateError::Invalid("tree counter level out of range"));
             }
-            active_seen += usize::from(counter.active);
             counters.push(counter);
         }
-        if active_seen != active_counters {
+        if counters.iter().filter(|c| c.active).count() != active_counters {
             return Err(StateError::Invalid("tree active flags vs count"));
         }
-        let (leaf_of, reached) = index_leaves(&self.config, &roots, &inodes, &counters)?;
-        let free_counters =
-            read_free_list(r, m - active_counters, m, |i| !counters[i as usize].active)?;
-        // The walk reached `active − roots` distinct intermediate nodes
-        // (a full binary forest), so this cannot underflow.
-        let live_inodes = active_counters - root_count;
-        let free_inodes = read_free_list(r, inode_len - live_inodes, inode_len, |i| {
-            !reached[i as usize]
-        })?;
-        // clear + extend (rather than replacing the Vecs) preserves the
-        // capacities `new()` established, keeping `heap_bytes` bit-equal
+        if r.next_word()? != active_counters as u64 {
+            return Err(StateError::Invalid("tree leaf count vs active count"));
+        }
+        let rows = self.config.rows();
+        let s = self.leaf_shift;
+        let mut leaf_of = vec![0u16; 1 << top];
+        let mut listed = vec![false; m];
+        let mut lo = 0u32;
+        for _ in 0..active_counters {
+            let c = r.next_u16()?;
+            let Some(counter) = counters.get(c as usize) else {
+                return Err(StateError::Invalid("tree leaf index out of range"));
+            };
+            if !counter.active {
+                return Err(StateError::Invalid("tree leaf is an inactive counter"));
+            }
+            if std::mem::replace(&mut listed[c as usize], true) {
+                return Err(StateError::Invalid("tree counter listed twice"));
+            }
+            if !(root_depth..=top).contains(&counter.depth) {
+                return Err(StateError::Invalid("tree leaf depth out of range"));
+            }
+            let span = rows >> counter.depth;
+            if lo & (span - 1) != 0 {
+                return Err(StateError::Invalid("tree leaf misaligned"));
+            }
+            if span > rows - lo {
+                return Err(StateError::Invalid("tree leaves overlap past the last row"));
+            }
+            leaf_of[(lo >> s) as usize..((lo + span) >> s) as usize].fill(c);
+            lo += span;
+        }
+        if lo != rows {
+            return Err(StateError::Invalid("tree leaves leave rows uncovered"));
+        }
+        let free_counters = read_free_list(r, m - active_counters, &listed)?;
+        // `leaf_of` matches the capacity `new()` gives the table, and clear
+        // + extend keeps the free list's, so `heap_bytes` stays bit-equal
         // with a never-checkpointed tree.
-        self.roots.clear();
-        self.roots.extend(roots);
-        self.inodes.clear();
-        self.inodes.extend(inodes);
         self.counters = counters;
         self.leaf_of = leaf_of;
         self.free_counters.clear();
         self.free_counters.extend(free_counters);
-        self.free_inodes.clear();
-        self.free_inodes.extend(free_inodes);
         self.active_counters = active_counters;
         self.all_active = all_active;
         Ok(())
@@ -713,115 +576,26 @@ impl CatTree {
     }
 }
 
-/// Packs a node reference as `tag << 16 | index` (tag 1 = leaf).
-fn pack_node(n: NodeRef) -> u64 {
-    u64::from(n.is_leaf()) << 16 | u64::from(n.index())
-}
-
-/// Unpacks and bounds-checks a node reference against the counter and
-/// intermediate-node array sizes.
-fn unpack_node(w: u64, counters: usize, inodes: usize) -> Result<NodeRef, StateError> {
-    if w >> 17 != 0 {
-        return Err(StateError::Invalid("tree node reference stray bits"));
-    }
-    let idx = (w & 0xffff) as u16;
-    if w >> 16 == 1 {
-        if (idx as usize) < counters {
-            Ok(NodeRef::Leaf(idx))
-        } else {
-            Err(StateError::Invalid("tree leaf index out of range"))
-        }
-    } else if (idx as usize) < inodes {
-        Ok(NodeRef::Inode(idx))
-    } else {
-        Err(StateError::Invalid("tree inode index out of range"))
-    }
-}
-
-/// Walks the tree from the root table and returns its leaf table plus which
-/// intermediate nodes the walk reached. The walk is also the shape check
-/// for restored state: every reached intermediate node must be reached
-/// once and sit above level `L−1`; every leaf must be an active counter,
-/// reached once, whose stored depth is its walk depth; and every active
-/// counter must be reached. Node indices are already bounds-checked.
-fn index_leaves(
-    config: &CatConfig,
-    roots: &[NodeRef],
-    inodes: &[INode],
-    counters: &[Counter],
-) -> Result<(Vec<u16>, Vec<bool>), StateError> {
-    let top = config.max_levels() - 1;
-    let shift = config.rows().trailing_zeros() - top;
-    let root_depth = config.lambda() - 1;
-    let span = config.rows() >> root_depth;
-    let mut leaf_of = vec![0u16; 1 << top];
-    let mut inode_seen = vec![false; inodes.len()];
-    let mut counter_seen = vec![false; counters.len()];
-    let mut leaves = 0usize;
-    let mut stack: Vec<(NodeRef, u32, u32)> = roots
-        .iter()
-        .enumerate()
-        .map(|(g, &node)| (node, g as u32 * span, root_depth))
-        .collect();
-    while let Some((node, lo, depth)) = stack.pop() {
-        match node {
-            NodeRef::Inode(i) => {
-                if depth >= top {
-                    return Err(StateError::Invalid("tree deeper than L levels"));
-                }
-                if std::mem::replace(&mut inode_seen[i as usize], true) {
-                    return Err(StateError::Invalid("tree node reached twice"));
-                }
-                let inode = inodes[i as usize];
-                stack.push((inode.left, lo, depth + 1));
-                stack.push((inode.right, lo + (config.rows() >> (depth + 1)), depth + 1));
-            }
-            NodeRef::Leaf(c) => {
-                let counter = counters[c as usize];
-                if !counter.active {
-                    return Err(StateError::Invalid("tree leaf is an inactive counter"));
-                }
-                if u32::from(counter.depth) != depth {
-                    return Err(StateError::Invalid("tree counter depth vs shape"));
-                }
-                if std::mem::replace(&mut counter_seen[c as usize], true) {
-                    return Err(StateError::Invalid("tree counter reached twice"));
-                }
-                leaves += 1;
-                let first = (lo >> shift) as usize;
-                let entries = (config.rows() >> depth >> shift) as usize;
-                leaf_of[first..first + entries].fill(c);
-            }
-        }
-    }
-    if leaves != counters.iter().filter(|c| c.active).count() {
-        return Err(StateError::Invalid("tree active counter unreached"));
-    }
-    Ok((leaf_of, inode_seen))
-}
-
-/// Reads a free list of exactly `expect` entries, each `< bound`, all
-/// distinct, each passing `eligible` (e.g. "that counter is inactive").
+/// Reads the free-counter list: exactly `expect` distinct counter indices,
+/// none of them `listed` as a leaf.
 fn read_free_list(
     r: &mut StateReader<'_>,
     expect: usize,
-    bound: usize,
-    eligible: impl Fn(u16) -> bool,
+    listed: &[bool],
 ) -> Result<Vec<u16>, StateError> {
     if r.next_word()? != expect as u64 {
         return Err(StateError::Invalid("tree free-list length"));
     }
-    let mut seen = vec![false; bound];
+    let mut seen = listed.to_vec();
     let mut list = Vec::with_capacity(expect);
     for _ in 0..expect {
         let idx = r.next_u16()?;
         let Some(slot) = seen.get_mut(idx as usize) else {
             return Err(StateError::Invalid("tree free-list index out of range"));
         };
-        if *slot || !eligible(idx) {
+        if std::mem::replace(slot, true) {
             return Err(StateError::Invalid("tree free-list entry inconsistent"));
         }
-        *slot = true;
         list.push(idx);
     }
     Ok(list)
@@ -858,10 +632,6 @@ impl MitigationScheme for CatTree {
     }
 }
 
-/// Drives the access sequence that sculpts Figure 5(a)'s tree shape on the
-/// N = 32, M = 8, L = 6, T = 64, λ = 1, doubling-thresholds configuration:
-/// leaf depths (ascending rows) 3,5,5,4,3,4,4,1 over row fractions
-/// 4,1,1,2,4,2,2,16 (out of 32). Test helper shared with the DRCAT tests.
 #[cfg(test)]
 pub(crate) fn build_figure5<S: FnMut(RowId)>(mut access: S) {
     for _ in 0..32 {
@@ -1049,10 +819,10 @@ mod tests {
         let mut tree = CatTree::new(figure5_cfg());
         tests_build_full(&mut tree);
         let weights = vec![0u8; 8];
-        let (slot, inode, l, r) = tree
+        let (l, r) = tree
             .find_cold_pair(&weights, u16::MAX)
             .expect("a sibling leaf pair must exist in a full tree");
-        let freed = tree.merge_pair(slot, inode, l, r);
+        let freed = tree.merge_pair(l, r);
         assert!(tree.shape().is_partition(32));
         assert_eq!(tree.active_counters(), 7);
         // The freed counter is reused by the next hot split.
@@ -1111,12 +881,12 @@ mod tests {
     #[test]
     fn state_round_trip_is_bit_exact() {
         // Sculpt a tree with splits, merges, and a reconfiguration-style
-        // split so the free lists carry non-trivial order, then round-trip.
+        // split so the free list carries non-trivial order, then round-trip.
         let mut tree = CatTree::new(figure5_cfg());
         tests_build_full(&mut tree);
         let weights = vec![0u8; 8];
-        let (slot, inode, l, rr) = tree.find_cold_pair(&weights, u16::MAX).unwrap();
-        tree.merge_pair(slot, inode, l, rr);
+        let (l, r) = tree.find_cold_pair(&weights, u16::MAX).unwrap();
+        tree.merge_pair(l, r);
         let mut words = Vec::new();
         tree.save_state(&mut words);
         let mut fresh = CatTree::new(figure5_cfg());
@@ -1127,7 +897,7 @@ mod tests {
         assert_eq!(fresh.stats(), tree.stats());
         assert_eq!(fresh.active_counters(), tree.active_counters());
         assert_eq!(fresh.heap_bytes(), tree.heap_bytes());
-        // The free lists round-trip in order: subsequent growth allocates
+        // The free list round-trips in order: subsequent growth allocates
         // the same counters in both trees.
         for i in 0..500u32 {
             assert_eq!(
@@ -1157,130 +927,205 @@ mod tests {
                 .or_else(|| r.finish().err().map(|_| ()));
             assert!(outcome.is_some(), "truncation to {len} words must error");
         }
-        // Corrupting the active-counter count (word 12, right after the
-        // stats block) breaks either the growth latch or the flag count
+        // Corrupting the active-counter count (right after the stats
+        // block) breaks either the growth latch or the flag count
         // consistency check.
+        let (counters_at, _) = state_layout(&words);
+        let active_at = counters_at - 3;
         for delta in [1u64, 7] {
             let mut bad = words.clone();
-            bad[12] = bad[12].wrapping_add(delta);
+            bad[active_at] = bad[active_at].wrapping_add(delta);
             let mut fresh = CatTree::new(small_cfg());
             let mut r = crate::state::StateReader::new(&bad);
             assert!(fresh.restore_state(&mut r).is_err());
         }
     }
 
-    /// Word offsets of a saved tree's root table, intermediate nodes and
-    /// counters (see [`CatTree::save_state`] for the order).
-    fn state_layout(words: &[u64]) -> (usize, usize, usize) {
+    /// Word offsets of a saved tree's counters and of its first leaf (see
+    /// [`CatTree::save_state`] for the order).
+    fn state_layout(words: &[u64]) -> (usize, usize) {
         let mut stats = Vec::new();
         SchemeStats::default().save_state(&mut stats);
-        // Active count, growth latch and root count follow the stats.
-        let roots = stats.len() + 3;
-        let inodes = roots + words[roots - 1] as usize + 1;
-        let counters = inodes + 2 * words[inodes - 1] as usize + 1;
-        (roots, inodes, counters)
+        // Active count, growth latch and counter count follow the stats;
+        // the leaf count follows the counters.
+        let counters = stats.len() + 3;
+        let leaves = counters + words[counters - 1] as usize + 1;
+        (counters, leaves)
+    }
+
+    /// Restores `words` onto a fresh tree of `cfg` and returns the typed
+    /// error it must give.
+    fn restore_err(cfg: &CatConfig, words: &[u64], what: &str) -> StateError {
+        let mut fresh = CatTree::new(cfg.clone());
+        fresh
+            .restore_state(&mut StateReader::new(words))
+            .expect_err(what)
     }
 
     #[test]
-    fn restore_rejects_a_graph_that_is_not_a_tree() {
-        // Figure 5's tree after one merge: 7 active counters and 1 free.
-        let mut tree = CatTree::new(figure5_cfg());
+    fn restore_rejects_forged_leaf_lists() {
+        // Figure 5's tree after one merge: 7 leaves at depths
+        // 3,5,5,4,3,3,1 over [0,4) [4,5) [5,6) [6,8) [8,12) [12,16)
+        // [16,32), and 1 free counter.
+        let cfg = figure5_cfg();
+        let mut tree = CatTree::new(cfg.clone());
         tests_build_full(&mut tree);
-        let (slot, inode, l, r) = tree.find_cold_pair(&[0; 8], u16::MAX).unwrap();
-        let freed = tree.merge_pair(slot, inode, l, r);
+        let (l, r) = tree.find_cold_pair(&[0; 8], u16::MAX).unwrap();
+        let freed = tree.merge_pair(l, r);
+        assert_eq!(tree.shape().depth_profile(), vec![3, 5, 5, 4, 3, 3, 1]);
         let mut words = Vec::new();
         tree.save_state(&mut words);
-        let (_, inodes_at, counters_at) = state_layout(&words);
-        // λ = 1: one root, an intermediate node whose left child is an
-        // intermediate node and whose right child is the [16, 32) leaf.
-        let NodeRef::Inode(root) = tree.roots[0] else {
-            panic!("figure 5's root must be split");
-        };
-        let INode {
-            left: NodeRef::Inode(left),
-            right: NodeRef::Leaf(right),
-        } = tree.inodes[root as usize]
-        else {
-            panic!("figure 5's root must hold an inode and a leaf");
-        };
-        let left_word = inodes_at + 2 * root as usize;
-        let right_word = left_word + 1;
-        let forge = |at: usize, word: u64| {
+        let (counters_at, leaves_at) = state_layout(&words);
+        let leaf = |i: usize| words[leaves_at + i];
+        let depth_at = |i: usize| counters_at + leaf(i) as usize;
+        let forge = |edits: &[(usize, u64)]| {
             let mut forged = words.clone();
-            forged[at] = word;
+            for &(at, word) in edits {
+                forged[at] = word;
+            }
             forged
         };
+        let deeper = |i: usize, by: i64| {
+            let at = depth_at(i);
+            (at, words[at].wrapping_add_signed(by << 40))
+        };
+        // The [16, 32) leaf widened to the whole bank and listed first, so
+        // every later leaf lies on rows it already covers.
+        let mut overlap: Vec<(usize, u64)> = (0..6).map(|i| (leaves_at + i + 1, leaf(i))).collect();
+        overlap.extend([(leaves_at, leaf(6)), deeper(6, -1)]);
         let cases = [
             (
-                "self-cycle",
-                forge(left_word, pack_node(NodeRef::Inode(root))),
-                "tree node reached twice",
+                "gap: [16, 32) narrowed to [16, 24)",
+                forge(&[deeper(6, 1)]),
+                "tree leaves leave rows uncovered",
             ),
             (
-                "child shared by two slots",
-                forge(right_word, pack_node(NodeRef::Inode(left))),
-                "tree node reached twice",
+                "overlap",
+                forge(&overlap),
+                "tree leaves overlap past the last row",
             ),
             (
-                "leaf pointing at an inactive counter",
-                forge(right_word, pack_node(NodeRef::Leaf(freed))),
+                "misaligned: [0, 4) listed after [4, 5)",
+                forge(&[(leaves_at, leaf(1)), (leaves_at + 1, leaf(0))]),
+                "tree leaf misaligned",
+            ),
+            (
+                "depth below L−1",
+                forge(&[deeper(1, 1)]),
+                "tree counter level out of range",
+            ),
+            (
+                "inactive counter",
+                forge(&[(leaves_at + 2, u64::from(freed))]),
                 "tree leaf is an inactive counter",
             ),
             (
-                "depth off by one",
-                forge(
-                    counters_at + right as usize,
-                    words[counters_at + right as usize] + (1 << 40),
-                ),
-                "tree counter depth vs shape",
+                "counter out of range",
+                forge(&[(leaves_at + 2, 8)]),
+                "tree leaf index out of range",
+            ),
+            (
+                "duplicate counter",
+                forge(&[(leaves_at + 2, leaf(1))]),
+                "tree counter listed twice",
+            ),
+            (
+                "more leaves than active counters",
+                forge(&[(leaves_at - 1, 8)]),
+                "tree leaf count vs active count",
+            ),
+            (
+                "fewer leaves than active counters",
+                forge(&[(leaves_at - 1, 6)]),
+                "tree leaf count vs active count",
             ),
         ];
         for (what, forged, expect) in cases {
-            let mut fresh = CatTree::new(figure5_cfg());
-            let err = fresh
-                .restore_state(&mut StateReader::new(&forged))
-                .expect_err(what);
-            assert_eq!(err, StateError::Invalid(expect), "{what}");
-        }
-        // The unforged image restores, table included.
-        let mut fresh = CatTree::new(figure5_cfg());
-        fresh.restore_state(&mut StateReader::new(&words)).unwrap();
-        assert_eq!(fresh.leaf_of, tree.leaf_of);
-    }
-
-    /// Asserts that the leaf table agrees with the §IV-C pointer walk on
-    /// every row — same counter, same range, and `depth − (λ−1)` equal to
-    /// the walk's intermediate-node reads — and that no leaf is deeper than
-    /// `L−1`, the table's granularity.
-    fn assert_table_matches_walk(tree: &CatTree, at: impl Fn() -> String) {
-        let cfg = tree.config();
-        for row in 0..cfg.rows() {
-            let (c, lo, hi) = tree.leaf(row);
-            let depth = u32::from(tree.counters[c as usize].depth);
-            assert!(depth < cfg.max_levels(), "{}: C{c} at depth {depth}", at());
-            let (wc, wlo, whi, _, visits) = tree.locate(row);
             assert_eq!(
-                (c, lo, hi, depth - (cfg.lambda() - 1)),
-                (wc, wlo, whi, visits),
-                "{}: row {row}",
-                at()
+                restore_err(&cfg, &forged, what),
+                StateError::Invalid(expect),
+                "{what}"
             );
         }
+        // The unforged image restores, table included.
+        let mut fresh = CatTree::new(cfg);
+        fresh.restore_state(&mut StateReader::new(&words)).unwrap();
+        assert_eq!(fresh.leaf_of, tree.leaf_of);
+
+        // Depth above λ−1: a pre-split root (λ = 3, depth 2) widened to
+        // depth 1 would be above the direct-indexed roots.
+        let cfg = small_cfg();
+        let tree = CatTree::new(cfg.clone());
+        let mut words = Vec::new();
+        tree.save_state(&mut words);
+        let (counters_at, leaves_at) = state_layout(&words);
+        let first = counters_at + words[leaves_at] as usize;
+        words[first] -= 1 << 40;
+        assert_eq!(
+            restore_err(&cfg, &words, "depth above λ−1"),
+            StateError::Invalid("tree leaf depth out of range")
+        );
     }
 
+    /// FNV-1a over the little-endian bytes of `word`.
+    fn fnv1a(hash: u64, word: u64) -> u64 {
+        word.to_le_bytes().iter().fold(hash, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    /// Folds every leaf of `tree` (counter, range, depth, value, tli) into
+    /// `hash`, after checking that `leaf(row)` names that leaf for each of
+    /// its rows and that no leaf is deeper than `L−1`.
+    fn fold_tree(hash: u64, tree: &CatTree, at: impl Fn() -> String) -> u64 {
+        let top = tree.config().max_levels() - 1;
+        let mut hash = hash;
+        for l in tree.shape().leaves() {
+            assert!(
+                u32::from(l.depth) <= top,
+                "{}: C{} too deep",
+                at(),
+                l.counter
+            );
+            for row in l.range.lo()..=l.range.hi() {
+                assert_eq!(
+                    tree.leaf(row),
+                    (l.counter, l.range.lo(), l.range.hi()),
+                    "{}: row {row}",
+                    at()
+                );
+            }
+            for word in [
+                u64::from(l.counter),
+                u64::from(l.range.lo()),
+                u64::from(l.range.hi()),
+                u64::from(l.depth),
+                u64::from(l.value),
+                u64::from(l.tli),
+            ] {
+                hash = fnv1a(hash, word);
+            }
+        }
+        hash
+    }
+
+    /// Pins the tree's whole trajectory: a seeded DRCAT + PRCAT sweep over
+    /// small configurations, plus `drcat:64:11:32` on 4 096 rows, each chasing
+    /// a hot spot that moves every epoch. After every access every leaf is
+    /// folded into one FNV-1a digest, and the final statistics follow. The
+    /// digest names counters, so it also pins which cold pair each DRCAT
+    /// reconfiguration merges and which free counter each split takes.
     #[test]
-    fn leaf_table_matches_the_pointer_walk() {
+    fn tree_trace_digest_is_pinned() {
         // Seeded like `tests/differential.rs`: case i draws its accesses
         // from `splitmix64(BASE_SEED ^ i)`.
         const BASE_SEED: u64 = 0x1EAF_7AB1_E5EE_D000;
-        let policies = [
+        let mut configs = Vec::new();
+        for policy in [
             ThresholdPolicy::PaperCurve,
             ThresholdPolicy::Doubling,
             ThresholdPolicy::Uniform,
-        ];
-        let mut case = 0u64;
-        let mut reconfigurations = 0;
-        for policy in policies {
+        ] {
             for lambda in 1u32..=3 {
                 for (rows, counters, extra_levels) in [(64u32, 8usize, 3u32), (256, 16, 4)] {
                     let cfg = CatConfig::new(rows, counters, lambda + extra_levels, 32)
@@ -1288,35 +1133,52 @@ mod tests {
                         .with_policy(policy)
                         .with_lambda(lambda)
                         .unwrap();
-                    let seed = splitmix64(BASE_SEED ^ case);
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    let mut drcat = Drcat::new(cfg.clone());
-                    let mut prcat = Prcat::new(cfg.clone());
-                    let mut hot = 0;
-                    for i in 0..1500u32 {
-                        // A hot spot that moves every epoch: DRCAT migrates
-                        // counters after it, PRCAT rebuilds at the reset.
-                        if i % 250 == 0 {
-                            hot = rng.gen_range(0..rows);
-                            drcat.on_epoch_end();
-                            prcat.on_epoch_end();
-                        }
-                        let row = if rng.gen_bool(0.6) {
-                            (hot + rng.gen_range(0..4u32)) % rows
-                        } else {
-                            rng.gen_range(0..rows)
-                        };
-                        drcat.on_activation(RowId(row));
-                        prcat.on_activation(RowId(row));
-                        let at = |scheme| format!("{scheme} case {case} seed {seed:#x} access {i}");
-                        assert_table_matches_walk(drcat.tree(), || at("DRCAT"));
-                        assert_table_matches_walk(prcat.tree(), || at("PRCAT"));
-                    }
-                    reconfigurations += drcat.stats().reconfigurations;
-                    case += 1;
+                    configs.push((cfg, 1500u32, 250u32));
                 }
             }
         }
-        assert!(reconfigurations > 0, "the sweep must exercise DRCAT merges");
+        configs.push((CatConfig::new(4096, 64, 11, 32).unwrap(), 10_000, 400));
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut reconfigurations = 0;
+        for (case, (cfg, accesses, epoch)) in configs.into_iter().enumerate() {
+            let rows = cfg.rows();
+            let seed = splitmix64(BASE_SEED ^ case as u64);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut drcat = Drcat::new(cfg.clone());
+            let mut prcat = Prcat::new(cfg);
+            let mut hot = 0;
+            for i in 0..accesses {
+                // A hot spot that moves every epoch: DRCAT migrates
+                // counters after it, PRCAT rebuilds at the reset.
+                if i % epoch == 0 {
+                    hot = rng.gen_range(0..rows);
+                    drcat.on_epoch_end();
+                    prcat.on_epoch_end();
+                }
+                let row = if rng.gen_bool(0.6) {
+                    (hot + rng.gen_range(0..4u32)) % rows
+                } else {
+                    rng.gen_range(0..rows)
+                };
+                drcat.on_activation(RowId(row));
+                prcat.on_activation(RowId(row));
+                let at = |scheme| format!("{scheme} case {case} seed {seed:#x} access {i}");
+                hash = fold_tree(hash, drcat.tree(), || at("DRCAT"));
+                hash = fold_tree(hash, prcat.tree(), || at("PRCAT"));
+            }
+            let mut stats = Vec::new();
+            drcat.stats().save_state(&mut stats);
+            prcat.stats().save_state(&mut stats);
+            hash = stats.into_iter().fold(hash, fnv1a);
+            reconfigurations += drcat.stats().reconfigurations;
+        }
+        assert!(
+            reconfigurations >= 100,
+            "the sweep must exercise DRCAT merges ({reconfigurations})"
+        );
+        assert_eq!(
+            hash, 0x9bc4_e8fc_1851_ceee,
+            "tree trace digest {hash:#018x}"
+        );
     }
 }

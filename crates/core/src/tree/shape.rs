@@ -2,7 +2,7 @@
 //! invariant checks and the differential tests against the reference
 //! implementation.
 
-use super::{CatTree, NodeRef};
+use super::CatTree;
 use crate::RowRange;
 
 /// One leaf of the tree: which counter, how deep, which rows.
@@ -145,36 +145,19 @@ impl TreeShape {
 }
 
 pub(super) fn collect(tree: &CatTree) -> TreeShape {
-    let span = tree.config().rows() >> (tree.config().lambda() - 1);
-    let mut leaves = Vec::with_capacity(tree.active_counters());
-    // Roots are in ascending row order; a DFS that visits left before right
-    // therefore yields leaves in ascending row order.
-    for (g, root) in tree.roots.iter().enumerate() {
-        let lo = g as u32 * span;
-        let hi = lo + span - 1;
-        let mut stack = vec![(*root, lo, hi, tree.config().lambda() as u8 - 1)];
-        while let Some((node, lo, hi, depth)) = stack.pop() {
-            match node {
-                NodeRef::Leaf(c) => {
-                    let counter = tree.counters[c as usize];
-                    debug_assert!(counter.active, "leaf C{c} must be active");
-                    leaves.push(LeafInfo {
-                        counter: c,
-                        depth,
-                        value: counter.value,
-                        tli: counter.tli,
-                        range: RowRange::new(lo, hi),
-                    });
-                }
-                NodeRef::Inode(i) => {
-                    let mid = lo + (hi - lo) / 2;
-                    let inode = tree.inodes[i as usize];
-                    // Push right first so that left pops first.
-                    stack.push((inode.right, mid + 1, hi, depth + 1));
-                    stack.push((inode.left, lo, mid, depth + 1));
-                }
+    let leaves = tree
+        .leaves()
+        .map(|(c, lo, hi)| {
+            let counter = tree.counters[c as usize];
+            debug_assert!(counter.active, "leaf C{c} must be active");
+            LeafInfo {
+                counter: c,
+                depth: counter.depth,
+                value: counter.value,
+                tli: counter.tli,
+                range: RowRange::new(lo, hi),
             }
-        }
-    }
+        })
+        .collect();
     TreeShape { leaves }
 }

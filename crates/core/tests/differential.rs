@@ -1,7 +1,8 @@
-//! Differential and property-style tests: the SRAM pointer-chasing CAT of
-//! §IV-C must be observationally identical to the naive Algorithm-1
-//! implementation with explicit range registers, on many access sequences
-//! and configurations; and core invariants must hold throughout.
+//! Differential and property-style tests: `CatTree`, whose shape is its
+//! leaf table plus the counter depths, must be observationally identical
+//! to the naive Algorithm-1 implementation with explicit range registers
+//! (`ReferenceCat`) after every access, on many access sequences and
+//! configurations; and core invariants must hold throughout.
 //!
 //! Formerly `proptest`-based; the workspace builds offline with no external
 //! crates, so the random exploration is now a *deterministic* sweep: a
@@ -81,8 +82,9 @@ fn reference_tuples(cat: &ReferenceCat) -> Vec<(u32, u32, u32, u8)> {
         .collect()
 }
 
-/// The pointer tree and the reference implementation must agree on every
-/// refresh decision and end in identical states.
+/// The table-backed tree and the reference implementation must agree on
+/// every refresh decision and on every leaf (range, value, split-threshold
+/// index) after every access.
 #[test]
 fn pointer_tree_equals_reference() {
     for (case, config) in sampled_configs(64).into_iter().enumerate() {
@@ -106,12 +108,12 @@ fn pointer_tree_equals_reference() {
                 a.refresh, b,
                 "diverged at access {i} (row {row}, case {case}, seed {seed:#x}, config {config:?})"
             );
+            assert_eq!(
+                leaf_tuples(&fast),
+                reference_tuples(&slow),
+                "states differ after access {i} (row {row}, case {case}, seed {seed:#x}, config {config:?})"
+            );
         }
-        assert_eq!(
-            leaf_tuples(&fast),
-            reference_tuples(&slow),
-            "final states differ (case {case}, seed {seed:#x}, config {config:?})"
-        );
     }
 }
 

@@ -71,8 +71,10 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"CATC";
 /// to the system section. Version 6 made an engine section one list of
 /// bank records — bank, activation count, scheme state — in place of the
 /// separate activation and scheme lists, and dropped the engine's
-/// bucketing marks (only the system buckets).
-pub const CHECKPOINT_VERSION: u16 = 6;
+/// bucketing marks (only the system buckets). Version 7 stores a CAT tree
+/// as its leaves in ascending row order, one counter index each, in place
+/// of the root table, the intermediate-node array and its free list.
+pub const CHECKPOINT_VERSION: u16 = 7;
 
 /// Hard cap on a checkpoint image/file size — bounds what [`resume_from_dir`]
 /// will read into memory.
@@ -1155,9 +1157,11 @@ mod tests {
     fn version_4_images_are_refused() {
         // A v4 image is a v5 image without the system section's four
         // bucketing marks; a v5 image is a v6 image whose engine sections
-        // hold separate activation and scheme lists plus four marks each.
-        // Both fail at the header with the typed version error, before any
-        // of their layout is read.
+        // hold separate activation and scheme lists plus four marks each;
+        // a v6 image is a v7 image whose CAT trees hold the pointer graph
+        // (roots, intermediate nodes, their free list) in place of the leaf
+        // list. All fail at the header with the typed version error, before
+        // any of their layout is read.
         let mut original = fresh();
         original.process(&trace(2000));
         let image = original.checkpoint().unwrap();
@@ -1166,7 +1170,8 @@ mod tests {
         let mut v4 = image[..image.len() - 8].to_vec();
         v4.drain(marks_at..marks_at + 4 * 8);
         let v5 = image[..image.len() - 8].to_vec();
-        for (version, mut old) in [(4u16, v4), (5, v5)] {
+        let v6 = image[..image.len() - 8].to_vec();
+        for (version, mut old) in [(4u16, v4), (5, v5), (6, v6)] {
             old[4..6].copy_from_slice(&version.to_le_bytes());
             seal(&mut old);
             let err = fresh().restore(&old).unwrap_err();
@@ -1176,7 +1181,7 @@ mod tests {
                 format!("checkpoint version {version}, this build reads {CHECKPOINT_VERSION}")
             );
         }
-        assert_eq!(CHECKPOINT_VERSION, 6);
+        assert_eq!(CHECKPOINT_VERSION, 7);
     }
 
     /// Deterministic LCG for the corruption sweeps (no external RNG and no
@@ -1438,11 +1443,15 @@ mod tests {
 
     #[test]
     fn forged_tree_shapes_are_refused() {
-        // A resealed image whose CAT is not a tree — here a counter whose
-        // stored depth disagrees with its place in the shape — is a typed
-        // error at restore: the leaf-table rebuild is also the shape check.
+        // A resealed image whose CAT leaves do not tile the bank — here the
+        // first split leaf (a left child) made one level shallower, so it
+        // covers its sibling's rows too and every later leaf shifts by its
+        // old span — is a typed error at restore: refilling the leaf table
+        // is also the shape check.
         let mut original = fresh();
         original.process(&trace(2000));
+        // One epoch hammering a row of bank 0, so its tree splits.
+        original.process(&[(0, 7); 1000]);
         let image = original.checkpoint().unwrap();
         let scheme = original.engines[0].schemes().next().unwrap();
         let mut words = Vec::new();
@@ -1452,26 +1461,28 @@ mod tests {
             .windows(bytes.len())
             .position(|w| w == bytes)
             .expect("the bank's scheme words are in the image");
-        // DRCAT words: kind tag, stats, active count, growth latch, root
-        // count, roots, inode count, inodes, counter count, counters.
+        // DRCAT words: kind tag, stats, active count, growth latch,
+        // counter count, counters, leaf count, leaves.
         let mut stats = Vec::new();
         cat_core::SchemeStats::default().save_state(&mut stats);
-        let roots_at = 1 + stats.len() + 3;
-        let inodes_at = roots_at + words[roots_at - 1] as usize + 1;
-        let counters_at = inodes_at + 2 * words[inodes_at - 1] as usize + 1;
-        let active = (counters_at..)
-            .find(|&i| words[i] >> 48 & 1 == 1)
-            .expect("a materialized tree has active counters");
+        let counters_at = 1 + stats.len() + 3;
+        let leaves_at = counters_at + words[counters_at - 1] as usize + 1;
+        // 64 counters pre-split to λ = 6: roots sit at depth 5.
+        let split = words[leaves_at..leaves_at + words[leaves_at - 1] as usize]
+            .iter()
+            .map(|&c| counters_at + c as usize)
+            .find(|&at| words[at] >> 40 & 0xff > 5)
+            .expect("the bank's tree has split");
         let mut forged = image.clone();
-        let off = at + 8 * active;
-        let shallower = words[active] - (1 << 40);
+        let off = at + 8 * split;
+        let shallower = words[split] - (1 << 40);
         forged[off..off + 8].copy_from_slice(&shallower.to_le_bytes());
         let body_len = forged.len() - 8;
         let h = fnv1a(&forged[..body_len]).to_le_bytes();
         forged[body_len..].copy_from_slice(&h);
         let err = fresh().restore(&forged).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("depth vs shape"), "{err}");
+        assert!(err.to_string().contains("tree leaf misaligned"), "{err}");
     }
 
     fn temp_dir(name: &str) -> PathBuf {

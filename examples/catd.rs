@@ -29,6 +29,10 @@
 //! - `--resume` — before serving, recover state from `--checkpoint-dir`
 //!   (image + trace-log tail). The session configuration must match the
 //!   one checkpointed; prints `catd: resumed N accesses` for scripts.
+//!   Images carry a format version: a directory written with an older
+//!   one — such as a version 6 image, which stored CAT trees as pointer
+//!   graphs rather than leaf lists — is refused with the version error
+//!   and cannot be resumed, so remove it and start a fresh session.
 //!
 //! Fleet flag (`DESIGN.md §12`):
 //!
