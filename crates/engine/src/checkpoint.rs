@@ -20,8 +20,8 @@
 //! staging buffer empty. Between batches the system owns all of its
 //! engines — the shard workers have handed them back — so a cut image is
 //! consistent by construction, with no quiescing machinery. Engine
-//! sections name their own bank range, and restore re-carves them onto
-//! the target's engine layout, so an image restores into any shard count.
+//! sections name their own bank range and restore re-carves them, whole
+//! or bank record by record, so an image restores into any shard count.
 //!
 //! Decode is hardened like [`crate::wire`]: magic + version are checked
 //! first, every count is validated against the bytes actually
@@ -514,10 +514,10 @@ fn encode_system_section(s: &MemorySystem, out: &mut Vec<u8>) -> io::Result<()> 
 
 /// Restores one system section onto a freshly built system of the same
 /// configuration. The saved engine sections must tile the owned range in
-/// ascending order; they are then re-carved onto the target's engine
-/// layout (`MemorySystem::carve`), so the image may come from any shard
-/// count. On error the target may be partially mutated and must be
-/// discarded.
+/// ascending order; `MemorySystem::carve` then moves them, whole or
+/// record by record, onto the target's engine layout, so the image may
+/// come from any shard count. On error the target may be partially
+/// mutated and must be discarded.
 fn decode_system_section(s: &mut MemorySystem, r: &mut ByteReader<'_>) -> io::Result<()> {
     if s.accesses != 0 || s.epochs != 0 || !s.staged.is_empty() {
         return Err(bad("restore target is not freshly built"));
@@ -756,11 +756,13 @@ impl TraceLog {
     /// `expected_end`/`expected_epochs` as its base) if absent. An
     /// existing log must line up: base + whole non-marker records ==
     /// `expected_end` (a torn trailing word from a crash is truncated
-    /// away first; cut markers occupy a word but carry no access).
+    /// away first; cut markers occupy a word but carry no access) and,
+    /// unless `clocked`, base epochs + markers == `expected_epochs`.
     pub(crate) fn open_for_append(
         dir: &Path,
         expected_end: u64,
         expected_epochs: u64,
+        clocked: bool,
     ) -> io::Result<TraceLog> {
         let path = dir.join(TRACE_LOG_FILE);
         let Some(mut words) = LogReader::open(&path)? else {
@@ -788,6 +790,14 @@ impl TraceLog {
             return Err(bad(format!(
                 "trace log covers accesses {}..{end}, system is at {expected_end}",
                 words.base
+            )));
+        }
+        let markers = (whole - LOG_HEADER_BYTES) / 8 - records;
+        let epochs = words.base_epochs.saturating_add(markers);
+        if !clocked && epochs != expected_epochs {
+            return Err(bad(format!(
+                "trace log ends at access {end} epoch {epochs}, system is at access \
+                 {expected_end} epoch {expected_epochs}"
             )));
         }
         file.seek(SeekFrom::End(0))?;
@@ -1000,8 +1010,9 @@ impl<'a> Wal<'a> {
             return Err(bad("checkpoint interval of zero epochs"));
         }
         fs::create_dir_all(&cfg.dir)?;
+        let clocked = system.epoch_length().is_some();
         Ok(Wal {
-            log: TraceLog::open_for_append(&cfg.dir, system.accesses(), system.epochs())?,
+            log: TraceLog::open_for_append(&cfg.dir, system.accesses(), system.epochs(), clocked)?,
             cfg,
             requested,
             published: None,
@@ -1498,7 +1509,7 @@ mod tests {
         let dir = temp_dir("log");
         let trace = trace(5000);
 
-        let mut log = TraceLog::open_for_append(&dir, 0, 0).unwrap();
+        let mut log = TraceLog::open_for_append(&dir, 0, 0, true).unwrap();
         log.append(&trace[..2000]).unwrap();
         log.reset(1000, 1).unwrap(); // as if a checkpoint landed at access 1000
         log.append(&trace[1000..3000]).unwrap();
@@ -1523,10 +1534,30 @@ mod tests {
         assert_eq!(resumed.stats(), reference.stats());
 
         // Reopening for append after the torn tail truncates and lines up.
-        let log = TraceLog::open_for_append(&dir, 2999, 2).unwrap();
+        let log = TraceLog::open_for_append(&dir, 2999, 2, true).unwrap();
         drop(log);
-        let err = TraceLog::open_for_append(&dir, 1234, 1).unwrap_err();
+        let err = TraceLog::open_for_append(&dir, 1234, 1, true).unwrap_err();
         assert!(err.to_string().contains("covers"));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn clockless_log_reopen_checks_the_epoch_base() {
+        // A log left at access 0 epoch 3 (a clockless image after three
+        // stream cuts and no records) must not be appended to by a fresh
+        // clockless system at epoch 0: a crash before its first image
+        // would resume from the stale image and its stale markers.
+        let dir = temp_dir("log-epochs");
+        drop(TraceLog::open_for_append(&dir, 0, 3, false).unwrap());
+        let err = TraceLog::open_for_append(&dir, 0, 0, false).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("epoch 3"), "{err}");
+        assert!(err.to_string().contains("epoch 0"), "{err}");
+        // The log's markers count towards its end position.
+        let mut log = TraceLog::open_for_append(&dir, 0, 3, false).unwrap();
+        log.append_cut().unwrap();
+        drop(log);
+        drop(TraceLog::open_for_append(&dir, 0, 4, false).unwrap());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1540,7 +1571,7 @@ mod tests {
         let mut session = fresh();
         session.process(&trace[..3000]);
         write_checkpoint_file(&dir, &session.checkpoint().unwrap()).unwrap();
-        let mut log = TraceLog::open_for_append(&dir, 3000, 3).unwrap();
+        let mut log = TraceLog::open_for_append(&dir, 3000, 3, true).unwrap();
         log.append(&trace[3000..5500]).unwrap();
         drop(log);
         session.process(&trace[3000..5500]);
@@ -1598,7 +1629,7 @@ mod tests {
         reference.process(&trace[3500..]);
         let write_log = |base_epochs: u64, words: &[Word]| {
             let _ = fs::remove_file(dir.join(TRACE_LOG_FILE));
-            let mut log = TraceLog::open_for_append(&dir, 1000, base_epochs).unwrap();
+            let mut log = TraceLog::open_for_append(&dir, 1000, base_epochs, false).unwrap();
             for word in words {
                 match *word {
                     R(a, b) => log.append(&trace[a..b]).unwrap(),

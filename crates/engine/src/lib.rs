@@ -457,28 +457,6 @@ impl BankEngine {
         }
     }
 
-    /// Moves every bank record `donor` holds inside this engine's bank
-    /// range — keyed by global bank — into this engine, and moves the
-    /// records' access count with them. O(touched banks moved): the
-    /// re-carve step behind [`MemorySystem::with_shards`] and
-    /// cross-layout checkpoint restore.
-    pub(crate) fn adopt(&mut self, donor: &mut BankEngine) {
-        let base = self.banks.base() as usize;
-        let donor_base = donor.banks.base() as usize;
-        let lo = base.max(donor_base);
-        let hi = (base + self.bank_count()).min(donor_base + donor.bank_count());
-        if lo >= hi {
-            return;
-        }
-        let moved = self.banks.adopt_range(
-            lo - base,
-            &mut donor.banks,
-            lo - donor_base..hi - donor_base,
-        );
-        self.accesses += moved;
-        donor.accesses -= moved;
-    }
-
     /// Scheme statistics aggregated across banks, in ascending bank order.
     /// Unmaterialized banks contribute nothing (their stats are all-zero
     /// by fresh-idempotence), so only materialized banks are walked.
@@ -654,6 +632,18 @@ mod tests {
         assert_eq!(sharded.stats(), seq.stats());
         assert_eq!(sharded.epochs(), seq.epochs());
         assert_eq!(sharded.activations_per_bank(), seq.activations_per_bank());
+
+        // The re-carved system still checkpoints bit-exactly: bring it to
+        // the next epoch cut (30 000 is off the 4 000-access clock), then
+        // restore into a fresh system of the same layout.
+        sharded.process(&batch(2_000, 8));
+        let image = sharded.checkpoint().unwrap();
+        let mut restored = MemorySystem::new(one_channel(8), spec)
+            .with_epoch_length(4_000)
+            .with_shards(2);
+        restored.restore(&image).unwrap();
+        assert_eq!(restored.footprint(), sharded.footprint());
+        assert_eq!(restored.stats(), sharded.stats());
     }
 
     #[test]

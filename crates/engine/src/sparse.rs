@@ -33,8 +33,6 @@
 //!
 //! [`BankEngine::with_bank_base`]: crate::BankEngine::with_bank_base
 
-use std::ops::Range;
-
 use cat_core::{SchemeInstance, SchemeSpec};
 
 /// One touched bank: every activation it has seen and its scheme, which
@@ -54,13 +52,18 @@ struct Block {
     banks: Vec<Bank>,
 }
 
-/// The bits of a block below local bank `i`, for `i` in `0..=64`.
-fn below(i: usize) -> u64 {
-    if i >= 64 {
-        u64::MAX
-    } else {
-        (1 << i) - 1
-    }
+/// Pairs block `b`'s records, in rank order, with their banks: each takes
+/// the lowest remaining bit of `mask`, which sets one bit per record.
+fn ranked<T>(
+    b: usize,
+    mut mask: u64,
+    records: impl IntoIterator<Item = T>,
+) -> impl Iterator<Item = (usize, T)> {
+    records.into_iter().map(move |record| {
+        let i = mask.trailing_zeros() as usize;
+        mask &= mask - 1;
+        ((b << 6) + i, record)
+    })
 }
 
 /// Sparse, lazily-materialized map from local bank index to the bank's
@@ -147,6 +150,26 @@ impl SparseBanks {
         if bank >= self.capacity {
             crate::bank_out_of_range(bank, 0, self.capacity);
         }
+        let (spec, rows, global) = (self.spec, self.rows, self.base + bank as u32);
+        self.insert_with(bank, || Bank {
+            activations: 0,
+            scheme: spec.build_instance(rows, global),
+        })
+    }
+
+    /// Places `record` (its scheme built for this store's global bank) at
+    /// untouched local `bank` — the re-carve step of `MemorySystem::carve`
+    /// — growing its block exactly as a touch would.
+    pub(crate) fn put(&mut self, bank: usize, record: Bank) {
+        let touched = self.touched;
+        self.insert_with(bank, || record);
+        debug_assert_eq!(self.touched, touched + 1, "bank {bank} placed twice");
+    }
+
+    /// The record of `bank`, inserted at its rank from `fresh` if untouched:
+    /// the one insert step of [`touch`](Self::touch) and [`put`](Self::put).
+    #[inline]
+    fn insert_with(&mut self, bank: usize, fresh: impl FnOnce() -> Bank) -> &mut Bank {
         let (b, bit) = (bank >> 6, 1u64 << (bank & 63));
         if self.blocks.len() <= b {
             self.blocks.resize_with(b + 1, Block::default);
@@ -154,14 +177,7 @@ impl SparseBanks {
         let block = &mut self.blocks[b];
         let rank = (block.mask & (bit - 1)).count_ones() as usize;
         if block.mask & bit == 0 {
-            let scheme = self.spec.build_instance(self.rows, self.base + bank as u32);
-            block.banks.insert(
-                rank,
-                Bank {
-                    activations: 0,
-                    scheme,
-                },
-            );
+            block.banks.insert(rank, fresh());
             block.mask |= bit;
             self.touched += 1;
         }
@@ -170,15 +186,14 @@ impl SparseBanks {
 
     /// Touched banks' records in ascending bank order.
     pub(crate) fn records(&self) -> impl Iterator<Item = (usize, &Bank)> {
-        self.blocks.iter().enumerate().flat_map(|(b, block)| {
-            // Each record consumes the lowest remaining mask bit: there are
-            // exactly as many records as set bits.
-            block.banks.iter().scan(block.mask, move |mask, bank| {
-                let i = mask.trailing_zeros() as usize;
-                *mask &= *mask - 1;
-                Some(((b << 6) + i, bank))
-            })
-        })
+        let blocks = self.blocks.iter().enumerate();
+        blocks.flat_map(|(b, block)| ranked(b, block.mask, &block.banks))
+    }
+
+    /// Consumes the store into its touched banks' records, ascending.
+    pub(crate) fn into_records(self) -> impl Iterator<Item = (usize, Bank)> {
+        let blocks = self.blocks.into_iter().enumerate();
+        blocks.flat_map(|(b, block)| ranked(b, block.mask, block.banks))
     }
 
     /// Materialized schemes in ascending bank order.
@@ -191,68 +206,6 @@ impl SparseBanks {
     pub(crate) fn schemes_mut(&mut self) -> impl Iterator<Item = &mut SchemeInstance> {
         let banks = self.blocks.iter_mut().flat_map(|block| &mut block.banks);
         banks.filter_map(|bank| bank.scheme.as_mut())
-    }
-
-    /// Moves the donor's touched banks in `range` (donor-local indices)
-    /// here, the donor's `range.start` landing at local bank `at` — the
-    /// re-carve step of `BankEngine::adopt` — and returns the activations
-    /// they carry. None of the moved banks may be touched here yet. An
-    /// instance keeps the global index it was built with, so both sides
-    /// must agree on it.
-    ///
-    /// The range is moved in windows that lie inside one block on both
-    /// sides (engine slices are power-of-two aligned, so each window is a
-    /// whole block or the whole range). Each window leaves the donor as
-    /// one contiguous rank range and lands here by one insert per record —
-    /// the capacity growth a touch gives, which keeps the footprint a pure
-    /// function of the records per block. O(blocks in range + touched
-    /// banks moved).
-    pub(crate) fn adopt_range(
-        &mut self,
-        at: usize,
-        donor: &mut SparseBanks,
-        range: Range<usize>,
-    ) -> u64 {
-        debug_assert_eq!(self.base as usize + at, donor.base as usize + range.start);
-        let end = range.end.min(donor.blocks.len() << 6);
-        let mut moved = 0;
-        let mut lo = range.start;
-        while lo < end {
-            let dst = at + lo - range.start;
-            let (src_off, dst_off) = (lo & 63, dst & 63);
-            let hi = end.min(lo - src_off + 64).min(lo + 64 - dst_off);
-            let (src, src_end) = (&mut donor.blocks[lo >> 6], src_off + hi - lo);
-            lo = hi;
-            let window = below(src_end) & !below(src_off);
-            let bits = src.mask & window;
-            if bits == 0 {
-                continue;
-            }
-            let rank = |i| (src.mask & below(i)).count_ones() as usize;
-            let ranks = rank(src_off)..rank(src_end);
-            let n = ranks.len();
-            src.mask &= !window;
-            donor.touched -= n;
-
-            if self.blocks.len() <= dst >> 6 {
-                self.blocks.resize_with((dst >> 6) + 1, Block::default);
-            }
-            let block = &mut self.blocks[dst >> 6];
-            let shifted = if dst_off >= src_off {
-                bits << (dst_off - src_off)
-            } else {
-                bits >> (src_off - dst_off)
-            };
-            debug_assert_eq!(block.mask & shifted, 0, "adopted bank already touched");
-            let first = (block.mask & below(dst_off)).count_ones() as usize;
-            for (k, bank) in src.banks.drain(ranks).enumerate() {
-                moved += bank.activations;
-                block.banks.insert(first + k, bank);
-            }
-            block.mask |= shifted;
-            self.touched += n;
-        }
-        moved
     }
 
     /// Resident bytes of the materialized schemes themselves: the sum of
@@ -334,5 +287,35 @@ mod tests {
         assert_eq!(rebuilt.block_capacity(), original.block_capacity());
         assert_eq!(rebuilt.container_bytes(), original.container_bytes());
         assert_eq!(rebuilt.touched(), original.touched());
+    }
+
+    #[test]
+    fn records_move_one_by_one_as_touches_would() {
+        // A store touched out of order across several blocks, consumed and
+        // placed record by record 64 banks further on (a block boundary
+        // apart), must hold the same records and grow exactly as an
+        // ascending touch rebuild at that offset does. (SCA instances do
+        // not depend on their bank index, so the shift is harmless here.)
+        let source = touched_out_of_order();
+        let want: Vec<(usize, u64)> = source
+            .records()
+            .map(|(bank, record)| (bank + 64, record.activations))
+            .collect();
+        let touched = source.touched();
+        let mut moved = SparseBanks::new(SPEC, 4096 + 64, 64, 0);
+        for (bank, record) in source.into_records() {
+            moved.put(bank + 64, record);
+        }
+        let got: Vec<(usize, u64)> = moved
+            .records()
+            .map(|(bank, record)| (bank, record.activations))
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(moved.touched(), touched);
+        let mut rebuilt = SparseBanks::new(SPEC, 4096 + 64, 64, 0);
+        for &(bank, _) in &want {
+            rebuilt.touch(bank);
+        }
+        assert_eq!(moved.container_bytes(), rebuilt.container_bytes());
     }
 }

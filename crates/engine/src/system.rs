@@ -234,46 +234,39 @@ impl MemorySystem {
 
     /// Lays the engines out over `slices` (ascending, tiling the owned
     /// range), taking every bank's state from `from`: engines over the
-    /// same owned range in any layout. An engine whose slice equals a
-    /// target slice moves over whole, scratch high-water marks included.
-    /// Every other target engine is built fresh and
-    /// [adopts](BankEngine::adopt) its banks — scheme instances and
-    /// activation counts, keyed by global bank — from the engines it
-    /// overlaps. The primitive behind [`with_shards`](Self::with_shards)
-    /// and cross-layout checkpoint restore (`DESIGN.md §11`).
+    /// same owned range in any layout. A source engine whose span equals a
+    /// target slice moves over whole, directory high-water mark included;
+    /// every other one moves record by record, each `Bank` record put
+    /// into the target engine that owns its global bank, whose access
+    /// count grows by the record's activations. The primitive behind
+    /// [`with_shards`](Self::with_shards) and cross-layout checkpoint
+    /// restore (`DESIGN.md §11`).
     pub(crate) fn carve(&mut self, from: Vec<BankEngine>, slices: Vec<GeometrySlice>) {
-        let spans: Vec<(u32, u32)> = from
-            .iter()
-            .map(|e| (e.banks.base(), e.banks.base() + e.bank_count() as u32))
-            .collect();
-        let mut from: Vec<Option<BankEngine>> = from.into_iter().map(Some).collect();
         let (spec, rows, epochs) = (self.spec, self.geometry.rows_per_bank, self.epochs);
-        let mut first = 0usize;
-        self.engines = slices
+        let mut engines: Vec<BankEngine> = slices
             .iter()
             .map(|s| {
-                let (lo, hi) = (s.start_bank(), s.end_bank());
-                while first < spans.len() && spans[first].1 <= lo {
-                    first += 1;
-                }
-                if spans.get(first) == Some(&(lo, hi)) {
-                    if let Some(whole) = from[first].take() {
-                        return whole;
-                    }
-                }
-                let mut engine = BankEngine::with_bank_base(spec, s.banks(), rows, lo);
+                let mut engine = BankEngine::with_bank_base(spec, s.banks(), rows, s.start_bank());
                 engine.epochs = epochs;
-                for (donor, span) in from[first..].iter_mut().zip(&spans[first..]) {
-                    if span.0 >= hi {
-                        break;
-                    }
-                    if let Some(donor) = donor {
-                        engine.adopt(donor);
-                    }
-                }
                 engine
             })
             .collect();
+        for source in from {
+            let base = source.banks.base();
+            match slices.binary_search_by_key(&base, GeometrySlice::start_bank) {
+                Ok(i) if slices[i].end_bank() == source.end_bank() => engines[i] = source,
+                _ => {
+                    for (local, record) in source.banks.into_records() {
+                        let bank = base + local as u32;
+                        let target = &mut engines[slices.partition_point(|s| s.end_bank() <= bank)];
+                        target.accesses += record.activations;
+                        let at = (bank - target.banks.base()) as usize;
+                        target.banks.put(at, record);
+                    }
+                }
+            }
+        }
+        self.engines = engines;
         self.engine_slices = slices;
     }
 
@@ -298,7 +291,8 @@ impl MemorySystem {
     /// the largest slice (lowest bank first) until there are at least `n`
     /// engines or every engine is one bank, and `n` workers each replay a
     /// contiguous group of engines. Calling this on a system that already
-    /// holds state re-carves that state onto the new layout.
+    /// holds state re-carves that state onto the new layout: an engine
+    /// whose slice survives moves whole, every other bank as its record.
     ///
     /// ```
     /// use cat_core::SchemeSpec;

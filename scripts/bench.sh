@@ -15,6 +15,11 @@
 # flag). Rates from another host are not comparable, so when the
 # committed block's cores or rustc differ from this run's, the script
 # prints a host-mismatch warning instead of the delta table.
+#
+# The delta table prints each row's old and new median with its
+# [min, max] over the runs ("-" for JSON written before those fields
+# existed). Rows whose two ranges overlap read `unresolved` instead of a
+# signed %: the runs cannot order the two sides.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -51,41 +56,59 @@ elif [ "$HAVE_OLD" = 1 ]; then
     echo
     echo "delta vs committed BENCH_engine.json (HEAD):"
     awk -F'"' '
+        # A numeric field of the current row, "" if the row has none.
+        function num(name,   m) {
+            if (!match($0, "\"" name "\": [0-9]+")) return ""
+            m = substr($0, RSTART, RLENGTH); sub(/.*: /, "", m)
+            return m
+        }
+        # A rate in M acts/s, then its [min, max] or "-" without one.
+        function show(key, rate, lo, hi) {
+            return sprintf("%8.2f %-17s", rate[key] / 1e6, \
+                (key in lo) ? sprintf("[%.2f, %.2f]", lo[key] / 1e6, hi[key] / 1e6) : "-")
+        }
         # Result rows look like:
-        #   {"scheme": "PRCAT_64", "path": "shards-4", "acts_per_sec": NNN, ...
+        #   {"scheme": "PRCAT_64", "path": "shards-4", "acts_per_sec": NNN,
+        #    "acts_per_sec_min": NNN, "acts_per_sec_max": NNN, ...
+        # (JSON written before the min/max fields existed lacks them.)
         /"scheme":/ {
-            scheme = $4; path = $8
-            # acts_per_sec is the unquoted run after the 5th quoted token:
-            # {"scheme": "X", "path": "Y", "acts_per_sec": NNN, ...
-            rate = $11; sub(/^[^0-9]*/, "", rate); sub(/[^0-9].*$/, "", rate)
-            key = scheme "|" path
+            key = $4 "|" $8
+            rate = num("acts_per_sec"); lo = num("acts_per_sec_min"); hi = num("acts_per_sec_max")
             if (FILENAME == ARGV[1]) {
-                old[key] = rate
+                old[key] = rate + 0
+                if (lo != "" && hi != "") { old_lo[key] = lo + 0; old_hi[key] = hi + 0 }
             } else {
-                new[key] = rate
+                new[key] = rate + 0
+                if (lo != "" && hi != "") { new_lo[key] = lo + 0; new_hi[key] = hi + 0 }
                 if (!(key in order)) { order[key] = ++n; keys[n] = key }
             }
         }
         END {
-            printf "  %-12s %-18s %14s %14s %9s\n", \
-                "scheme", "path", "old acts/s", "new acts/s", "delta"
+            printf "  %-12s %-18s %-26s %-26s %11s\n", "scheme", "path", \
+                "old M acts/s [min, max]", "new M acts/s [min, max]", "delta"
             for (i = 1; i <= n; i++) {
                 key = keys[i]
                 split(key, kp, "|")
                 if (key in old && old[key] > 0) {
-                    d = (new[key] / old[key] - 1) * 100
-                    printf "  %-12s %-18s %14d %14d %+8.1f%%\n", \
-                        kp[1], kp[2], old[key], new[key], d
+                    # Overlapping run ranges cannot order the two sides.
+                    if ((key in old_lo) && (key in new_lo) && \
+                        old_lo[key] <= new_hi[key] && new_lo[key] <= old_hi[key]) {
+                        d = "unresolved"
+                    } else {
+                        d = sprintf("%+.1f%%", (new[key] / old[key] - 1) * 100)
+                    }
+                    printf "  %-12s %-18s %s %s %11s\n", kp[1], kp[2], \
+                        show(key, old, old_lo, old_hi), show(key, new, new_lo, new_hi), d
                 } else {
-                    printf "  %-12s %-18s %14s %14d %9s\n", \
-                        kp[1], kp[2], "-", new[key], "(new)"
+                    printf "  %-12s %-18s %-26s %s %11s\n", kp[1], kp[2], "-", \
+                        show(key, new, new_lo, new_hi), "(new)"
                 }
             }
             for (key in old) {
                 if (!(key in new)) {
                     split(key, kp, "|")
-                    printf "  %-12s %-18s %14d %14s %9s\n", \
-                        kp[1], kp[2], old[key], "-", "(gone)"
+                    printf "  %-12s %-18s %s %-26s %11s\n", kp[1], kp[2], \
+                        show(key, old, old_lo, old_hi), "-", "(gone)"
                 }
             }
         }
