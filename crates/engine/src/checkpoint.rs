@@ -47,7 +47,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use cat_core::{StateError, StateReader};
 
-use crate::ingest::IngestEvent;
+use crate::ingest::{Checked, IngestEvent};
 use crate::wire::{bad, pack_record, unpack_record, MAX_SPEC_LEN};
 use crate::{BankEngine, MemorySystem};
 
@@ -932,7 +932,8 @@ fn replay_tail(system: &mut MemorySystem, path: &Path) -> io::Result<u64> {
             } else if skip_cuts > Some(0) {
                 return Err(bad("trace log overlap holds fewer cut markers than epochs"));
             } else {
-                // The drain range-checks every record it is handed.
+                // The drain range-checks every record: a log is no
+                // connection, so nothing checked it on the way in.
                 out.push(unpack_record(word));
                 return Ok(Some(IngestEvent::Records(1)));
             }
@@ -945,7 +946,7 @@ fn replay_tail(system: &mut MemorySystem, path: &Path) -> io::Result<u64> {
         }
         Ok(None)
     };
-    Ok(system.drain(next, None)?.accesses)
+    Ok(system.drain(next, None, Checked::ByConsumer)?.accesses)
 }
 
 /// Recovers a `catd` session from a checkpoint directory: restores the
@@ -1600,6 +1601,27 @@ mod tests {
         fs::remove_dir_all(&empty).unwrap();
     }
 
+    #[test]
+    fn replay_range_checks_the_log_tail() {
+        // A trace log is no connection: nothing checked its records on
+        // the way in, so replay's drain must refuse an out-of-range word
+        // (a served drain trusts its readers instead).
+        let dir = temp_dir("replay-check");
+        let trace = trace(2000);
+        let mut session = fresh();
+        session.process(&trace[..1000]);
+        write_checkpoint_file(&dir, &session.checkpoint().unwrap()).unwrap();
+        let mut log = TraceLog::open_for_append(&dir, 1000, 1, true).unwrap();
+        log.append(&trace[1000..1500]).unwrap();
+        log.append(&[(16, 0)]).unwrap();
+        log.append(&trace[1500..]).unwrap();
+        drop(log);
+        let err = resume_from_dir(&mut fresh(), &dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("global bank 16"), "{err}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// One word of a hand-written trace log: the records `trace[a..b]`,
     /// or a cut marker.
     enum Word {
@@ -1742,7 +1764,11 @@ mod tests {
         let mut session = clockless();
         let mut wal = Wal::open(&session, &cfg, &requested).unwrap();
         let err = session
-            .drain(|out| Ok(consumer.next_event_into(out)), Some(&mut wal))
+            .drain(
+                |out| Ok(consumer.next_event_into(out)),
+                Some(&mut wal),
+                Checked::ByConsumer,
+            )
             .unwrap_err();
         assert!(err.to_string().contains("global bank 99"), "{err}");
         drop(session);

@@ -27,6 +27,13 @@
 //! room. Each side signals the other only while a flag in the FIFO says
 //! it waits, so a lane in steady state makes no futex wake.
 //!
+//! Chunks are **recycled**: once its sink returns, the consumer empties a
+//! chunk and hands it back to the lane as a spare, and every append
+//! returns a spare for the producer to fill next, so a lane in steady
+//! state allocates nothing. Spares count against the lane's capacity:
+//! queued records plus the records its spares can hold never exceed it,
+//! and a chunk that does not fit is dropped instead.
+//!
 //! A batch's descriptor is published **before** its records, and the
 //! records then stream through the lane in chunks of at most its capacity
 //! — so a batch larger than the whole lane flows through it instead of
@@ -50,6 +57,14 @@
 //! words to its backends without unpacking them; the `(bank, row)` views
 //! ([`IngestConsumer::next_event_into`], [`IngestConsumer::next_batch_into`])
 //! are thin adapters that unpack on top of it, for the system drain.
+//!
+//! Each record is **range-checked once per process**, where it enters it:
+//! a served connection's reader checks every record against the slice its
+//! hello advertised, so the drains of [`serve`] and the fleet router apply
+//! the merged stream unchecked. In-process sources — a caller's producers
+//! behind [`MemorySystem::ingest`], a trace-log replay, a caller's
+//! [`crate::router::IngestRouter::scatter_packed`] — are checked by their
+//! consumer.
 //!
 //! A client that wants the merged stream to equal an original trace deals
 //! it round-robin by contiguous chunk ([`deal`]): chunk `k` goes to
@@ -101,6 +116,21 @@ pub enum IngestEvent {
     EpochCut,
 }
 
+/// Who range-checks ([`wire::check_records`]) the records a consumer of
+/// the merged stream applies: each record is checked once per process,
+/// where it enters it. Each caller of the system drain and the router's
+/// scatter says which holds for its source.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Checked {
+    /// A served connection's reader checked every record against the
+    /// session's hello slice ([`read_connection`]): the consumer applies
+    /// them as they are.
+    ByReader,
+    /// An in-process source (a caller's producers, a trace-log tail, a
+    /// caller's scatter batch): the consumer checks before applying.
+    ByConsumer,
+}
+
 /// One producer's FIFO, guarded by [`Lane::fifo`]. No update panics
 /// midway, so a poisoned lock still guards a consistent FIFO and is taken
 /// over (`PoisonError::into_inner`): the `Drop` impls must finish or close
@@ -114,6 +144,12 @@ struct Fifo {
     chunks: VecDeque<Vec<u64>>,
     /// Records in `chunks`; never above the queue's capacity.
     buffered: usize,
+    /// Emptied chunks the consumer handed back, for the producer to refill
+    /// instead of allocating.
+    spares: Vec<Vec<u64>>,
+    /// Records `spares` can hold (their capacities): `buffered + spare_room`
+    /// never exceeds the queue's capacity either.
+    spare_room: usize,
     /// The producer handle is gone; no further events or records.
     finished: bool,
     /// The consumer is gone; sends fail instead of waiting forever.
@@ -226,6 +262,7 @@ impl IngestQueue {
                 shared: Arc::clone(&shared),
                 id,
                 sent: 0,
+                spare: Vec::new(),
             })
             .collect();
         (handles, IngestConsumer { shared, turn: 0 })
@@ -240,6 +277,10 @@ pub struct IngestProducer {
     id: usize,
     /// Batches begun so far — the next sequence number to assign.
     sent: u64,
+    /// The chunk [`write_records`](Self::write_records) and
+    /// [`write_packed`](Self::write_packed) fill next: a spare of the lane
+    /// once one came back.
+    spare: Vec<u64>,
 }
 
 impl IngestProducer {
@@ -317,31 +358,39 @@ impl IngestProducer {
     /// [`QueueClosed`] if the consumer has been dropped.
     pub fn write_records(&mut self, records: &[(u32, u32)]) -> Result<(), QueueClosed> {
         for part in records.chunks(self.shared.capacity) {
-            let chunk = part.iter().map(|&(bank, row)| wire::pack_record(bank, row));
-            self.push_chunk(chunk.collect())?;
+            let mut chunk = std::mem::take(&mut self.spare);
+            chunk.extend(part.iter().map(|&(bank, row)| wire::pack_record(bank, row)));
+            self.spare = self.push_chunk(chunk)?;
         }
         Ok(())
     }
 
-    /// Streams already-packed records ([`wire::pack_record`] layout —
-    /// which is byte-identical to the wire payload, so the server's
-    /// reader threads call this without any re-encoding).
+    /// Streams already-packed records ([`wire::pack_record`] layout,
+    /// byte-identical to the wire payload), copying them into the lane's
+    /// spare chunks. A server's reader threads skip even that copy: they
+    /// decode each socket piece straight into a spare.
     ///
     /// # Errors
     ///
     /// [`QueueClosed`] if the consumer has been dropped.
     pub fn write_packed(&mut self, packed: &[u64]) -> Result<(), QueueClosed> {
         for part in packed.chunks(self.shared.capacity) {
-            self.push_chunk(part.to_vec())?;
+            let mut chunk = std::mem::take(&mut self.spare);
+            chunk.extend_from_slice(part);
+            self.spare = self.push_chunk(chunk)?;
         }
         Ok(())
     }
 
-    /// Appends one chunk of at most `capacity` records, waiting until the
-    /// lane has room for all of it.
-    fn push_chunk(&self, chunk: Vec<u64>) -> Result<(), QueueClosed> {
+    /// Appends `chunk` (at most the lane's capacity in records), waiting
+    /// until the lane has room for all of it, and returns an empty chunk
+    /// to fill next: one of the lane's spares, or a new `Vec` when it has
+    /// none. Spares the now-larger queue leaves no room for are dropped,
+    /// so queued plus spare records stay within the capacity.
+    pub(crate) fn push_chunk(&self, chunk: Vec<u64>) -> Result<Vec<u64>, QueueClosed> {
+        let capacity = self.shared.capacity;
         let lane = &self.shared.lanes[self.id];
-        let room = self.shared.capacity - chunk.len();
+        let room = capacity - chunk.len();
         let ready = |f: &Fifo| f.closed || f.buffered <= room;
         let mut fifo = lane.lock_when(PRODUCER, ready);
         if fifo.closed {
@@ -352,7 +401,13 @@ impl IngestProducer {
         if fifo.waiting[CONSUMER] {
             lane.filled.notify_one();
         }
-        Ok(())
+        let next = fifo.spares.pop().unwrap_or_default();
+        fifo.spare_room -= next.capacity();
+        while fifo.buffered + fifo.spare_room > capacity {
+            let dropped = fifo.spares.pop().map_or(0, |s| s.capacity());
+            fifo.spare_room -= dropped;
+        }
+        Ok(next)
     }
 
     /// Marks the lane finished (equivalent to dropping the handle): the
@@ -429,8 +484,11 @@ impl IngestConsumer {
                 lane.drained.notify_one();
             }
             drop(fifo);
+            let capacity = self.shared.capacity;
             return Some(match event {
-                IngestEvent::Records(len) => IngestEvent::Records(copy_batch(lane, len, &mut sink)),
+                IngestEvent::Records(len) => {
+                    IngestEvent::Records(copy_batch(lane, capacity, len, &mut sink))
+                }
                 IngestEvent::EpochCut => IngestEvent::EpochCut,
             });
         }
@@ -447,13 +505,15 @@ impl IngestConsumer {
     }
 }
 
-/// Hands one `len`-record batch of `lane` to `sink` and returns the
-/// records delivered: one lock per chunk, the sink called outside it,
-/// waiting for records the producer is still writing. If the producer
-/// vanishes mid-batch (a reader thread erroring out of its socket), the
-/// prefix that did arrive is delivered — the session is failing anyway,
-/// and a partial batch must not hang the merge.
-fn copy_batch(lane: &Lane, len: usize, sink: &mut impl FnMut(&[u64])) -> usize {
+/// Hands one `len`-record batch of `lane` (bounded at `capacity`
+/// records) to `sink` and returns the records delivered: one lock per
+/// chunk, the sink called outside it, waiting for records the producer is
+/// still writing. Each chunk goes back to the lane as a spare once the
+/// sink returns ([`recycle`]). If the producer vanishes mid-batch (a
+/// reader thread erroring out of its socket), the prefix that did arrive
+/// is delivered — the session is failing anyway, and a partial batch must
+/// not hang the merge.
+fn copy_batch(lane: &Lane, capacity: usize, len: usize, sink: &mut impl FnMut(&[u64])) -> usize {
     let mut copied = 0;
     while copied < len {
         let ready = |f: &Fifo| f.finished || !f.chunks.is_empty();
@@ -472,8 +532,21 @@ fn copy_batch(lane: &Lane, len: usize, sink: &mut impl FnMut(&[u64])) -> usize {
         drop(fifo);
         sink(&chunk);
         copied += chunk.len();
+        recycle(lane, capacity, chunk);
     }
     copied
+}
+
+/// Empties a merged `chunk` and keeps it as one of `lane`'s spares if
+/// queued plus spare records stay within `capacity`; otherwise drops it
+/// (after the lock is released).
+fn recycle(lane: &Lane, capacity: usize, mut chunk: Vec<u64>) {
+    let mut fifo = lane.fifo.lock().unwrap_or_else(PoisonError::into_inner);
+    if fifo.buffered + fifo.spare_room + chunk.capacity() <= capacity {
+        chunk.clear();
+        fifo.spare_room += chunk.capacity();
+        fifo.spares.push(chunk);
+    }
 }
 
 impl Drop for IngestConsumer {
@@ -560,10 +633,10 @@ pub struct ServeReport {
     pub stats_served: usize,
 }
 
-/// Records decoded per chunk by a [`serve`] reader thread: bounds each
-/// connection's reusable frame buffers at 32 KiB and keeps a frame's
-/// payload streaming through the lane instead of being materialised
-/// whole.
+/// Records a [`serve`] reader thread decodes per piece (fewer when its
+/// lane is smaller): bounds each connection's payload buffer and each lane
+/// chunk at 32 KiB and keeps a frame's payload streaming through the lane
+/// instead of being materialised whole.
 const READ_CHUNK_RECORDS: usize = 4096;
 
 /// Serves one ingestion session over TCP: accepts
@@ -576,14 +649,17 @@ const READ_CHUNK_RECORDS: usize = 4096;
 /// by the loopback differential tests.
 ///
 /// Each reader thread decodes frames **zero-copy**: payload bytes land in
-/// a per-connection reusable buffer, are reinterpreted as packed records
-/// (the wire layout *is* the lane's record layout — [`wire::pack_record`]),
-/// validated, and stored straight into the lane. No `Vec<(u32, u32)>` is
-/// ever materialised on the server's ingest path.
+/// a per-connection reusable buffer and are reinterpreted as packed
+/// records (the wire layout *is* the lane's record layout —
+/// [`wire::pack_record`]) straight into one of the lane's spare chunks,
+/// which is validated and moved into the lane as it is. No
+/// `Vec<(u32, u32)>` is ever materialised on the server's ingest path,
+/// and no chunk is allocated once the lane's spares circulate.
 ///
-/// Record banks *and rows* are validated against the system geometry
-/// **at the connection** — a malformed client gets its connection errored
-/// instead of panicking the drain thread.
+/// Record banks *and rows* are validated against the system's slice
+/// **at the connection**, and only there — a malformed client gets its
+/// connection errored instead of panicking the drain thread, and the
+/// drain applies the merged stream without checking it again.
 ///
 /// Backpressure: each connection's reader thread waits once its lane is
 /// full, which stalls the socket via TCP flow control.
@@ -649,7 +725,8 @@ pub fn serve(
                 Some(cfg) => Some(Wal::open(system, cfg, &requested)?),
                 None => None,
             };
-            system.drain(|out| Ok(consumer.next_event_into(out)), wal.as_mut())
+            let next = |out: &mut Vec<(u32, u32)>| Ok(consumer.next_event_into(out));
+            system.drain(next, wal.as_mut(), Checked::ByReader)
         },
         |system, outcome| {
             let footprint = system.footprint();
@@ -789,15 +866,18 @@ fn accept_producers(
 }
 
 /// One connection's reader loop: frame headers → sequence check → chunked
-/// zero-copy payload decode → bank/row validation against the served
-/// slice → lane. Returns the stream (for the stats reply) and
-/// whether the client requested stats. Dropping `producer` on any exit
-/// finishes the lane, so the merge never waits on a dead connection (a
-/// batch cut short by an error is delivered as its prefix — the session
-/// is already failing). Out-of-slice banks and (when the system fires its
-/// own epoch boundaries) stream epoch cuts are refused **here, at the
-/// connection**: a misrouted client errors its own socket instead of
-/// corrupting the shared drain.
+/// zero-copy payload decode into a lane spare → bank/row validation
+/// against the served slice → the chunk moves into the lane, a spare comes
+/// back. Pieces hold at most [`READ_CHUNK_RECORDS`] records and never
+/// more than the lane's capacity. This is the one range check a served
+/// record gets in this process ([`Checked::ByReader`]). Returns the stream
+/// (for the stats reply) and whether the client requested stats. Dropping
+/// `producer` on any exit finishes the lane, so the merge never waits on a
+/// dead connection (a batch cut short by an error is delivered as its
+/// prefix — the session is already failing). Out-of-slice banks and (when
+/// the system fires its own epoch boundaries) stream epoch cuts are
+/// refused **here, at the connection**: a misrouted client errors its own
+/// socket instead of corrupting the shared drain.
 fn read_connection(
     stream: TcpStream,
     mut producer: IngestProducer,
@@ -810,11 +890,14 @@ fn read_connection(
     let mut reader = BufReader::new(stream);
     let mut expected_seq = 0u64;
     let mut wants_stats = false;
-    // Reused across every frame of the connection: the raw payload bytes
-    // and their packed-u64 view. The packed view IS the lane's record layout,
-    // so decode is `read_exact` + `from_le_bytes` and nothing else.
+    // The raw payload bytes, reused across every frame of the connection,
+    // and the chunk their packed-u64 view decodes into (a lane spare once
+    // one came back). The packed view IS the lane's record layout, so
+    // decode is `read_exact` + `from_le_bytes`, and the chunk moves into
+    // the lane as it is.
     let mut payload = Vec::new();
-    let mut packed = Vec::new();
+    let mut chunk = Vec::new();
+    let piece = READ_CHUNK_RECORDS.min(producer.shared.capacity);
     loop {
         let header = wire::read_frame_header(&mut reader)?;
         // Record batches and cuts share one gapless sequence space.
@@ -831,13 +914,16 @@ fn read_connection(
                 producer.begin_batch(count as usize).map_err(closed)?;
                 let mut remaining = count as usize;
                 while remaining > 0 {
-                    let take = remaining.min(READ_CHUNK_RECORDS);
-                    wire::read_packed_records(&mut reader, &mut payload, &mut packed, take)?;
+                    let take = remaining.min(piece);
+                    // Exact, so no chunk ever holds room for more than a piece.
+                    chunk.reserve_exact(take);
+                    wire::read_packed_records(&mut reader, &mut payload, &mut chunk, take)?;
                     // Both coordinates are checked here, at the connection,
-                    // so a bad record errors this socket, not the drain.
-                    wire::check_records(packed.iter().map(|&p| wire::unpack_record(p)), &owned)
+                    // so a bad record errors this socket, not the drain —
+                    // and only here: the session's drain trusts it.
+                    wire::check_records(chunk.iter().map(|&p| wire::unpack_record(p)), &owned)
                         .map_err(|e| bad(format!("producer {peer}: {e}")))?;
-                    producer.write_packed(&packed).map_err(closed)?;
+                    chunk = producer.push_chunk(chunk).map_err(closed)?;
                     remaining -= take;
                 }
             }
@@ -1169,6 +1255,79 @@ mod tests {
         assert_eq!(consumer.next_batch(), Some(vec![(3, 9)]));
         sender.join().unwrap();
         assert_eq!(consumer.next_batch(), None);
+    }
+
+    /// Queued plus spare records of `p`'s lane.
+    fn held(p: &IngestProducer) -> usize {
+        let fifo = p.shared.lanes[p.id].fifo.lock().unwrap();
+        let spare: usize = fifo.spares.iter().map(Vec::capacity).sum();
+        assert_eq!(
+            fifo.spare_room, spare,
+            "spare records are the spares' capacities"
+        );
+        fifo.buffered + fifo.spare_room
+    }
+
+    #[test]
+    fn spare_chunks_are_bounded_and_reused() {
+        const CAPACITY: usize = 64;
+        let (mut handles, mut consumer) = IngestQueue::bounded(1, CAPACITY);
+        let mut p = handles.pop().unwrap();
+
+        // A merged chunk comes back to its producer as the next spare.
+        p.begin_batch(8).unwrap();
+        let first = p.push_chunk(vec![wire::pack_record(0, 1); 8]).unwrap();
+        assert_eq!(first.capacity(), 0, "no chunk has come back yet");
+        assert_eq!(consumer.next_batch(), Some(vec![(0, 1); 8]));
+        p.begin_batch(8).unwrap();
+        let spare = p.push_chunk(vec![wire::pack_record(0, 2); 8]).unwrap();
+        assert!(
+            spare.is_empty() && spare.capacity() >= 8,
+            "the merged chunk"
+        );
+        assert_eq!(consumer.next_batch(), Some(vec![(0, 2); 8]));
+
+        // Mixed-size batches, 1 record up to 3× the capacity, in pieces of
+        // at most the capacity (one push each): through the by-value path
+        // a reader takes and, every third batch, through `write_packed`.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let batches: Vec<Vec<u64>> = (0..1200u32)
+            .map(|b| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let len = 1 + (x % (3 * CAPACITY as u64)) as u32;
+                (0..len).map(|i| wire::pack_record(b % 16, i)).collect()
+            })
+            .collect();
+        let expected: Vec<(u32, u32)> = batches
+            .iter()
+            .flatten()
+            .map(|&w| wire::unpack_record(w))
+            .collect();
+        let sender = std::thread::spawn(move || {
+            let (mut chunk, mut reused) = (Vec::new(), 0usize);
+            for (k, batch) in batches.iter().enumerate() {
+                p.begin_batch(batch.len()).unwrap();
+                for piece in batch.chunks(CAPACITY) {
+                    if k % 3 == 2 {
+                        p.write_packed(piece).unwrap();
+                    } else {
+                        reused += usize::from(chunk.capacity() > 0);
+                        chunk.extend_from_slice(piece);
+                        chunk = p.push_chunk(chunk).unwrap();
+                        assert!(chunk.is_empty(), "a spare comes back empty");
+                    }
+                    assert!(held(&p) <= CAPACITY, "batch {k}");
+                }
+            }
+            reused
+        });
+        let mut got = Vec::new();
+        while consumer.next_batch_into(&mut got) {}
+        let reused = sender.join().unwrap();
+        assert_eq!(got, expected);
+        assert!(reused > 0, "no spare was ever refilled");
     }
 
     #[test]

@@ -14,10 +14,14 @@
 //! The scatter is **packed end to end** ([`IngestRouter::scatter_packed`]).
 //! A merged batch arrives as the lanes' packed words
 //! ([`crate::ingest::IngestConsumer::next_event_with`]), which are the
-//! wire's record bytes. The batch is range-checked once against the union
-//! geometry (banks *and* rows, the rule every connection reader and the
-//! system drain apply), so a bad record refuses the whole batch before any
-//! of it is forwarded. Each word is then appended, untouched, to its
+//! wire's record bytes. A record is range-checked once in the router
+//! process (banks *and* rows, the rule every connection reader and the
+//! system drain apply): in [`serve`], by the client connection's reader
+//! against the union geometry the router's hello advertises, so the drain
+//! scatters each lane chunk as it comes, unchecked; through the public
+//! [`IngestRouter::scatter_packed`], against the union geometry before any
+//! of the batch is forwarded, so a bad record refuses the whole batch.
+//! Each word is then appended, untouched, to its
 //! backend's reusable records frame: header, then packed payload, so
 //! filling the buffer *is* the encode. The backend key is `bank >> shift`
 //! for a uniform partition and a binary search over the slices for a
@@ -50,7 +54,7 @@
 use std::io;
 use std::net::{TcpListener, ToSocketAddrs};
 
-use crate::ingest::{run_session, IngestClient, IngestEvent};
+use crate::ingest::{run_session, Checked, IngestClient, IngestEvent};
 use crate::wire::{self, bad, check_records, ServerHello, StatsSnapshot};
 use crate::{epoch_cuts, GeometrySlice, MemorySystem, Partition};
 
@@ -313,7 +317,15 @@ impl IngestRouter {
     /// nothing of it is forwarded. A backend socket error, naming the
     /// backend.
     pub fn scatter_packed(&mut self, words: &[u64]) -> io::Result<()> {
-        check_records(words.iter().map(|&w| wire::unpack_record(w)), &self.union)?;
+        self.scatter_words(words, Checked::ByConsumer)
+    }
+
+    /// [`scatter_packed`](Self::scatter_packed), range-checking `words`
+    /// against the union geometry only when `checked` says no reader did.
+    pub(crate) fn scatter_words(&mut self, words: &[u64], checked: Checked) -> io::Result<()> {
+        if checked == Checked::ByConsumer {
+            check_records(words.iter().map(|&w| wire::unpack_record(w)), &self.union)?;
+        }
         // The clock runs on the fleet position, so a resumed fleet sitting
         // mid-epoch (a replayed trace-log tail) first completes the epoch
         // in progress, exactly where the single host would have cut.
@@ -539,24 +551,37 @@ pub fn serve<A: ToSocketAddrs>(
                 accesses: router.fleet_accesses(),
                 epochs: router.fleet_epochs(),
             };
+            // The readers check every record against this slice, so the
+            // drain's scatter does not check it again against the union.
+            assert_eq!(
+                (hello.slice_start, hello.slice_banks),
+                (router.union.start_bank(), router.union.banks()),
+                "the router's hello must advertise its union geometry"
+            );
             Ok((hello, router))
         },
         |router, consumer| {
             // Drain the merge through the scatter stage, packed words all
-            // the way; client cuts reach here only when the router runs
-            // clockless.
-            let mut batch = Vec::new();
-            while let Some(event) = consumer.next_event_with(|words| batch.extend_from_slice(words))
-            {
-                match event {
-                    IngestEvent::Records(_) => {
-                        router.scatter_packed(&batch)?;
-                        batch.clear();
+            // the way: each drained chunk is scattered as the lane hands
+            // it over (cuts fall at absolute stream positions, so chunk
+            // boundaries are unobservable). Client cuts reach here only
+            // when the router runs clockless.
+            let mut failed = None;
+            loop {
+                let event = consumer.next_event_with(|words| {
+                    if failed.is_none() {
+                        failed = router.scatter_words(words, Checked::ByReader).err();
                     }
-                    IngestEvent::EpochCut => router.cut()?,
+                });
+                if let Some(e) = failed {
+                    return Err(e);
+                }
+                match event {
+                    None => return Ok(()),
+                    Some(IngestEvent::Records(_)) => {}
+                    Some(IngestEvent::EpochCut) => router.cut()?,
                 }
             }
-            Ok(())
         },
         |router, ()| {
             // Gather the fleet and answer the stats requesters with the

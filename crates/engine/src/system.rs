@@ -58,7 +58,7 @@ use std::io;
 use cat_core::{Refreshes, SchemeInstance, SchemeSpec, SchemeStats};
 
 use crate::checkpoint::Wal;
-use crate::ingest::{IngestConsumer, IngestEvent};
+use crate::ingest::{Checked, IngestConsumer, IngestEvent};
 use crate::shard::{self, Bucketer, ShardWorkers};
 use crate::wire::{bad, check_records};
 use crate::{
@@ -502,18 +502,25 @@ impl MemorySystem {
     /// runs its own access-count epoch clock (the wire handshake refuses
     /// that mix up front).
     pub fn ingest(&mut self, consumer: &mut IngestConsumer) -> io::Result<BatchOutcome> {
-        self.drain(|out| Ok(consumer.next_event_into(out)), None)
+        self.drain(
+            |out| Ok(consumer.next_event_into(out)),
+            None,
+            Checked::ByConsumer,
+        )
     }
 
     /// The one loop that applies an event stream — the live merge or a
     /// trace-log tail — to the system. With a write-ahead log
     /// (`DESIGN.md §11`) every batch and stream cut is logged before it
     /// is applied and images publish at cuts; without one, the stage
-    /// flushes at stream capacity.
+    /// flushes at stream capacity. `checked` says whether the source
+    /// range-checked the records (a served connection) or the drain must
+    /// (every in-process source).
     pub(crate) fn drain(
         &mut self,
         mut next: impl FnMut(&mut Vec<(u32, u32)>) -> io::Result<Option<IngestEvent>>,
         mut wal: Option<&mut Wal<'_>>,
+        checked: Checked,
     ) -> io::Result<BatchOutcome> {
         let owned = self.owned;
         loop {
@@ -540,13 +547,15 @@ impl MemorySystem {
                     }
                 }
                 Some(IngestEvent::Records(_)) => {
-                    // The wire's range rule, once per merged batch: fail
-                    // at the drain, not in a later bucketing pass or a
-                    // scheme's row assert.
-                    let fresh = self.staged[before..].iter().copied();
-                    if let Err(e) = check_records(fresh, &owned) {
-                        self.staged.truncate(before);
-                        return Err(e);
+                    // The wire's range rule, once per merged batch of an
+                    // unchecked source: fail at the drain, not in a later
+                    // bucketing pass or a scheme's row assert.
+                    if checked == Checked::ByConsumer {
+                        let fresh = self.staged[before..].iter().copied();
+                        if let Err(e) = check_records(fresh, &owned) {
+                            self.staged.truncate(before);
+                            return Err(e);
+                        }
                     }
                     match wal.as_deref_mut() {
                         Some(wal) => self.drain_logged(wal, before)?,

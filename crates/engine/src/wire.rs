@@ -109,6 +109,10 @@ pub fn unpack_record(packed: u64) -> (u32, u32) {
 /// records from a peer connection, a trace log or an in-process
 /// producer: the schemes downstream assert on out-of-range rows, and a
 /// panic on the shared drain thread would take the whole session down.
+/// Each record is checked once per process, where it enters it: a served
+/// connection's reader checks what it decodes, and the consumer of an
+/// in-process source (the system drain, the router's public scatter)
+/// checks what it is handed (`crate::ingest::Checked`).
 pub(crate) fn check_records<I>(records: I, owned: &GeometrySlice) -> io::Result<()>
 where
     I: IntoIterator<Item = (u32, u32)>,

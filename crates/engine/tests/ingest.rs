@@ -62,13 +62,14 @@ fn seeded_trace(n: u64, seed: u64) -> Vec<(u32, u32)> {
 }
 
 /// Runs the whole trace through one loopback `catd` session: a server
-/// thread drives `serve` over 127.0.0.1, `producers` client threads each
-/// stream their `deal` lane, and every client collects the final stats
-/// snapshot. Returns the snapshot plus the server system's per-bank stats.
+/// thread drives `serve` over 127.0.0.1 with lanes of `queue_capacity`
+/// records, `producers` client threads each stream their `deal` lane, and
+/// every client collects the final stats snapshot. Returns the snapshot
+/// plus the server system's per-bank stats.
 fn loopback_run(
     spec: SchemeSpec,
     trace: &[(u32, u32)],
-    producers: usize,
+    (producers, queue_capacity): (usize, usize),
     shards: usize,
     stream_capacity: usize,
 ) -> (StatsSnapshot, Vec<SchemeStats>) {
@@ -84,7 +85,7 @@ fn loopback_run(
             &mut system,
             &ServeOptions {
                 producers,
-                queue_capacity: 1 << 14,
+                queue_capacity,
                 ..Default::default()
             },
         )
@@ -149,7 +150,7 @@ fn loopback_catd_matches_flat_engine_for_every_producer_shard_and_flush_combo() 
         for shards in [1usize, 2, 4] {
             for stream_capacity in [4_096usize, 50_000] {
                 let (snapshot, per_bank) =
-                    loopback_run(spec, &trace, producers, shards, stream_capacity);
+                    loopback_run(spec, &trace, (producers, 1 << 14), shards, stream_capacity);
                 let label =
                     format!("{producers} producers × {shards} shards × cap {stream_capacity}");
                 assert_eq!(snapshot.stats, ref_stats, "{label}: aggregate stats");
@@ -158,6 +159,27 @@ fn loopback_catd_matches_flat_engine_for_every_producer_shard_and_flush_combo() 
                 assert_eq!(snapshot.epochs, trace.len() as u64 / EPOCH, "{label}");
             }
         }
+    }
+}
+
+/// Lanes smaller than a reader's 4 096-record socket piece: each reader
+/// decodes pieces of at most its lane's capacity, so a 1 000-record lane
+/// and a 1-record lane serve 7 777-record frames bit-identically too.
+#[test]
+fn loopback_catd_matches_flat_engine_with_lanes_below_the_read_piece() {
+    let spec = SchemeSpec::Sca {
+        counters: 64,
+        threshold: 512,
+    };
+    let trace = trace(60_001);
+    let mut reference = MemorySystem::new(geometry(), spec).with_epoch_length(EPOCH);
+    reference.process(&trace);
+    for queue_capacity in [1_000usize, 1] {
+        let (snapshot, per_bank) = loopback_run(spec, &trace, (2, queue_capacity), 1, 4_096);
+        let label = format!("lane capacity {queue_capacity}");
+        assert_eq!(snapshot.stats, reference.stats(), "{label}");
+        assert_eq!(per_bank, reference.per_bank_stats(), "{label}");
+        assert_eq!(snapshot.accesses, trace.len() as u64, "{label}");
     }
 }
 
@@ -231,7 +253,7 @@ fn loopback_catd_matches_flat_engine_for_a_tree_scheme() {
     reference.process(&trace);
     assert!(reference.stats().refresh_events > 0);
 
-    let (snapshot, per_bank) = loopback_run(spec, &trace, 3, 2, 8_192);
+    let (snapshot, per_bank) = loopback_run(spec, &trace, (3, 1 << 14), 2, 8_192);
     assert_eq!(snapshot.stats, reference.stats());
     assert_eq!(per_bank, reference.per_bank_stats());
 }

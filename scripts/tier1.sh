@@ -14,6 +14,7 @@ cargo fmt --all --check
 # Scripts run by hand (not by this gate) must at least parse.
 bash -n scripts/perf_ab.sh
 bash -n scripts/loc.sh
+bash -n scripts/cpu_split.sh
 cargo build --release --workspace --all-targets
 
 # Determinism & concurrency contract lint (DESIGN.md §9): hash-ordered
@@ -104,6 +105,13 @@ run_catd_smoke() {
 }
 run_catd_smoke 2 2
 run_catd_smoke 4 4
+
+# Per-thread CPU split (scripts/cpu_split.sh): a short serve session must
+# run end to end, sampling its own catd's threads, and print its total.
+CPU_SPLIT="$(scripts/cpu_split.sh serve 200000)"
+grep -q '^total ' <<<"$CPU_SPLIT" || {
+    echo "cpu_split.sh printed no total line"; echo "$CPU_SPLIT"; exit 1; }
+echo "tier-1: cpu_split smoke OK"
 
 # Kill-and-resume smoke (DESIGN.md §11): session 1 checkpoints into a
 # directory and ends after 110 000 of 240 000 accesses — past the epoch-50k
