@@ -23,8 +23,8 @@
 //! sections name their own bank range and restore re-carves them, whole
 //! or bank record by record, so an image restores into any shard count.
 //!
-//! Decode is hardened like [`crate::wire`]: magic + version are checked
-//! first, every count is validated against the bytes actually
+//! Decode goes through [`crate::wire`]'s bounded cursor: magic + version
+//! are checked first, every count is validated against the bytes actually
 //! remaining *before* anything is allocated, capacities are bounded by
 //! hard caps, and the image carries a trailing FNV-1a integrity hash so
 //! torn or bit-flipped files surface as typed [`io::Error`]s instead of
@@ -48,7 +48,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use cat_core::{StateError, StateReader};
 
 use crate::ingest::{Checked, IngestEvent};
-use crate::wire::{bad, pack_record, unpack_record, MAX_SPEC_LEN};
+use crate::wire::{
+    bad, put_magic, put_records, put_slice, put_spec, put_u32, put_u64, unpack_record, ByteReader,
+};
 use crate::{BankEngine, MemorySystem};
 
 /// Checkpoint image magic, the first four bytes of every image
@@ -146,8 +148,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Appends the integrity hash of everything written so far.
 fn seal(buf: &mut Vec<u8>) {
-    let h = fnv1a(buf);
-    buf.extend_from_slice(&h.to_le_bytes());
+    put_u64(buf, fnv1a(buf));
 }
 
 /// Verifies and strips the trailing integrity hash, returning the body.
@@ -162,133 +163,14 @@ fn verify_sealed(image: &[u8]) -> io::Result<&[u8]> {
         )));
     }
     let (body, tail) = image.split_at(image.len() - 8);
-    let mut stored = [0u8; 8];
-    stored.copy_from_slice(tail);
-    let stored = u64::from_le_bytes(stored);
-    if fnv1a(body) != stored {
+    if fnv1a(body) != ByteReader::new(tail).u64("integrity hash")? {
         return Err(bad("checkpoint integrity hash mismatch"));
     }
     Ok(body)
 }
 
-// ---------------------------------------------------------------------------
-// Little-endian encode/decode primitives
-// ---------------------------------------------------------------------------
-
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Cursor over a checkpoint body. Every read validates against the bytes
-/// actually remaining, so a forged count errors before it allocates.
-struct ByteReader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> ByteReader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        ByteReader { buf }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len()
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> io::Result<&'a [u8]> {
-        if n > self.buf.len() {
-            return Err(bad(format!(
-                "truncated checkpoint: {what} needs {n} bytes, {} remain",
-                self.buf.len()
-            )));
-        }
-        let (head, tail) = self.buf.split_at(n);
-        self.buf = tail;
-        Ok(head)
-    }
-
-    fn u8(&mut self, what: &str) -> io::Result<u8> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u16(&mut self, what: &str) -> io::Result<u16> {
-        let b = self.take(2, what)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self, what: &str) -> io::Result<u32> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self, what: &str) -> io::Result<u64> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn finish(self) -> io::Result<()> {
-        if self.buf.is_empty() {
-            Ok(())
-        } else {
-            Err(bad(format!(
-                "{} trailing bytes after the checkpoint body",
-                self.buf.len()
-            )))
-        }
-    }
-}
-
-fn put_header(buf: &mut Vec<u8>) {
-    buf.extend_from_slice(&CHECKPOINT_MAGIC);
-    put_u16(buf, CHECKPOINT_VERSION);
-}
-
-fn read_header(r: &mut ByteReader<'_>) -> io::Result<()> {
-    read_magic(r, "checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
-}
-
-/// Checks a `what` header's magic and format version — the image's and
-/// the trace log's.
-fn read_magic(r: &mut ByteReader<'_>, what: &str, magic: [u8; 4], version: u16) -> io::Result<()> {
-    let got = r.take(4, "magic")?;
-    if got != magic {
-        return Err(bad(format!("bad {what} magic {got:02x?}")));
-    }
-    let got = r.u16("version")?;
-    if got != version {
-        return Err(bad(format!(
-            "{what} version {got}, this build reads {version}"
-        )));
-    }
-    Ok(())
-}
-
-fn put_epoch_len(buf: &mut Vec<u8>, epoch_len: Option<u64>) {
-    match epoch_len {
-        Some(n) => {
-            buf.push(1);
-            put_u64(buf, n);
-        }
-        None => {
-            buf.push(0);
-            put_u64(buf, 0);
-        }
-    }
-}
-
 fn read_epoch_len(r: &mut ByteReader<'_>) -> io::Result<Option<u64>> {
-    let flag = r.u8("epoch flag")?;
-    let len = r.u64("epoch length")?;
-    match (flag, len) {
+    match (r.u8("epoch flag")?, r.u64("epoch length")?) {
         (0, 0) => Ok(None),
         (0, _) => Err(bad("epoch length set with a cleared epoch flag")),
         (1, 0) => Err(bad("zero epoch length with a set epoch flag")),
@@ -340,28 +222,6 @@ fn encode_engine_section(e: &BankEngine, out: &mut Vec<u8>) -> io::Result<()> {
     Ok(())
 }
 
-/// Reads a bank index that must be `< banks` and strictly above `prev`.
-fn read_bank_index(
-    r: &mut ByteReader<'_>,
-    banks: usize,
-    prev: Option<usize>,
-    what: &str,
-) -> io::Result<usize> {
-    let bank = r.u64(what)?;
-    if bank >= banks as u64 {
-        return Err(bad(format!("{what} {bank} out of range for {banks} banks")));
-    }
-    let bank = bank as usize;
-    if let Some(p) = prev {
-        if bank <= p {
-            return Err(bad(format!(
-                "{what} {bank} not strictly ascending after {p}"
-            )));
-        }
-    }
-    Ok(bank)
-}
-
 /// Reads a saved scratch-capacity high-water mark, bounded by
 /// [`MAX_SCRATCH_CAP`] so a forged field cannot force a huge allocation.
 fn read_scratch_cap(r: &mut ByteReader<'_>, what: &str) -> io::Result<usize> {
@@ -406,7 +266,14 @@ fn decode_engine_section(r: &mut ByteReader<'_>, e: &mut BankEngine) -> io::Resu
     let mut prev: Option<usize> = None;
     let mut activated = 0u64;
     for _ in 0..records {
-        let bank = read_bank_index(r, banks, prev, "bank")?;
+        let bank = r.u64("bank")?;
+        if bank >= banks as u64 {
+            return Err(bad(format!("bank {bank} out of range for {banks} banks")));
+        }
+        let bank = bank as usize;
+        if let Some(p) = prev.filter(|&p| bank <= p) {
+            return Err(bad(format!("bank {bank} not strictly ascending after {p}")));
+        }
         prev = Some(bank);
         let count = r.u64("activation count")?;
         if count == 0 {
@@ -477,26 +344,10 @@ fn decode_engine_section(r: &mut ByteReader<'_>, e: &mut BankEngine) -> io::Resu
 ///                                u32 banks, u32 base, engine section
 /// ```
 fn encode_system_section(s: &MemorySystem, out: &mut Vec<u8>) -> io::Result<()> {
-    let spec = s.spec.to_string();
-    if spec.len() > usize::from(MAX_SPEC_LEN) {
-        return Err(bad(format!("spec string of {} bytes", spec.len())));
-    }
-    put_u16(out, spec.len() as u16);
-    out.extend_from_slice(spec.as_bytes());
-    let g = s.geometry;
-    for field in [
-        g.channels,
-        g.ranks_per_channel,
-        g.banks_per_rank,
-        g.rows_per_bank,
-        g.lines_per_row,
-        g.line_bytes,
-    ] {
-        put_u32(out, field);
-    }
-    put_u32(out, s.owned.start_bank());
-    put_u32(out, s.owned.banks());
-    put_epoch_len(out, s.epoch_len);
+    put_spec(out, &s.spec.to_string())?;
+    put_slice(out, &s.geometry, s.owned.start_bank(), s.owned.banks());
+    out.push(u8::from(s.epoch_len.is_some()));
+    put_u64(out, s.epoch_len.unwrap_or(0));
     put_u64(out, s.accesses);
     put_u64(out, s.epochs);
     put_u64(out, s.staged.capacity() as u64);
@@ -522,38 +373,20 @@ fn decode_system_section(s: &mut MemorySystem, r: &mut ByteReader<'_>) -> io::Re
     if s.accesses != 0 || s.epochs != 0 || !s.staged.is_empty() {
         return Err(bad("restore target is not freshly built"));
     }
-    let spec_len = usize::from(r.u16("spec length")?);
-    if spec_len > usize::from(MAX_SPEC_LEN) {
-        return Err(bad(format!("spec string of {spec_len} bytes")));
-    }
-    let spec_bytes = r.take(spec_len, "spec string")?;
-    let saved = std::str::from_utf8(spec_bytes).map_err(|e| bad(format!("spec not UTF-8: {e}")))?;
+    let saved = r.spec()?;
     let own = s.spec.to_string();
     if saved != own {
         return Err(bad(format!(
             "checkpoint spec `{saved}` does not match system spec `{own}`"
         )));
     }
-    let mut fields = [0u32; 6];
-    for f in &mut fields {
-        *f = r.u32("geometry field")?;
-    }
-    let own = s.geometry;
-    let saved = [
-        own.channels,
-        own.ranks_per_channel,
-        own.banks_per_rank,
-        own.rows_per_bank,
-        own.lines_per_row,
-        own.line_bytes,
-    ];
-    if fields != saved {
+    let (geometry, slice_start, slice_banks) = r.slice()?;
+    if geometry != s.geometry {
         return Err(bad(format!(
-            "checkpoint geometry {fields:?} does not match system geometry {saved:?}"
+            "checkpoint geometry {geometry:?} does not match system geometry {:?}",
+            s.geometry
         )));
     }
-    let slice_start = r.u32("slice start bank")?;
-    let slice_banks = r.u32("slice bank count")?;
     if slice_start != s.owned.start_bank() || slice_banks != s.owned.banks() {
         return Err(bad(format!(
             "checkpoint owns banks {slice_start}..{}, system owns {}",
@@ -657,7 +490,7 @@ impl MemorySystem {
             )));
         }
         let mut out = Vec::new();
-        put_header(&mut out);
+        put_magic(&mut out, CHECKPOINT_MAGIC, CHECKPOINT_VERSION);
         encode_system_section(self, &mut out)?;
         seal(&mut out);
         Ok(out)
@@ -680,7 +513,7 @@ impl MemorySystem {
     pub fn restore(&mut self, image: &[u8]) -> io::Result<()> {
         let body = verify_sealed(image)?;
         let mut r = ByteReader::new(body);
-        read_header(&mut r)?;
+        r.magic("checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION)?;
         decode_system_section(self, &mut r)?;
         r.finish()
     }
@@ -741,7 +574,7 @@ fn write_checkpoint_file(dir: &Path, image: &[u8]) -> io::Result<()> {
 
 /// The append-only record log pairing a checkpoint image: `CATL` magic +
 /// version + the access position and epoch count it starts at, then
-/// 8-byte words, each a packed record ([`pack_record`] layout) or a
+/// 8-byte words, each a packed record ([`crate::wire::pack_record`] layout) or a
 /// [`CUT_MARKER`]. Batches are appended and synced *before* they are
 /// processed, so after a crash the log always covers everything the
 /// engine state could contain.
@@ -809,8 +642,7 @@ impl TraceLog {
 
     fn write_header(&mut self, base: u64, base_epochs: u64) -> io::Result<()> {
         self.buf.clear();
-        self.buf.extend_from_slice(&LOG_MAGIC);
-        put_u16(&mut self.buf, LOG_VERSION);
+        put_magic(&mut self.buf, LOG_MAGIC, LOG_VERSION);
         put_u64(&mut self.buf, base);
         put_u64(&mut self.buf, base_epochs);
         self.file.write_all(&self.buf)?;
@@ -821,11 +653,7 @@ impl TraceLog {
     /// the batch is processed, so the log never trails the engine state.
     pub(crate) fn append(&mut self, batch: &[(u32, u32)]) -> io::Result<()> {
         self.buf.clear();
-        self.buf.reserve(batch.len() * 8);
-        for &(bank, row) in batch {
-            self.buf
-                .extend_from_slice(&pack_record(bank, row).to_le_bytes());
-        }
+        put_records(&mut self.buf, batch);
         self.file.write_all(&self.buf)?;
         self.file.sync_data()
     }
@@ -859,7 +687,10 @@ struct LogReader {
 }
 
 impl LogReader {
-    /// Opens the log at `path`; `Ok(None)` if there is none.
+    /// Opens the log at `path`; `Ok(None)` if there is none, or only a
+    /// part of its header: a crash inside the first create or inside a
+    /// [`TraceLog::reset`] leaves such a log, and no record can follow a
+    /// header that was never whole.
     fn open(path: &Path) -> io::Result<Option<LogReader>> {
         let mut words = match fs::File::open(path) {
             Ok(f) => io::BufReader::new(f),
@@ -867,11 +698,13 @@ impl LogReader {
             Err(e) => return Err(e),
         };
         let mut header = [0u8; LOG_HEADER_BYTES as usize];
-        words
-            .read_exact(&mut header)
-            .map_err(|e| bad(format!("trace log header: {e}")))?;
+        match words.read_exact(&mut header) {
+            Ok(()) => {}
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
+            Err(e) => return Err(e),
+        }
         let mut r = ByteReader::new(&header);
-        read_magic(&mut r, "trace log", LOG_MAGIC, LOG_VERSION)?;
+        r.magic("trace log", LOG_MAGIC, LOG_VERSION)?;
         let (base, base_epochs) = (r.u64("log base")?, r.u64("log base epochs")?);
         Ok(Some(LogReader {
             words,
@@ -1290,7 +1123,8 @@ mod tests {
     fn first_engine_body(image: &[u8]) -> usize {
         let body_len = image.len() - 8;
         let mut r = ByteReader::new(&image[..body_len]);
-        read_header(&mut r).unwrap();
+        r.magic("checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+            .unwrap();
         let spec_len = usize::from(r.u16("spec length").unwrap());
         r.take(spec_len + SYSTEM_FIXED_BYTES, "system fields")
             .unwrap();
@@ -1539,6 +1373,85 @@ mod tests {
         drop(log);
         let err = TraceLog::open_for_append(&dir, 1234, 1, true).unwrap_err();
         assert!(err.to_string().contains("covers"));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn image_and_log_bytes_are_pinned() {
+        // Restore round trips cannot catch a change made to encode and
+        // decode alike: pin the version-7 image of a fixed DRCAT system
+        // by its length and FNV-1a digest, and a version-2 log header
+        // byte for byte.
+        let mut system = fresh();
+        system.process(&trace(2000));
+        let image = system.checkpoint().unwrap();
+        assert_eq!(
+            (image.len(), fnv1a(&image)),
+            (27_604, 0xbbf1_da58_4525_0aba)
+        );
+
+        let dir = temp_dir("log-header");
+        drop(TraceLog::open_for_append(&dir, 0x0102_0304_0506_0708, 3, true).unwrap());
+        let header = fs::read(dir.join(TRACE_LOG_FILE)).unwrap();
+        let want = b"CATL\x02\x00\x08\x07\x06\x05\x04\x03\x02\x01\x03\x00\x00\x00\x00\x00\x00\x00";
+        assert_eq!(header, want);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_log_shorter_than_its_header_reads_as_no_log() {
+        // A crash inside the first create, or inside `reset` between
+        // `set_len(0)` and the new header's sync, leaves a log shorter
+        // than its header. No record can sit behind such a header: resume
+        // stands at the image, and the log is recreated there.
+        let dir = temp_dir("torn-header");
+        let trace = trace(3000);
+        let mut session = fresh();
+        session.process(&trace[..2000]);
+        write_checkpoint_file(&dir, &session.checkpoint().unwrap()).unwrap();
+        let mut reference = fresh();
+        reference.process(&trace);
+        let path = dir.join(TRACE_LOG_FILE);
+        for len in [0, 1, LOG_HEADER_BYTES - 1] {
+            drop(TraceLog::open_for_append(&dir, 2000, 2, true).unwrap());
+            let torn = fs::OpenOptions::new().write(true).open(&path).unwrap();
+            torn.set_len(len).unwrap();
+            drop(torn);
+
+            let mut resumed = fresh();
+            let state = resume_from_dir(&mut resumed, &dir).unwrap();
+            assert_eq!(
+                (state.accesses, state.replayed),
+                (2000, 0),
+                "{len}-byte log"
+            );
+            assert_eq!(resumed.stats(), session.stats(), "{len}-byte log");
+            assert_eq!(resumed.footprint(), session.footprint(), "{len}-byte log");
+
+            let mut log = TraceLog::open_for_append(&dir, 2000, 2, true).unwrap();
+            log.append(&trace[2000..]).unwrap();
+            drop(log);
+            let mut resumed = fresh();
+            let state = resume_from_dir(&mut resumed, &dir).unwrap();
+            assert_eq!(
+                (state.accesses, state.replayed),
+                (3000, 1000),
+                "{len}-byte log"
+            );
+            assert_eq!(resumed.stats(), reference.stats(), "{len}-byte log");
+            fs::remove_file(&path).unwrap();
+        }
+
+        // A whole header with a forged magic is still a refusal.
+        fs::write(&path, [b'X'; LOG_HEADER_BYTES as usize]).unwrap();
+        let errs = [
+            resume_from_dir(&mut fresh(), &dir).unwrap_err(),
+            TraceLog::open_for_append(&dir, 2000, 2, true).unwrap_err(),
+        ];
+        for err in errs {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains("bad magic"), "{err}");
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

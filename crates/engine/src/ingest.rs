@@ -277,9 +277,8 @@ pub struct IngestProducer {
     id: usize,
     /// Batches begun so far — the next sequence number to assign.
     sent: u64,
-    /// The chunk [`write_records`](Self::write_records) and
-    /// [`write_packed`](Self::write_packed) fill next: a spare of the lane
-    /// once one came back.
+    /// The chunk [`write_records`](Self::write_records) fills next: a
+    /// spare of the lane once one came back.
     spare: Vec<u64>,
 }
 
@@ -306,8 +305,7 @@ impl IngestProducer {
 
     /// Publishes the descriptor of this producer's next batch — `len`
     /// records which MUST then be delivered via
-    /// [`write_records`](Self::write_records) /
-    /// [`write_packed`](Self::write_packed) — and returns its sequence
+    /// [`write_records`](Self::write_records) — and returns its sequence
     /// number. Descriptor-first publication is what lets a batch larger
     /// than the lane stream through it, and lets the consumer start
     /// merging a batch while it is still being written.
@@ -360,23 +358,6 @@ impl IngestProducer {
         for part in records.chunks(self.shared.capacity) {
             let mut chunk = std::mem::take(&mut self.spare);
             chunk.extend(part.iter().map(|&(bank, row)| wire::pack_record(bank, row)));
-            self.spare = self.push_chunk(chunk)?;
-        }
-        Ok(())
-    }
-
-    /// Streams already-packed records ([`wire::pack_record`] layout,
-    /// byte-identical to the wire payload), copying them into the lane's
-    /// spare chunks. A server's reader threads skip even that copy: they
-    /// decode each socket piece straight into a spare.
-    ///
-    /// # Errors
-    ///
-    /// [`QueueClosed`] if the consumer has been dropped.
-    pub fn write_packed(&mut self, packed: &[u64]) -> Result<(), QueueClosed> {
-        for part in packed.chunks(self.shared.capacity) {
-            let mut chunk = std::mem::take(&mut self.spare);
-            chunk.extend_from_slice(part);
             self.spare = self.push_chunk(chunk)?;
         }
         Ok(())
@@ -1246,8 +1227,9 @@ mod tests {
         let expected: Vec<(u32, u32)> = packed.iter().map(|&x| wire::unpack_record(x)).collect();
         let sender = std::thread::spawn(move || {
             assert_eq!(p.begin_batch(40).unwrap(), 0);
-            p.write_packed(&packed[..25]).unwrap();
-            p.write_packed(&packed[25..]).unwrap();
+            for piece in packed[..25].chunks(16).chain(packed[25..].chunks(16)) {
+                drop(p.push_chunk(piece.to_vec()).unwrap());
+            }
             assert_eq!(p.begin_batch(1).unwrap(), 1);
             p.write_records(&[(3, 9)]).unwrap();
         });
@@ -1289,7 +1271,7 @@ mod tests {
 
         // Mixed-size batches, 1 record up to 3× the capacity, in pieces of
         // at most the capacity (one push each): through the by-value path
-        // a reader takes and, every third batch, through `write_packed`.
+        // a reader takes and, every third batch, as a fresh chunk.
         let mut x = 0x2545_f491_4f6c_dd1du64;
         let batches: Vec<Vec<u64>> = (0..1200u32)
             .map(|b| {
@@ -1311,7 +1293,7 @@ mod tests {
                 p.begin_batch(batch.len()).unwrap();
                 for piece in batch.chunks(CAPACITY) {
                     if k % 3 == 2 {
-                        p.write_packed(piece).unwrap();
+                        drop(p.push_chunk(piece.to_vec()).unwrap());
                     } else {
                         reused += usize::from(chunk.capacity() > 0);
                         chunk.extend_from_slice(piece);

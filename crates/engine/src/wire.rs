@@ -1,12 +1,14 @@
 //! The versioned binary wire format of the socket/queue ingestion
 //! front-end (`DESIGN.md §8`).
 //!
-//! Everything here is hand-rolled little-endian framing over
-//! `std::io::{Read, Write}` — the workspace builds offline, so there is no
-//! serde, no protobuf, no async runtime. The format is deliberately dumb:
-//! fixed-width integers, one-byte frame tags, length-prefixed payloads with
-//! hard caps, and an explicit version number in the handshake so the format
-//! can evolve without silently misparsing old peers.
+//! Everything here is hand-rolled little-endian framing — the workspace
+//! builds offline, so there is no serde, no protobuf, no async runtime.
+//! The format is deliberately dumb: fixed-width integers, one-byte frame
+//! tags, length-prefixed payloads with hard caps, and an explicit version
+//! number in the handshake so the format can evolve without silently
+//! misparsing old peers. Its codec, a bounded slice cursor plus `put_*`
+//! writers, is the crate's only one: checkpoint images and the trace log
+//! use it too.
 //!
 //! ## Session layout
 //!
@@ -146,51 +148,190 @@ pub(crate) fn bad(message: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message.into())
 }
 
-fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
+/// The crate's one bounded little-endian decoder: a cursor over a byte
+/// slice. Every read checks the bytes actually remaining, so a forged
+/// count or a cut buffer is a typed refusal before anything is allocated.
+/// Checkpoint images and the trace-log header decode straight from their
+/// bytes; a wire read first fills a fixed buffer from the stream (a cut
+/// stream is then an [`io::ErrorKind::UnexpectedEof`]) and decodes that.
+/// The matching writers are the `put_*` functions below.
+pub(crate) struct ByteReader<'a> {
+    buf: &'a [u8],
 }
 
-fn read_u16<R: Read>(r: &mut R) -> io::Result<u16> {
-    let mut b = [0u8; 2];
-    r.read_exact(&mut b)?;
-    Ok(u16::from_le_bytes(b))
-}
-
-fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-/// Magic and version, the opening bytes of both hellos, in a buffer the
-/// rest of the hello is encoded into. Control messages go out with one
-/// `write_all` each: a run of small writes on an unbuffered socket lets
-/// Nagle's algorithm and the peer's delayed ACK hold the tail for ~40 ms.
-fn hello_prefix() -> Vec<u8> {
-    let mut buf = MAGIC.to_vec();
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf
-}
-
-fn read_magic_version<R: Read>(r: &mut R, who: &str) -> io::Result<()> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if magic != MAGIC {
-        return Err(bad(format!("{who}: bad magic {magic:02x?}")));
+impl<'a> ByteReader<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
+        ByteReader { buf }
     }
-    let version = read_u16(r)?;
-    if version != VERSION {
-        return Err(bad(format!(
-            "{who}: wire version {version}, this peer speaks {VERSION}"
-        )));
+
+    pub(crate) fn remaining(&self) -> usize {
+        self.buf.len()
     }
+
+    pub(crate) fn take(&mut self, n: usize, what: &str) -> io::Result<&'a [u8]> {
+        if n > self.buf.len() {
+            return Err(bad(format!(
+                "truncated input: {what} needs {n} bytes, {} remain",
+                self.buf.len()
+            )));
+        }
+        let (head, tail) = self.buf.split_at(n);
+        self.buf = tail;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self, what: &str) -> io::Result<[u8; N]> {
+        let mut bytes = [0u8; N];
+        bytes.copy_from_slice(self.take(N, what)?);
+        Ok(bytes)
+    }
+
+    pub(crate) fn u8(&mut self, what: &str) -> io::Result<u8> {
+        Ok(self.take(1, what)?[0])
+    }
+
+    pub(crate) fn u16(&mut self, what: &str) -> io::Result<u16> {
+        Ok(u16::from_le_bytes(self.array(what)?))
+    }
+
+    pub(crate) fn u32(&mut self, what: &str) -> io::Result<u32> {
+        Ok(u32::from_le_bytes(self.array(what)?))
+    }
+
+    pub(crate) fn u64(&mut self, what: &str) -> io::Result<u64> {
+        Ok(u64::from_le_bytes(self.array(what)?))
+    }
+
+    /// Checks a `what` header's magic and format version: the hellos', the
+    /// checkpoint image's and the trace log's.
+    pub(crate) fn magic(&mut self, what: &str, magic: [u8; 4], version: u16) -> io::Result<()> {
+        let got = self.take(4, "magic")?;
+        if got != magic {
+            return Err(bad(format!("{what}: bad magic {got:02x?}")));
+        }
+        let got = self.u16("version")?;
+        if got != version {
+            return Err(bad(format!(
+                "{what} version {got}, this build reads {version}"
+            )));
+        }
+        Ok(())
+    }
+
+    /// A spec string's u16 length, refused above [`MAX_SPEC_LEN`].
+    fn spec_len(&mut self) -> io::Result<usize> {
+        let len = self.u16("spec length")?;
+        if len > MAX_SPEC_LEN {
+            return Err(bad(format!("spec string of {len} bytes")));
+        }
+        Ok(usize::from(len))
+    }
+
+    /// A spec string: its u16 length ([`MAX_SPEC_LEN`] at most), then that
+    /// many bytes of UTF-8.
+    pub(crate) fn spec(&mut self) -> io::Result<&'a str> {
+        let len = self.spec_len()?;
+        let bytes = self.take(len, "spec string")?;
+        std::str::from_utf8(bytes).map_err(|e| bad(format!("spec not UTF-8: {e}")))
+    }
+
+    /// The 8 slice fields of the server hello and the checkpoint system
+    /// section: the 6 geometry u32s, then the slice's start bank and bank
+    /// count.
+    pub(crate) fn slice(&mut self) -> io::Result<(MemGeometry, u32, u32)> {
+        let mut f = [0u32; 8];
+        for field in &mut f {
+            *field = self.u32("slice field")?;
+        }
+        let geometry = MemGeometry {
+            channels: f[0],
+            ranks_per_channel: f[1],
+            banks_per_rank: f[2],
+            rows_per_bank: f[3],
+            lines_per_row: f[4],
+            line_bytes: f[5],
+        };
+        Ok((geometry, f[6], f[7]))
+    }
+
+    /// Refuses bytes left over after a whole body was decoded.
+    pub(crate) fn finish(self) -> io::Result<()> {
+        match self.buf.len() {
+            0 => Ok(()),
+            n => Err(bad(format!("{n} trailing bytes after the body"))),
+        }
+    }
+}
+
+fn put_u16(buf: &mut Vec<u8>, v: u16) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Writes the header [`ByteReader::magic`] checks.
+pub(crate) fn put_magic(buf: &mut Vec<u8>, magic: [u8; 4], version: u16) {
+    buf.extend_from_slice(&magic);
+    put_u16(buf, version);
+}
+
+/// Writes the spec string [`ByteReader::spec`] reads.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidData`] if `spec` exceeds [`MAX_SPEC_LEN`].
+pub(crate) fn put_spec(buf: &mut Vec<u8>, spec: &str) -> io::Result<()> {
+    if spec.len() > usize::from(MAX_SPEC_LEN) {
+        return Err(bad(format!("spec string of {} bytes", spec.len())));
+    }
+    put_u16(buf, spec.len() as u16);
+    buf.extend_from_slice(spec.as_bytes());
     Ok(())
+}
+
+/// Writes the slice fields [`ByteReader::slice`] reads.
+pub(crate) fn put_slice(buf: &mut Vec<u8>, g: &MemGeometry, start: u32, banks: u32) {
+    for field in [
+        g.channels,
+        g.ranks_per_channel,
+        g.banks_per_rank,
+        g.rows_per_bank,
+        g.lines_per_row,
+        g.line_bytes,
+        start,
+        banks,
+    ] {
+        put_u32(buf, field);
+    }
+}
+
+/// Appends `records` as packed 8-byte words ([`pack_record`]): the
+/// payload of a records frame and the body of the trace log.
+pub(crate) fn put_records(buf: &mut Vec<u8>, records: &[(u32, u32)]) {
+    buf.reserve(records.len() * RECORD_BYTES);
+    for &(bank, row) in records {
+        put_u64(buf, pack_record(bank, row));
+    }
+}
+
+/// Fills `N` bytes from `r` for a [`ByteReader`] to decode.
+fn read_array<const N: usize, R: Read>(r: &mut R) -> io::Result<[u8; N]> {
+    let mut buf = [0u8; N];
+    r.read_exact(&mut buf)?;
+    Ok(buf)
+}
+
+/// Reads and checks a hello's 4-byte magic and 2-byte version: a peer
+/// speaking another protocol or version is refused on these 6 bytes,
+/// before more are awaited.
+fn read_hello_magic<R: Read>(r: &mut R, what: &str) -> io::Result<()> {
+    ByteReader::new(&read_array::<6, R>(r)?).magic(what, MAGIC, VERSION)
 }
 
 /// Writes the client's opening handshake: magic + version + the
@@ -199,10 +340,14 @@ fn read_magic_version<R: Read>(r: &mut R, who: &str) -> io::Result<()> {
 /// the side that dealt the trace — because TCP accept order is racy: lane
 /// assignment must follow the deal, not connection timing. A session's
 /// ids must form a permutation of `0..producers`; the server rejects
-/// duplicates and out-of-range claims. The hello leaves in one write.
+/// duplicates and out-of-range claims. The hello leaves in one write:
+/// control messages go out with one `write_all` each, as a run of small
+/// writes on an unbuffered socket lets Nagle's algorithm and the peer's
+/// delayed ACK hold the tail for ~40 ms.
 pub fn write_client_hello<W: Write>(w: &mut W, producer_id: u32) -> io::Result<()> {
-    let mut buf = hello_prefix();
-    buf.extend_from_slice(&producer_id.to_le_bytes());
+    let mut buf = Vec::new();
+    put_magic(&mut buf, MAGIC, VERSION);
+    put_u32(&mut buf, producer_id);
     w.write_all(&buf)
 }
 
@@ -213,8 +358,8 @@ pub fn write_client_hello<W: Write>(w: &mut W, producer_id: u32) -> io::Result<(
 /// [`io::ErrorKind::InvalidData`] on a magic or version mismatch; I/O
 /// errors pass through.
 pub fn read_client_hello<R: Read>(r: &mut R) -> io::Result<u32> {
-    read_magic_version(r, "client hello")?;
-    read_u32(r)
+    read_hello_magic(r, "client hello")?;
+    ByteReader::new(&read_array::<4, R>(r)?).u32("producer id")
 }
 
 /// The server's half of the handshake: what the [`crate::MemorySystem`]
@@ -246,6 +391,12 @@ pub struct ServerHello {
     pub epochs: u64,
 }
 
+/// Server hello bytes between its magic and its spec: the slice fields
+/// and the spec length.
+const SERVER_HELLO_HEAD: usize = 8 * 4 + 2;
+/// Server hello bytes after its spec: epoch length, accesses, epochs.
+const SERVER_HELLO_TAIL: usize = 3 * 8;
+
 /// Writes the server's handshake reply in one write.
 ///
 /// # Errors
@@ -253,28 +404,17 @@ pub struct ServerHello {
 /// [`io::ErrorKind::InvalidData`] if the spec string exceeds
 /// [`MAX_SPEC_LEN`]; I/O errors pass through.
 pub fn write_server_hello<W: Write>(w: &mut W, hello: &ServerHello) -> io::Result<()> {
-    let spec = hello.spec.as_bytes();
-    if spec.len() > usize::from(MAX_SPEC_LEN) {
-        return Err(bad(format!("spec string of {} bytes", spec.len())));
-    }
-    let mut buf = hello_prefix();
-    let g = &hello.geometry;
-    for field in [
-        g.channels,
-        g.ranks_per_channel,
-        g.banks_per_rank,
-        g.rows_per_bank,
-        g.lines_per_row,
-        g.line_bytes,
+    let mut buf = Vec::new();
+    put_magic(&mut buf, MAGIC, VERSION);
+    put_slice(
+        &mut buf,
+        &hello.geometry,
         hello.slice_start,
         hello.slice_banks,
-    ] {
-        buf.extend_from_slice(&field.to_le_bytes());
-    }
-    buf.extend_from_slice(&(spec.len() as u16).to_le_bytes());
-    buf.extend_from_slice(spec);
+    );
+    put_spec(&mut buf, &hello.spec)?;
     for field in [hello.epoch_len.unwrap_or(0), hello.accesses, hello.epochs] {
-        buf.extend_from_slice(&field.to_le_bytes());
+        put_u64(&mut buf, field);
     }
     w.write_all(&buf)
 }
@@ -287,34 +427,24 @@ pub fn write_server_hello<W: Write>(w: &mut W, hello: &ServerHello) -> io::Resul
 /// [`io::ErrorKind::InvalidData`] on magic/version mismatch or an
 /// oversized or non-UTF-8 spec string; I/O errors pass through.
 pub fn read_server_hello<R: Read>(r: &mut R) -> io::Result<ServerHello> {
-    read_magic_version(r, "server hello")?;
-    let mut fields = [0u32; 6];
-    for f in &mut fields {
-        *f = read_u32(r)?;
-    }
-    let geometry = MemGeometry {
-        channels: fields[0],
-        ranks_per_channel: fields[1],
-        banks_per_rank: fields[2],
-        rows_per_bank: fields[3],
-        lines_per_row: fields[4],
-        line_bytes: fields[5],
-    };
-    let slice_start = read_u32(r)?;
-    let slice_banks = read_u32(r)?;
-    let len = read_u16(r)?;
-    if len > MAX_SPEC_LEN {
-        return Err(bad(format!("spec string of {len} bytes")));
-    }
-    let mut spec = vec![0u8; usize::from(len)];
-    r.read_exact(&mut spec)?;
-    let spec = String::from_utf8(spec).map_err(|e| bad(format!("spec not UTF-8: {e}")))?;
-    let epoch_len = match read_u64(r)? {
+    read_hello_magic(r, "server hello")?;
+    // The slice fields and the spec length, then — once the length is
+    // checked — the spec and the u64s after it, in one buffer; the second
+    // cursor starts at the length again so the one `spec` decoder reads it.
+    let mut buf = [0u8; SERVER_HELLO_HEAD + MAX_SPEC_LEN as usize + SERVER_HELLO_TAIL];
+    r.read_exact(&mut buf[..SERVER_HELLO_HEAD])?;
+    let mut head = ByteReader::new(&buf[..SERVER_HELLO_HEAD]);
+    let (geometry, slice_start, slice_banks) = head.slice()?;
+    let end = SERVER_HELLO_HEAD + head.spec_len()? + SERVER_HELLO_TAIL;
+    r.read_exact(&mut buf[SERVER_HELLO_HEAD..end])?;
+    let mut rest = ByteReader::new(&buf[SERVER_HELLO_HEAD - 2..end]);
+    let spec = rest.spec()?.to_owned();
+    let epoch_len = match rest.u64("epoch length")? {
         0 => None,
         n => Some(n),
     };
-    let accesses = read_u64(r)?;
-    let epochs = read_u64(r)?;
+    let accesses = rest.u64("access count")?;
+    let epochs = rest.u64("epoch count")?;
     Ok(ServerHello {
         geometry,
         slice_start,
@@ -378,11 +508,8 @@ pub fn encode_records(buf: &mut Vec<u8>, seq: u64, records: &[(u32, u32)]) -> io
         return Err(bad(format!("{}-record frame", records.len())));
     }
     buf.clear();
-    buf.reserve(RECORDS_HEADER_BYTES + records.len() * RECORD_BYTES);
     buf.resize(RECORDS_HEADER_BYTES, 0);
-    for &(bank, row) in records {
-        buf.extend_from_slice(&pack_record(bank, row).to_le_bytes());
-    }
+    put_records(buf, records);
     seal_records(buf, seq);
     Ok(())
 }
@@ -416,7 +543,7 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
         Frame::Checkpoint => w.write_all(&[TAG_CHECKPOINT]),
         Frame::EpochCut { seq } => {
             w.write_all(&[TAG_EPOCH_CUT])?;
-            write_u64(w, *seq)
+            w.write_all(&seq.to_le_bytes())
         }
     }
 }
@@ -462,8 +589,10 @@ pub fn read_frame_header<R: Read>(r: &mut R) -> io::Result<FrameHeader> {
     r.read_exact(&mut tag)?;
     match tag[0] {
         TAG_RECORDS => {
-            let seq = read_u64(r)?;
-            let count = read_u32(r)?;
+            let header = read_array::<{ RECORDS_HEADER_BYTES - 1 }, R>(r)?;
+            let mut header = ByteReader::new(&header);
+            let seq = header.u64("sequence number")?;
+            let count = header.u32("record count")?;
             if count > MAX_RECORDS_PER_FRAME {
                 return Err(bad(format!("{count}-record frame")));
             }
@@ -473,7 +602,7 @@ pub fn read_frame_header<R: Read>(r: &mut R) -> io::Result<FrameHeader> {
         TAG_FINISH => Ok(FrameHeader::Finish),
         TAG_CHECKPOINT => Ok(FrameHeader::Checkpoint),
         TAG_EPOCH_CUT => {
-            let seq = read_u64(r)?;
+            let seq = ByteReader::new(&read_array::<8, R>(r)?).u64("sequence number")?;
             Ok(FrameHeader::EpochCut { seq })
         }
         other => Err(bad(format!("unknown frame tag {other:#04x}"))),
@@ -530,6 +659,10 @@ pub struct StatsSnapshot {
     pub scheme_bytes: u64,
 }
 
+/// Bytes of a stats snapshot: accesses, epochs, the counters, then the
+/// three footprint fields, a u64 each.
+const STATS_BYTES: usize = (5 + SchemeStats::FIELDS.len()) * 8;
+
 /// Writes a stats snapshot. The counters go out in
 /// [`SchemeStats::FIELDS`] order — the same name-checked encode table the
 /// checkpoint format uses, so a new `SchemeStats` field extends both wire
@@ -548,7 +681,8 @@ pub fn write_stats<W: Write>(w: &mut W, snap: &StatsSnapshot) -> io::Result<()> 
         .into_iter()
         .chain(counters)
         .chain([snap.banks, snap.materialized_banks, snap.scheme_bytes]);
-    let buf: Vec<u8> = fields.flat_map(u64::to_le_bytes).collect();
+    let mut buf = Vec::with_capacity(STATS_BYTES);
+    fields.for_each(|field| put_u64(&mut buf, field));
     w.write_all(&buf)
 }
 
@@ -558,15 +692,17 @@ pub fn write_stats<W: Write>(w: &mut W, snap: &StatsSnapshot) -> io::Result<()> 
 ///
 /// Propagates I/O errors from the reader.
 pub fn read_stats<R: Read>(r: &mut R) -> io::Result<StatsSnapshot> {
-    let accesses = read_u64(r)?;
-    let epochs = read_u64(r)?;
+    let buf = read_array::<STATS_BYTES, R>(r)?;
+    let mut r = ByteReader::new(&buf);
+    let accesses = r.u64("access count")?;
+    let epochs = r.u64("epoch count")?;
     let mut stats = SchemeStats::default();
     for field in SchemeStats::FIELDS {
-        (field.set)(&mut stats, read_u64(r)?);
+        (field.set)(&mut stats, r.u64(field.name)?);
     }
-    let banks = read_u64(r)?;
-    let materialized_banks = read_u64(r)?;
-    let scheme_bytes = read_u64(r)?;
+    let banks = r.u64("bank count")?;
+    let materialized_banks = r.u64("materialized bank count")?;
+    let scheme_bytes = r.u64("scheme bytes")?;
     Ok(StatsSnapshot {
         accesses,
         epochs,
@@ -823,6 +959,148 @@ mod tests {
             let err = read_one(&mut &buf[..len]).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "length {len}");
         }
+
+        // Every strict prefix of every message: a cut stream is an EOF,
+        // never a refusal of the bytes that did arrive, and never a panic.
+        type Reader = fn(&mut &[u8]) -> io::Result<()>;
+        let mut messages: Vec<(&str, Vec<u8>, Reader)> = Vec::new();
+        let mut bytes = Vec::new();
+        write_client_hello(&mut bytes, 7).unwrap();
+        messages.push(("client hello", bytes, |r| read_client_hello(r).map(drop)));
+        let hello = ServerHello {
+            geometry: geometry(),
+            slice_start: 8,
+            slice_banks: 8,
+            spec: "drcat:64:11:32768".into(),
+            epoch_len: Some(50_000),
+            accesses: 110_000,
+            epochs: 2,
+        };
+        let mut bytes = Vec::new();
+        write_server_hello(&mut bytes, &hello).unwrap();
+        messages.push(("server hello", bytes, |r| read_server_hello(r).map(drop)));
+        messages.push(("records frame", buf, |r| read_one(r).map(drop)));
+        for frame in [
+            Frame::StatsRequest,
+            Frame::Finish,
+            Frame::Checkpoint,
+            Frame::EpochCut { seq: 17 },
+        ] {
+            let mut bytes = Vec::new();
+            write_frame(&mut bytes, &frame).unwrap();
+            messages.push(("control frame", bytes, |r| read_one(r).map(drop)));
+        }
+        let mut bytes = Vec::new();
+        write_stats(&mut bytes, &StatsSnapshot::default()).unwrap();
+        messages.push(("stats snapshot", bytes, |r| read_stats(r).map(drop)));
+        for (what, bytes, read) in messages {
+            for len in 0..bytes.len() {
+                let err = read(&mut &bytes[..len]).unwrap_err();
+                assert_eq!(
+                    err.kind(),
+                    io::ErrorKind::UnexpectedEof,
+                    "{what} cut to {len}"
+                );
+            }
+            read(&mut bytes.as_slice()).unwrap();
+        }
+    }
+
+    /// The bytes a hex string spells, whitespace ignored: byte pins laid
+    /// out field by field.
+    fn unhex(hex: &str) -> Vec<u8> {
+        let digits: Vec<u8> = hex.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+        digits
+            .chunks(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn wire_bytes_are_pinned() {
+        // Round trips cannot catch a change made to encode and decode
+        // alike: these are the version-3 bytes, field by field.
+        let mut buf = Vec::new();
+        write_client_hello(&mut buf, 7).unwrap();
+        assert_eq!(buf, unhex("43415457 0300 07000000"), "client hello");
+
+        let fields = "02000000 01000000 08000000 00100000 10000000 40000000";
+        let spec = "1100 64726361743a36343a31313a3332373638";
+        for (epoch_len, epoch) in [
+            (Some(50_000), "50c3000000000000"),
+            (None, "0000000000000000"),
+        ] {
+            let hello = ServerHello {
+                geometry: geometry(),
+                slice_start: 8,
+                slice_banks: 8,
+                spec: "drcat:64:11:32768".into(),
+                epoch_len,
+                accesses: 110_000,
+                epochs: 2,
+            };
+            let mut buf = Vec::new();
+            write_server_hello(&mut buf, &hello).unwrap();
+            let want = format!(
+                "43415457 0300 {fields} 08000000 08000000 {spec} {epoch} \
+                 b0ad010000000000 0200000000000000"
+            );
+            assert_eq!(buf, unhex(&want), "server hello, epoch {epoch_len:?}");
+        }
+
+        let controls = [
+            (Frame::StatsRequest, "02"),
+            (Frame::Finish, "03"),
+            (Frame::Checkpoint, "04"),
+            (
+                Frame::EpochCut {
+                    seq: 0x0102_0304_0506_0708,
+                },
+                "06 0807060504030201",
+            ),
+        ];
+        for (frame, want) in controls {
+            let mut buf = Vec::new();
+            write_frame(&mut buf, &frame).unwrap();
+            assert_eq!(buf, unhex(want), "{frame:?}");
+        }
+
+        let mut buf = Vec::new();
+        encode_records(&mut buf, 9, &[(3, 0x1234_5678), (15, 4095)]).unwrap();
+        let want = "01 0900000000000000 02000000 03000000 78563412 0f000000 ff0f0000";
+        assert_eq!(buf, unhex(want), "records frame");
+
+        let snap = StatsSnapshot {
+            accesses: 1 << 40,
+            epochs: 77,
+            stats: SchemeStats {
+                activations: 1,
+                refresh_events: 2,
+                refreshed_rows: 3,
+                sram_reads: 4,
+                sram_writes: 5,
+                prng_bits: 6,
+                splits: 7,
+                merges: 8,
+                reconfigurations: 9,
+                cache_misses: 10,
+                dram_counter_transfers: 11,
+                max_depth_touched: 12,
+            },
+            banks: 16,
+            materialized_banks: 13,
+            scheme_bytes: 1 << 20,
+        };
+        let mut buf = Vec::new();
+        write_stats(&mut buf, &snap).unwrap();
+        let counters: String = (1..=12u8)
+            .map(|n| format!("{n:02x}00000000000000 "))
+            .collect();
+        let want = format!(
+            "0000000000010000 4d00000000000000 {counters} \
+             1000000000000000 0d00000000000000 0000100000000000"
+        );
+        assert_eq!(buf, unhex(&want), "stats snapshot");
     }
 
     #[test]
